@@ -173,7 +173,7 @@ def fit_tree_coefficients(
 ) -> dict[tuple[str, str], CoefficientSet]:
     """Fit steady junction resistances from a sweep of steady solutions.
 
-    RRI: dP = R_lin*Q + R_quad*Q^2 (needs >= 2 solutions);
+    RRI: dP = R_lin*Q + R_quad*Q|Q| (needs >= 2 solutions);
     RI: dP = R_lin*Q (needs >= 1).  Inductance is neglected (steady data).
     Returns {(junction id, outlet vessel id): CoefficientSet}.
     """
@@ -194,7 +194,7 @@ def fit_tree_coefficients(
             q = np.array(qs)
             dp = np.array(dps)
             if mode == "RRI":
-                a = np.column_stack([q, q**2])
+                a = np.column_stack([q, q * np.abs(q)])
                 if np.linalg.matrix_rank(a, tol=1e-10 * np.abs(a).max()) < 2:
                     raise AnalysisError(
                         f"rank-deficient sweep for junction {j.id} outlet {o.vessel_id}"
@@ -221,7 +221,6 @@ def resolve_with_fits(
 ) -> list[dict]:
     """Re-solve the tree with fitted coefficients at each sweep inflow and
     report inlet-pressure errors vs the reference solutions (if given)."""
-    from .network import BoundaryCondition
     from .flowsplit import estimate_flow_splits
 
     engine = "rri" if next(iter(fits.values())).kind == "RRI" else "ri"
@@ -231,20 +230,11 @@ def resolve_with_fits(
         for o in j.outlets:
             o.coefficients = fits[(j.id, o.vessel_id)]
     rows = []
-    original_bcs = network.boundary_conditions
-    try:
-        for i, q_in in enumerate(inflows):
-            network.boundary_conditions = [
-                BoundaryCondition(vessel_id=b.vessel_id, kind="FLOW", value=q_in)
-                if b.kind == "FLOW"
-                else b
-                for b in original_bcs
-            ]
+    for i, q_in in enumerate(inflows):
+        with network.steady_inflow(q_in):
             sol = solve_opt(network, SolverConfig(mode="steady"), engine=engine)
-            row = {"inflow": q_in, "objective": sol.diagnostics[0]["objective"]}
-            if references is not None:
-                row.update(pressure_error(sol, references[i]))
-            rows.append(row)
-    finally:
-        network.boundary_conditions = original_bcs
+        row = {"inflow": q_in, "objective": sol.diagnostics[0]["objective"]}
+        if references is not None:
+            row.update(pressure_error(sol, references[i]))
+        rows.append(row)
     return rows

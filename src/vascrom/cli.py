@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .network import (
+    MMHG_TO_BA,
     Fluid,
     NetworkError,
     generate_symmetric_tree,
@@ -262,19 +263,10 @@ def cmd_fit_tree(args) -> int:
     inlet_radius = net.inlet_vessel.radius
     re_values = [float(v) for v in args.re.split(",")]
     inflows = [_re_to_flow(r, inlet_radius, net.fluid) for r in re_values]
-    from .network import BoundaryCondition
-
     solutions = []
-    original = net.boundary_conditions
     for q in inflows:
-        net.boundary_conditions = [
-            BoundaryCondition(vessel_id=b.vessel_id, kind="FLOW", value=q)
-            if b.kind == "FLOW"
-            else b
-            for b in original
-        ]
-        solutions.append(solve_opt(net, SolverConfig(mode="steady"), engine="rri"))
-    net.boundary_conditions = original
+        with net.steady_inflow(q):
+            solutions.append(solve_opt(net, SolverConfig(mode="steady"), engine="rri"))
     fits = fit_tree_coefficients(net, solutions, mode=args.kind)
     errors = resolve_with_fits(net, fits, inflows, references=solutions)
     out = Path(args.out)
@@ -339,7 +331,7 @@ def cmd_compare(args) -> int:
     if denom == 0:
         raise AnalysisError("reference pressure range is zero")
     result = {
-        "absolute_mmhg": float(np.max(diff)) / 1333.22,
+        "absolute_mmhg": float(np.max(diff)) / MMHG_TO_BA,
         "relative": float(np.max(diff)) / denom,
     }
     out = Path(args.out)
@@ -391,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--waveform-steps", type=int, default=200)
     p.add_argument("--period", type=float, default=0.4, help="waveform period [s]")
     p.add_argument("--noise-sigma", type=float, default=0.0, help="dP noise [Ba]")
-    p.add_argument("--workers", type=int, default=1, help="reserved; generation is fast")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate_data)
 

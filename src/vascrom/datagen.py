@@ -248,24 +248,24 @@ def oracle_coeffs(g: DimensionlessGeometry) -> CoefficientSet:
 def synthesize_timeseries(
     coeffs: CoefficientSet, t: np.ndarray, q: np.ndarray
 ) -> TimeSeries:
-    """Forward-evaluate dP = R_lin*Q + R_quad*Q^2 + L*Qdot on a uniform grid."""
+    """Forward-evaluate dP = R_lin*Q + R_quad*Q|Q| + L*Qdot on a uniform grid."""
     t = np.asarray(t, float)
     q = np.asarray(q, float)
     if t.size < 3:
         raise DatagenError("need at least 3 samples")
     dt = t[1] - t[0]
     qdot = central_difference(q, dt)
-    dp = coeffs.r_lin * q + coeffs.quad() * q**2 + coeffs.l * qdot
+    dp = coeffs.r_lin * q + coeffs.quad() * (q * np.abs(q)) + coeffs.l * qdot
     return TimeSeries(t=t, q=q, dp=dp, qdot=qdot)
 
 
-_RRI_COLUMNS = ("Q", "Q^2", "Qdot")
+_RRI_COLUMNS = ("Q", "Q|Q|", "Qdot")
 _RI_COLUMNS = ("Q", "Qdot")
 
 
 def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
     qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
-    cols = {"Q": series.q, "Q^2": series.q**2, "Qdot": qdot}
+    cols = {"Q": series.q, "Q|Q|": series.q * np.abs(series.q), "Qdot": qdot}
     a = np.column_stack([cols[c] for c in columns])
     # Column scaling keeps the rank check meaningful across units.
     scale = np.linalg.norm(a, axis=0)
@@ -295,7 +295,8 @@ def fit_ri(series: TimeSeries) -> CoefficientSet:
 
 def r_squared(series: TimeSeries, coeffs: CoefficientSet) -> float:
     qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
-    pred = coeffs.r_lin * series.q + coeffs.quad() * series.q**2 + coeffs.l * qdot
+    q = series.q
+    pred = coeffs.r_lin * q + coeffs.quad() * (q * np.abs(q)) + coeffs.l * qdot
     ss_tot = float(np.sum((series.dp - series.dp.mean()) ** 2))
     if ss_tot == 0:
         raise DatagenError("zero-variance dP; R^2 undefined")

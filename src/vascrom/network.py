@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -46,9 +47,10 @@ class Fluid:
     rho: float = DEFAULT_RHO
 
     def __post_init__(self):
-        if self.mu <= 0 or self.rho <= 0:
+        if not (0 < self.mu < math.inf and 0 < self.rho < math.inf):
             raise InvalidGeometryError(
-                f"fluid properties must be positive, got mu={self.mu}, rho={self.rho}"
+                f"fluid properties must be positive and finite, "
+                f"got mu={self.mu}, rho={self.rho}"
             )
 
 
@@ -106,9 +108,12 @@ class Vessel:
     capacitance: float = DEFAULT_CAPACITANCE
 
     def __post_init__(self):
-        if self.length <= 0 or self.area <= 0:
+        optional = [v for v in (self.stenosis_area, self.kt) if v is not None]
+        if not all(map(math.isfinite, [self.capacitance, *self.tangent, *optional])):
+            raise InvalidGeometryError(f"vessel {self.id}: values must be finite")
+        if not (0 < self.length < math.inf and 0 < self.area < math.inf):
             raise InvalidGeometryError(
-                f"vessel {self.id}: length and area must be positive"
+                f"vessel {self.id}: length and area must be positive and finite"
             )
         if self.stenosis_area is not None and not (0 < self.stenosis_area <= self.area):
             raise InvalidGeometryError(
@@ -153,8 +158,13 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("FLOW", "RESISTANCE"):
             raise SchemaError(f"unknown boundary condition kind {self.kind!r}")
-        if self.kind == "RESISTANCE" and self.r < 0:
-            raise SchemaError(f"BC on {self.vessel_id}: resistance must be >= 0")
+        if self.kind == "RESISTANCE" and not (
+            0 <= self.r < math.inf and math.isfinite(self.pd)
+        ):
+            raise SchemaError(
+                f"BC on {self.vessel_id}: resistance must be >= 0 and finite, "
+                f"distal pressure finite"
+            )
         if self.kind == "FLOW" and isinstance(self.value, (tuple, list)):
             t, q = np.asarray(self.value[0], float), np.asarray(self.value[1], float)
             if t.size != q.size or t.size < 2 or np.any(np.diff(t) <= 0):
@@ -162,6 +172,8 @@ class BoundaryCondition:
                     f"BC on {self.vessel_id}: inflow series must be strictly increasing in t"
                 )
             object.__setattr__(self, "value", (t, q))
+        if self.kind == "FLOW" and not np.all(np.isfinite(np.asarray(self.value, float))):
+            raise SchemaError(f"BC on {self.vessel_id}: inflow must be finite")
 
     def steady_flow(self) -> float:
         if isinstance(self.value, tuple):
@@ -198,7 +210,7 @@ class Junction:
                 f"(got {len(self.outlets)}); many-outlet junctions are unsupported"
             )
         phis = [o.flow_split for o in self.outlets]
-        if all(p is not None for p in phis) and abs(phis[0] + phis[1] - 1.0) > 1e-12:
+        if all(p is not None for p in phis) and not abs(phis[0] + phis[1] - 1.0) <= 1e-12:
             raise InvalidGeometryError(
                 f"junction {self.id}: flow splits must sum to 1"
             )
@@ -243,6 +255,19 @@ class VascularNetwork:
     @property
     def inflow_bc(self) -> BoundaryCondition:
         return next(b for b in self.boundary_conditions if b.kind == "FLOW")
+
+    @contextmanager
+    def steady_inflow(self, q: float):
+        """Swap the inflow BC for a steady flow q; the original boundary
+        conditions come back on exit, also on error."""
+        original = self.boundary_conditions
+        self.boundary_conditions = [
+            replace(b, value=q) if b.kind == "FLOW" else b for b in original
+        ]
+        try:
+            yield self
+        finally:
+            self.boundary_conditions = original
 
     def leaf_vessels(self) -> list[str]:
         inlets = {j.inlet_vessel for j in self.junctions}

@@ -6,23 +6,24 @@ Two engines:
   * rri / ri: vessels act as wires, junctions carry fitted/predicted
     coefficients, solved as an equality-constrained least-squares problem.
     All constraints (mass conservation, wire continuity, boundary conditions)
-    are linear, so they are eliminated exactly through a null-space
-    parametrization and the junction residuals are minimized over the
-    feasible affine subspace.
+    are linear and are eliminated along the tree: the free unknowns are the
+    first-outlet flow and the inlet pressure of each junction, read straight
+    off the state, and the junction residuals are minimized over them with
+    Levenberg-Marquardt.  The null-space basis is built in one pass over the
+    tree; no matrix factorization is needed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .network import VascularNetwork
 
@@ -328,15 +329,24 @@ def solve_transient_standard(
 
 
 class _OptProblem:
-    """Linear constraints + junction residuals for one network/engine pair."""
+    """Junction residuals of one network/engine pair over its feasible set.
+
+    On a tree the linear constraints (wire continuity, mass balance, inflow,
+    leaf resistance BCs) leave two free entries of the state per junction:
+    the flow into its first outlet and the pressure of its inlet vessel.
+    Every feasible state is ``inflow * x_unit + basis @ (scale * z)`` with
+    ``z`` those entries divided by their scales, and leaf pressures then set
+    to ``R * q + Pd``.  A unit flow entering a vessel leaves through second
+    outlets down to a leaf, where it raises the leaf pressure by R.
+    """
 
     def __init__(self, network: VascularNetwork, engine: str):
         if engine not in ("rri", "ri"):
             raise SolverError(f"unknown optimization engine {engine!r}")
         self.network = network
         self.engine = engine
-        self.idx = VarIndex(network)
-        self.outlets = []
+        self.idx = idx = VarIndex(network)
+        outlets = []
         for j in network.junctions:
             for o in j.outlets:
                 if o.coefficients is None:
@@ -347,22 +357,71 @@ class _OptProblem:
                     raise SolverError(
                         f"junction {j.id}: outlet {o.vessel_id} has no flow split"
                     )
-                self.outlets.append((j, o))
+                outlets.append((j, o))
         self.a, self.b_template, self.inflow_row = self._constraints()
-        self.set_variable_scales(1.0, 1.0)
 
-    def set_variable_scales(self, q_var: float, p_var: float) -> None:
-        """Column-scale the unknowns so pressure and flow directions are
-        comparable in the reduced least-squares problem; without this the
-        optimizer stalls far from the attainable objective on deep trees."""
-        d = np.ones(self.idx.n)
-        for vid in self.idx.vessel_ids:
-            d[self.idx(vid, "p_in")] = p_var
-            d[self.idx(vid, "p_out")] = p_var
-            d[self.idx(vid, "q_in")] = q_var
-            d[self.idx(vid, "q_out")] = q_var
-        self.d = d
-        self.null = scipy.linalg.null_space(self.a * d[None, :])
+        # per outlet: junction pressure, outlet pressure, outlet flow, junction
+        # inflow, and the junction-law coefficients
+        self.i_pj = np.array([idx(j.inlet_vessel, "p_out") for j, _ in outlets], dtype=int)
+        self.i_po = np.array([idx(o.vessel_id, "p_in") for _, o in outlets], dtype=int)
+        self.i_q = np.array([idx(o.vessel_id, "q_in") for _, o in outlets], dtype=int)
+        self.i_qj = np.array([idx(j.inlet_vessel, "q_out") for j, _ in outlets], dtype=int)
+        use_quad = engine == "rri"
+        self.r_lin = np.array([o.coefficients.r_lin for _, o in outlets])
+        self.r_quad = np.array([o.coefficients.quad() if use_quad else 0.0 for _, o in outlets])
+        self.l = np.array([o.coefficients.l for _, o in outlets])
+        self.phi = np.array([o.flow_split for _, o in outlets])
+        self._tree_basis()
+
+    def _tree_basis(self):
+        net, idx = self.network, self.idx
+        below = {j.inlet_vessel: j for j in net.junctions}
+        leaves = [bc for bc in net.boundary_conditions if bc.kind == "RESISTANCE"]
+        leaf_r = {bc.vessel_id: bc.r for bc in leaves}
+
+        def unit_flow(vid, sign=1.0):
+            """State entries moved by a unit flow entering vessel vid."""
+            while vid in below:
+                yield from ((idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign))
+                vid = below[vid].outlets[1].vessel_id
+            r = sign * leaf_r[vid]
+            yield from (
+                (idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign),
+                (idx(vid, "p_in"), r), (idx(vid, "p_out"), r),
+            )
+
+        n_j = len(net.junctions)
+        entries = []  # (row, column, value)
+        for k, j in enumerate(net.junctions):
+            first, second = (o.vessel_id for o in j.outlets)
+            entries += [(i, k, c) for i, c in unit_flow(first)]
+            entries += [(i, k, c) for i, c in unit_flow(second, -1.0)]
+            entries += [(idx(j.inlet_vessel, q), n_j + k, 1.0) for q in ("p_in", "p_out")]
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        self.basis = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(idx.n, 2 * n_j))
+        self.free = np.array(
+            [idx(j.outlets[0].vessel_id, "q_in") for j in net.junctions]
+            + [idx(j.inlet_vessel, "p_out") for j in net.junctions],
+            dtype=int,
+        )
+        self.x_unit = np.zeros(idx.n)
+        for i, c in unit_flow(net.inflow_bc.vessel_id):
+            self.x_unit[i] = c
+        self.leaf_p = np.array(
+            [[idx(b.vessel_id, "p_in"), idx(b.vessel_id, "p_out")] for b in leaves], dtype=int
+        )
+        self.leaf_q = np.array([[idx(b.vessel_id, "q_out")] for b in leaves], dtype=int)
+        self.leaf_r = np.array([[b.r] for b in leaves])
+        self.leaf_pd = np.array([[b.pd] for b in leaves])
+
+    def set_variable_scales(self, q_scale: float, p_var: float) -> None:
+        """Column-scale the basis so flow and pressure unknowns are comparable
+        in the reduced least-squares problem; without this the optimizer
+        stalls far from the attainable objective on deep trees.  q_scale also
+        normalizes the residuals."""
+        n_j = len(self.network.junctions)
+        self.q_scale = q_scale
+        self.scale = np.repeat([q_scale, p_var], n_j)
 
     def _constraints(self):
         idx = self.idx
@@ -401,97 +460,68 @@ class _OptProblem:
         b[self.inflow_row] = inflow
         return b
 
-    def residuals(self, x, q_prev, dt, q_scale):
-        """Objective residual vector and its Jacobian w.r.t. x."""
-        idx = self.idx
-        m = 2 * len(self.outlets)
-        r = np.zeros(m)
-        jac = np.zeros((m, idx.n))
-        use_quad = self.engine == "rri"
-        k = 0
-        for j, o in self.outlets:
-            c = o.coefficients
-            rq = c.quad() if use_quad else 0.0
-            i_pin = idx(j.inlet_vessel, "p_out")  # junction inlet pressure
-            i_pout = idx(o.vessel_id, "p_in")
-            i_q = idx(o.vessel_id, "q_in")
-            i_qj = idx(j.inlet_vessel, "q_out")
-            q = x[i_q]
-            qdot = 0.0 if dt is None else (q - q_prev[i_q]) / dt
-            dqdot = 0.0 if dt is None else 1.0 / dt
-            dp_model = c.r_lin * q + rq * q * q + c.l * qdot
-            r[k] = (x[i_pin] - x[i_pout] - dp_model) / q_scale**2
-            jac[k, i_pin] = 1.0 / q_scale**2
-            jac[k, i_pout] = -1.0 / q_scale**2
-            jac[k, i_q] = -(c.r_lin + 2 * rq * q + c.l * dqdot) / q_scale**2
-            k += 1
-            r[k] = (o.flow_split * x[i_qj] - q) / q_scale
-            jac[k, i_qj] = o.flow_split / q_scale
-            jac[k, i_q] = -1.0 / q_scale
-            k += 1
-        return r, jac
+    def state(self, inflow: float, z: np.ndarray) -> np.ndarray:
+        """The feasible state with scaled free unknowns z."""
+        x = inflow * self.x_unit + self.basis @ (self.scale * z)
+        # leaf pressures come from the leaf's own flow: summed through the
+        # basis, their +-R*q_scale terms cancel and lose digits
+        x[self.leaf_p] = self.leaf_r * x[self.leaf_q] + self.leaf_pd
+        return x
 
-    def solve_step(self, inflow, q_prev, dt, q_scale, config, x_start=None):
-        b = self.rhs(inflow)
-        a_scaled = self.a * self.d[None, :]
-        y_part, *_ = np.linalg.lstsq(a_scaled, b, rcond=None)
-        x_part = self.d * y_part
-        n_basis = self.null
-        if n_basis.shape[1] == 0 or not self.outlets:
-            x = x_part
-        else:
-            if x_start is not None:
-                z0 = n_basis.T @ ((x_start - x_part) / self.d)
-            else:
-                z0 = np.zeros(n_basis.shape[1])
+    def residuals(self, x, x_prev, dt):
+        """Junction pressure-law residuals, then flow-split residuals."""
+        q = x[self.i_q]
+        qdot = 0.0 if dt is None else (q - x_prev[self.i_q]) / dt
+        dp_model = self.r_lin * q + self.r_quad * q * np.abs(q) + self.l * qdot
+        return np.concatenate([
+            (x[self.i_pj] - x[self.i_po] - dp_model) / self.q_scale**2,
+            (self.phi * x[self.i_qj] - q) / self.q_scale,
+        ])
 
-            def fun(z):
-                r, _ = self.residuals(
-                    x_part + self.d * (n_basis @ z), q_prev, dt, q_scale
-                )
-                return r
-
-            def jac(z):
-                _, jx = self.residuals(
-                    x_part + self.d * (n_basis @ z), q_prev, dt, q_scale
-                )
-                return (jx * self.d[None, :]) @ n_basis
-
-            method = "lm" if 2 * len(self.outlets) >= n_basis.shape[1] else "trf"
-            result = scipy.optimize.least_squares(
-                fun, z0, jac=jac, method=method, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=2000,
-            )
-            x = x_part + self.d * (n_basis @ result.x)
-
-        # iterative refinement keeps constraint roundoff at machine level
-        for _ in range(2):
-            defect = self.a @ x - b
-            if np.max(np.abs(defect)) < 1e-14 * max(1.0, np.max(np.abs(b))):
-                break
-            corr, *_ = np.linalg.lstsq(a_scaled, defect, rcond=None)
-            x = x - self.d * corr
-
-        r, jx = self.residuals(x, q_prev, dt, q_scale)
-        z_val = float(np.sum(r**2))
-        violation = float(np.max(np.abs(self.a @ x - b)))
-        grad = (
-            2.0 * ((jx * self.d[None, :]) @ n_basis).T @ r
-            if n_basis.shape[1]
-            else np.zeros(0)
+    def jacobian(self, x, dt):
+        """Jacobian of the residuals w.r.t. the scaled free unknowns."""
+        b_pj, b_po, b_q, b_qj = (
+            self.basis[i].toarray() for i in (self.i_pj, self.i_po, self.i_q, self.i_qj)
         )
-        stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-        diag = {
-            "objective": z_val,
-            "constraint_violation": violation,
-            "stationarity": stationarity,
+        dqdot = 0.0 if dt is None else 1.0 / dt
+        dq = self.r_lin + 2 * self.r_quad * np.abs(x[self.i_q]) + self.l * dqdot
+        jac = np.vstack([
+            (b_pj - b_po - dq[:, None] * b_q) / self.q_scale**2,
+            (self.phi[:, None] * b_qj - b_q) / self.q_scale,
+        ])
+        return jac * self.scale
+
+    def diagnostics(self, x, inflow, x_prev, dt) -> dict:
+        """Objective, constraint violation and stationarity (inf-norm of the
+        objective gradient w.r.t. the scaled free unknowns) at state x."""
+        r = self.residuals(x, x_prev, dt)
+        grad = 2.0 * self.jacobian(x, dt).T @ r
+        return {
+            "objective": float(np.sum(r**2)),
+            "constraint_violation": float(np.max(np.abs(self.a @ x - self.rhs(inflow)))),
+            "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
+
+    def solve_step(self, inflow, x_prev, dt, config, x_start=None):
+        z = np.zeros(self.free.size) if x_start is None else x_start[self.free] / self.scale
+        if z.size:
+            result = scipy.optimize.least_squares(
+                lambda z: self.residuals(self.state(inflow, z), x_prev, dt),
+                z,
+                jac=lambda z: self.jacobian(self.state(inflow, z), dt),
+                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
+            )
+            z = result.x
+        x = self.state(inflow, z)
+        diag = self.diagnostics(x, inflow, x_prev, dt)
+        violation, z_val = diag["constraint_violation"], diag["objective"]
         if violation > config.constraint_tol:
             raise ConvergenceError(
                 f"constraint violation {violation:.3e} exceeds {config.constraint_tol:.1e}"
             )
         # an objective below tol^2 means normalized residuals below tol, which
         # is convergence regardless of the (scale-sensitive) gradient norm
+        stationarity = diag["stationarity"]
         if stationarity > config.stationarity_tol and z_val > config.stationarity_tol**2:
             raise ConvergenceError(
                 f"stationarity {stationarity:.3e} exceeds {config.stationarity_tol:.1e} "
@@ -500,7 +530,7 @@ class _OptProblem:
         return x, diag
 
 
-def _standard_warm_start(network, idx):
+def _standard_warm_start(network):
     cfg = SolverConfig(mode="steady")
     try:
         sol = solve_steady_standard(network, cfg)
@@ -521,52 +551,24 @@ def solve_opt(
     residuals are minimized over the feasible subspace.
     """
     problem = _OptProblem(network, engine)
-    warm = _standard_warm_start(network, problem.idx)
-
-    def pick_scales(q_scale):
-        p_var = max(1.0, q_scale)
-        if warm is not None:
-            i_p = [
-                problem.idx(vid, q)
-                for vid in problem.idx.vessel_ids
-                for q in ("p_in", "p_out")
-            ]
-            p_var = max(p_var, float(np.max(np.abs(warm[i_p]))))
-        problem.set_variable_scales(q_scale, p_var)
-        return p_var
-
+    warm = _standard_warm_start(network)
     if config.mode == "steady":
-        inflow = network.inflow_bc.steady_flow()
-        q_scale = abs(inflow)
-        if q_scale == 0:
-            q_scale = 1.0
-        p_var = pick_scales(q_scale)
-        x, diag = problem.solve_step(inflow, None, None, q_scale, config, x_start=warm)
-        return Solution(
-            times=np.array([0.0]),
-            states=x[None, :],
-            index=problem.idx,
-            network=network,
-            engine=engine,
-            config=config,
-            diagnostics=[diag],
-            meta={"q_scale": q_scale, "p_var": p_var},
-        )
-
-    times = config.dt * np.arange(config.n_steps + 1)
-    inflows = np.array([_inflow_at(network, t) for t in times])
-    q_scale = float(np.max(np.abs(inflows)))  # peak inflow scales the objective
-    if q_scale == 0:
-        q_scale = 1.0
-    p_var = pick_scales(q_scale)
-    x, diag = problem.solve_step(inflows[0], None, None, q_scale, config, x_start=warm)
+        times, inflows = np.array([0.0]), np.array([network.inflow_bc.steady_flow()])
+    else:
+        times = config.dt * np.arange(config.n_steps + 1)
+        inflows = np.array([_inflow_at(network, t) for t in times])
+    # peak inflow scales the objective and the flow unknowns
+    q_scale = float(np.max(np.abs(inflows))) or 1.0
+    p_var = max(1.0, q_scale)
+    if warm is not None:
+        p_var = max(p_var, float(np.max(np.abs(warm.reshape(-1, 4)[:, :2]))))
+    problem.set_variable_scales(q_scale, p_var)
+    x, diag = problem.solve_step(inflows[0], None, None, config, x_start=warm)
     states, diags = [x], [diag]
     for k in range(1, len(times)):
         prev = states[-1]
         try:
-            x, diag = problem.solve_step(
-                inflows[k], prev, config.dt, q_scale, config, x_start=prev
-            )
+            x, diag = problem.solve_step(inflows[k], prev, config.dt, config, x_start=prev)
         except ConvergenceError as e:
             raise ConvergenceError(f"step {k} (t={times[k]:.6g}): {e}") from e
         states.append(x)
@@ -589,29 +591,14 @@ def kkt_report(solution: Solution) -> list[dict]:
     if solution.engine not in ("rri", "ri"):
         raise SolverError("kkt_report applies to optimization-engine solutions")
     problem = _OptProblem(solution.network, solution.engine)
-    q_scale = solution.meta["q_scale"]
-    problem.set_variable_scales(q_scale, solution.meta.get("p_var", 1.0))
+    problem.set_variable_scales(solution.meta["q_scale"], solution.meta.get("p_var", 1.0))
     out = []
     for k, t in enumerate(solution.times):
-        x = solution.states[k]
         dt = None if solution.config.mode == "steady" or k == 0 else solution.config.dt
-        q_prev = solution.states[k - 1] if dt is not None else None
+        x_prev = solution.states[k - 1] if dt is not None else None
         inflow = _inflow_at(solution.network, t)
-        b = problem.rhs(inflow)
-        r, jx = problem.residuals(x, q_prev, dt, q_scale)
-        grad = (
-            2.0 * ((jx * problem.d[None, :]) @ problem.null).T @ r
-            if problem.null.shape[1]
-            else np.zeros(0)
-        )
-        out.append(
-            {
-                "t": float(t),
-                "objective": float(np.sum(r**2)),
-                "constraint_violation": float(np.max(np.abs(problem.a @ x - b))),
-                "stationarity": float(np.max(np.abs(grad))) if grad.size else 0.0,
-            }
-        )
+        diag = problem.diagnostics(solution.states[k], inflow, x_prev, dt)
+        out.append({"t": float(t), **diag})
     return out
 
 

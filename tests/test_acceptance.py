@@ -7,6 +7,7 @@ do not loosen them without recording the reason in the project notes.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vascrom
 from tests.conftest import make_single_junction, newton_rri_reference, rri_coeffs
 from vascrom.analysis import fit_tree_coefficients, impedance, resolve_with_fits
 from vascrom.datagen import (
@@ -531,12 +533,19 @@ def test_criterion_12_cli_pipeline(tmp_path, trained_bundle):
     models = tmp_path / "models.json"
     save_models(bundle, models)
 
+    # the subprocess runs in tmp_path, so a relative PYTHONPATH entry would
+    # not resolve there; put the imported package's own source root first
+    src = str(Path(vascrom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
     def run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "vascrom.cli", *argv],
             capture_output=True,
             text=True,
             cwd=tmp_path,
+            env=env,
         )
 
     tree = tmp_path / "tree.json"

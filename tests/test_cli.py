@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import make_single_junction, make_single_vessel, rri_coeffs
 from vascrom.cli import build_parser, main
-from vascrom.network import load_network, save_network
+from vascrom.network import load_network, network_to_dict, save_network
 
 
 def _write_single_vessel(path, **kwargs):
@@ -88,6 +88,33 @@ def test_solve_rri_without_coefficients_names_junction(tmp_path, capsys):
     )
     assert rc == 1
     assert "j0" in capsys.readouterr().err
+
+
+def _solve_with_bad_value(tmp_path, edit):
+    net = make_single_junction(rri_coeffs(1.0, 0.01, 0.5))
+    data = network_to_dict(net)
+    edit(data)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(data))  # writes NaN/Infinity literals
+    return main(["solve", "--network", str(net_path), "--engine", "rri",
+                 "--out", str(tmp_path / "o")])
+
+
+def test_solve_rejects_nan_vessel_length(tmp_path, capsys):
+    def edit(data):
+        data["vessels"][0]["length"] = float("nan")
+
+    assert _solve_with_bad_value(tmp_path, edit) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_solve_rejects_infinite_inflow(tmp_path, capsys):
+    def edit(data):
+        next(b for b in data["boundary_conditions"] if b["kind"] == "FLOW")[
+            "value"] = float("inf")
+
+    assert _solve_with_bad_value(tmp_path, edit) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_solve_rri_writes_kkt_report(tmp_path):

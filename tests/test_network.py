@@ -302,3 +302,14 @@ def test_generated_trees_always_validate(depth, exponent):
     net = generate_symmetric_tree(depth=depth, murray_exponent=exponent)
     net.validate()  # would raise on any inconsistency
     assert len(net.leaf_vessels()) == 2**depth
+
+
+def test_steady_inflow_restores_boundary_conditions_on_error():
+    net = generate_symmetric_tree(depth=1, inflow=100.0)
+    original = net.boundary_conditions
+    with pytest.raises(RuntimeError):
+        with net.steady_inflow(7.0):
+            assert net.inflow_bc.steady_flow() == 7.0
+            raise RuntimeError("solve failed")
+    assert net.boundary_conditions is original
+    assert net.inflow_bc.steady_flow() == 100.0

@@ -232,11 +232,11 @@ def test_opt_matches_ri_when_quadratic_zero():
     assert np.allclose(rri.states, ri.states, rtol=1e-9, atol=1e-9)
 
 
-def _coefficient_tree(depth, seed, r_quad=0.0):
-    """Random asymmetric tree with linear junction coefficients whose flow
+def _coefficient_tree(depth, seed, r_quad=0.0, inflow=100.0):
+    """Random asymmetric tree with random junction coefficients whose flow
     splits are set from the independent root-finder solution."""
     rng = np.random.default_rng(seed)
-    data = network_to_dict(generate_symmetric_tree(depth=depth))
+    data = network_to_dict(generate_symmetric_tree(depth=depth, inflow=inflow))
     for bc in data["boundary_conditions"]:
         if bc["kind"] == "RESISTANCE":
             bc["value"]["R"] *= rng.uniform(0.5, 2.0)
@@ -257,10 +257,22 @@ def _coefficient_tree(depth, seed, r_quad=0.0):
     return net
 
 
-@pytest.mark.parametrize("depth,seed", [(1, 1), (2, 2), (3, 3)])
-def test_opt_linear_matches_independent_root_finder(depth, seed):
-    net = _coefficient_tree(depth, seed)
-    flows, pressures = newton_rri_reference(net)
+@pytest.mark.parametrize(
+    "depth,seed,r_quad,inflow",
+    [
+        pytest.param(1, 1, 0.0, 100.0, id="1-1"),
+        pytest.param(2, 2, 0.0, 100.0, id="2-2"),
+        pytest.param(3, 3, 0.0, 100.0, id="3-3"),
+        # the Q|Q| junction law under forward and reversed flow
+        pytest.param(2, 4, 5.0, 100.0, id="2-4-quad"),
+        pytest.param(1, 5, 5.0, -100.0, id="1-5-quad-reversed"),
+        pytest.param(2, 6, 5.0, -100.0, id="2-6-quad-reversed"),
+        pytest.param(3, 7, 2.0, -60.0, id="3-7-quad-reversed"),
+    ],
+)
+def test_opt_linear_matches_independent_root_finder(depth, seed, r_quad, inflow):
+    net = _coefficient_tree(depth, seed, r_quad=r_quad, inflow=inflow)
+    flows, pressures = newton_rri_reference(net, inflow=inflow)
     sol = solve_opt(net, SolverConfig(mode="steady"), engine="rri")
     for vid in net.vessels:
         assert sol.q(vid)[0] == pytest.approx(flows[vid], rel=1e-6)
