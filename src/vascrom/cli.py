@@ -205,15 +205,6 @@ def cmd_solve(args) -> int:
         else:
             sol = solve_transient_standard(net, config)
     else:
-        missing = [
-            j.id
-            for j in net.junctions
-            if any(o.coefficients is None for o in j.outlets)
-        ]
-        if missing:
-            raise SolverError(
-                f"network lacks junction coefficients for: {', '.join(missing)}"
-            )
         if any(o.flow_split is None for j in net.junctions for o in j.outlets):
             estimate_flow_splits(net)
         sol = solve_opt(net, config, engine=args.engine)
@@ -253,11 +244,6 @@ def cmd_fit_coeffs(args) -> int:
 def cmd_fit_tree(args) -> int:
     t0 = time.monotonic()
     net = load_network(args.network)
-    missing = [
-        j.id for j in net.junctions if any(o.coefficients is None for o in j.outlets)
-    ]
-    if missing:
-        raise SolverError(f"network lacks junction coefficients for: {', '.join(missing)}")
     if any(o.flow_split is None for j in net.junctions for o in j.outlets):
         estimate_flow_splits(net)
     inlet_radius = net.inlet_vessel.radius

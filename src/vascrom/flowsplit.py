@@ -1,6 +1,6 @@
 """A-priori flow-split estimation from downstream effective resistance.
 
-Only vessel Poiseuille resistances and BC resistances enter the recursion;
+Only vessel Poiseuille resistances and BC resistances enter the reduction;
 stenosis and quadratic elements are ignored (a documented approximation).
 """
 
@@ -30,26 +30,26 @@ class SplitEstimate:
 
 def effective_resistance(network: VascularNetwork, vessel_id: str) -> float:
     """Series-parallel reduction of the subtree rooted at vessel_id."""
-    return _effective(network, vessel_id, set())
+    return _reduce(network, network.topology.subtree(vessel_id))[vessel_id]
 
 
-def _effective(network: VascularNetwork, vessel_id: str, seen: set[str]) -> float:
-    if vessel_id in seen:
-        raise FlowSplitError(f"cycle detected at vessel {vessel_id}")
-    seen = seen | {vessel_id}
-    vessel = network.vessels[vessel_id]
-    r_vessel, _ = vessel.elements(network.fluid)
-    junction = network.junction_of_inlet(vessel_id)
-    if junction is None:
-        bc = network.bc_of(vessel_id, "RESISTANCE")
-        if bc is None:
-            raise UnsupportedConfigurationError(
-                f"vessel {vessel_id} does not end in a resistance BC"
-            )
-        return r_vessel + bc.r
-    r1 = _effective(network, junction.outlets[0].vessel_id, seen)
-    r2 = _effective(network, junction.outlets[1].vessel_id, seen)
-    return r_vessel + 1.0 / (1.0 / r1 + 1.0 / r2)
+def _reduce(network: VascularNetwork, preorder: list[str]) -> dict[str, float]:
+    """Effective resistance of every vessel of a subtree given in pre-order,
+    reduced children first."""
+    leaf_r = {b.vessel_id: b.r for b in network.boundary_conditions if b.kind == "RESISTANCE"}
+    feeds = network.topology.feeds
+    r_eff: dict[str, float] = {}
+    for vid in reversed(preorder):
+        r_vessel, _ = network.vessels[vid].elements(network.fluid)
+        junction = feeds.get(vid)
+        if junction is not None:
+            r1, r2 = (r_eff[o.vessel_id] for o in junction.outlets)
+            r_eff[vid] = r_vessel + 1.0 / (1.0 / r1 + 1.0 / r2)
+        elif vid in leaf_r:
+            r_eff[vid] = r_vessel + leaf_r[vid]
+        else:
+            raise UnsupportedConfigurationError(f"vessel {vid} does not end in a resistance BC")
+    return r_eff
 
 
 def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
@@ -63,11 +63,11 @@ def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
                 f"nonzero distal pressure on {bc.vessel_id}; the split estimate "
                 "assumes equal (zero) distal pressures"
             )
+    r_eff = _reduce(network, network.topology.preorder)
     splits: dict[str, tuple[float, float]] = {}
     resistances: dict[str, float] = {}
     for junction in network.junctions:
-        r1 = effective_resistance(network, junction.outlets[0].vessel_id)
-        r2 = effective_resistance(network, junction.outlets[1].vessel_id)
+        r1, r2 = (r_eff[o.vessel_id] for o in junction.outlets)
         phi1 = r2 / (r1 + r2)
         splits[junction.id] = (phi1, 1.0 - phi1)
         resistances[junction.outlets[0].vessel_id] = r1

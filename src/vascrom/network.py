@@ -2,6 +2,12 @@
 
 All quantities are CGS: lengths in cm, areas in cm^2, flow in cm^3/s,
 pressure in Ba (1 mmHg = 1333.22 Ba), resistance in Ba*s/cm^3.
+
+The tree structure (which vessels exist and how junctions connect them) is
+fixed once ``VascularNetwork.validate()`` has run: validation builds one
+``Topology`` that every consumer reads.  Junction attributes (flow splits,
+coefficients) may still be written, and boundary conditions are read live
+from ``boundary_conditions``, so they may be swapped after construction.
 """
 
 from __future__ import annotations
@@ -216,6 +222,35 @@ class Junction:
             )
 
 
+@dataclass(frozen=True)
+class Topology:
+    """Structure of a validated tree, built once by ``validate()``."""
+
+    vessel_ids: tuple[str, ...]  # sorted: the order of vessels in a state
+    position: dict[str, int]  # vessel id -> index in vessel_ids
+    feeds: dict[str, Junction]  # vessel id -> junction at its downstream end
+    parent: dict[str, Junction]  # vessel id -> junction it leaves
+    preorder: tuple[str, ...]  # root first, every vessel before its subtree
+    depth: dict[str, int]  # junction id -> number of junctions upstream
+
+    def subtree(self, vessel_id: str) -> list[str]:
+        """Vessels of the subtree rooted at vessel_id, in pre-order."""
+        return _preorder(self.feeds, vessel_id)
+
+
+def _preorder(feeds: dict[str, Junction], vessel_id: str) -> list[str]:
+    """Walk down from vessel_id: each vessel, then its first outlet's subtree,
+    then its second's."""
+    order, stack = [], [vessel_id]
+    while stack:
+        vid = stack.pop()
+        order.append(vid)
+        j = feeds.get(vid)
+        if j is not None:
+            stack.extend(o.vessel_id for o in reversed(j.outlets))
+    return order
+
+
 @dataclass
 class VascularNetwork:
     fluid: Fluid
@@ -223,6 +258,7 @@ class VascularNetwork:
     junctions: list[Junction]
     boundary_conditions: list[BoundaryCondition]
     bifurcation_definition: str = "partial_branch"
+    topology: Topology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -230,16 +266,10 @@ class VascularNetwork:
     # -- topology helpers -------------------------------------------------
 
     def junction_of_inlet(self, vessel_id: str) -> Optional[Junction]:
-        for j in self.junctions:
-            if j.inlet_vessel == vessel_id:
-                return j
-        return None
+        return self.topology.feeds.get(vessel_id)
 
     def parent_junction(self, vessel_id: str) -> Optional[Junction]:
-        for j in self.junctions:
-            if any(o.vessel_id == vessel_id for o in j.outlets):
-                return j
-        return None
+        return self.topology.parent.get(vessel_id)
 
     def bc_of(self, vessel_id: str, kind: str) -> Optional[BoundaryCondition]:
         for bc in self.boundary_conditions:
@@ -270,17 +300,11 @@ class VascularNetwork:
             self.boundary_conditions = original
 
     def leaf_vessels(self) -> list[str]:
-        inlets = {j.inlet_vessel for j in self.junctions}
-        return [v for v in self.vessels if v not in inlets]
+        return [v for v in self.vessels if v not in self.topology.feeds]
 
     def junction_depth(self, junction: Junction) -> int:
         """Number of junctions upstream of this one."""
-        depth = 0
-        parent = self.parent_junction(junction.inlet_vessel)
-        while parent is not None:
-            depth += 1
-            parent = self.parent_junction(parent.inlet_vessel)
-        return depth
+        return self.topology.depth[junction.id]
 
     # -- validation -------------------------------------------------------
 
@@ -314,45 +338,49 @@ class VascularNetwork:
                 f"exactly one inflow BC required, found {len(flow_bcs)}"
             )
 
-        # Each vessel appears as outlet of at most one junction; tree rooted at
-        # the inflow vessel must reach every vessel.
-        parent_count: dict[str, int] = {v: 0 for v in self.vessels}
+        # Each vessel feeds at most one junction and leaves at most one; the
+        # walk from the inflow vessel must reach every vessel.  With one parent
+        # per vessel and none for the root, the walk cannot meet a cycle.
+        feeds: dict[str, Junction] = {}
+        parent: dict[str, Junction] = {}
         for j in self.junctions:
+            if j.inlet_vessel in feeds:
+                raise ConnectivityError(
+                    f"vessel {j.inlet_vessel} feeds two junctions: "
+                    f"{feeds[j.inlet_vessel].id} and {j.id}"
+                )
+            feeds[j.inlet_vessel] = j
             for o in j.outlets:
-                parent_count[o.vessel_id] += 1
+                if o.vessel_id in parent:
+                    raise ConnectivityError(f"vessel {o.vessel_id} has multiple parents")
+                parent[o.vessel_id] = j
         root = flow_bcs[0].vessel_id
-        if parent_count[root] != 0:
+        if root in parent:
             raise ConnectivityError("inflow vessel must be the tree root")
-        for vid, c in parent_count.items():
-            if c > 1:
-                raise ConnectivityError(f"vessel {vid} has multiple parents")
-
-        reached = set()
-        stack = [root]
-        while stack:
-            vid = stack.pop()
-            if vid in reached:
-                raise ConnectivityError(f"cycle detected at vessel {vid}")
-            reached.add(vid)
-            j = self.junction_of_inlet(vid)
-            if j is not None:
-                stack.extend(o.vessel_id for o in j.outlets)
-        if reached != set(self.vessels):
-            missing = sorted(set(self.vessels) - reached)
+        preorder = _preorder(feeds, root)
+        if len(preorder) != len(self.vessels):
+            missing = sorted(set(self.vessels) - set(preorder))
             raise ConnectivityError(f"disconnected vessels: {missing}")
 
         # Downstream end of every vessel is a junction inlet or a resistance BC.
+        resistance = {b.vessel_id for b in self.boundary_conditions if b.kind == "RESISTANCE"}
         for vid in self.vessels:
-            j = self.junction_of_inlet(vid)
-            rbc = self.bc_of(vid, "RESISTANCE")
-            if j is None and rbc is None:
+            if vid not in feeds and vid not in resistance:
                 raise ConnectivityError(
                     f"vessel {vid} ends in neither a junction nor a resistance BC"
                 )
-            if j is not None and rbc is not None:
+            if vid in feeds and vid in resistance:
                 raise ConnectivityError(
                     f"vessel {vid} has both a downstream junction and a resistance BC"
                 )
+
+        depth: dict[str, int] = {}
+        for vid in preorder:
+            if vid in feeds:
+                depth[feeds[vid].id] = depth[parent[vid].id] + 1 if vid in parent else 0
+        order = tuple(sorted(self.vessels))
+        position = {vid: i for i, vid in enumerate(order)}
+        self.topology = Topology(order, position, feeds, parent, tuple(preorder), depth)
 
 
 def apply_bifurcation_definition(

@@ -55,25 +55,27 @@ class SolverConfig:
             raise SolverError("tolerances must be positive")
 
 
+# offsets of the quantities in the (vessel, quantity) view of a state
+P_IN, P_OUT, Q_IN, Q_OUT = range(4)
+
+
 class VarIndex:
-    """Maps (vessel, quantity) to a position in the unknown vector.
+    """Maps (vessel, quantity) to a position in the unknown vector: four
+    entries per vessel, vessels in the topology's sorted order.
 
     Quantities per vessel: p_in, p_out, q_in, q_out.
     """
 
     QUANTITIES = ("p_in", "p_out", "q_in", "q_out")
+    _OFFSET = {q: k for k, q in enumerate(QUANTITIES)}
 
     def __init__(self, network: VascularNetwork):
-        self.vessel_ids = sorted(network.vessels)
-        self.index = {
-            (vid, q): 4 * i + k
-            for i, vid in enumerate(self.vessel_ids)
-            for k, q in enumerate(self.QUANTITIES)
-        }
+        self.vessel_ids = list(network.topology.vessel_ids)
+        self.position = network.topology.position
         self.n = 4 * len(self.vessel_ids)
 
     def __call__(self, vessel_id: str, quantity: str) -> int:
-        return self.index[(vessel_id, quantity)]
+        return 4 * self.position[vessel_id] + self._OFFSET[quantity]
 
 
 @dataclass
@@ -106,19 +108,47 @@ def _inflow_at(network: VascularNetwork, t: float) -> float:
     return float(bc.value)
 
 
+class _LinearConstraints:
+    """Linear constraints on a state reshaped to (vessels, 4): flow and
+    pressure continuity along each vessel, junction mass balance, the inflow
+    and the leaf BCs ``p_out - R*q_out - Pd`` (read when this is built)."""
+
+    def __init__(self, network: VascularNetwork):
+        pos = network.topology.position
+        self.inlet = np.array([pos[j.inlet_vessel] for j in network.junctions], dtype=int)
+        self.outlets = np.array(
+            [[pos[o.vessel_id] for o in j.outlets] for j in network.junctions], dtype=int
+        ).reshape(-1, 2)
+        self.root = pos[network.inflow_bc.vessel_id]
+        leaves = [b for b in network.boundary_conditions if b.kind == "RESISTANCE"]
+        self.leaf = np.array([pos[b.vessel_id] for b in leaves], dtype=int)
+        self.leaf_r = np.array([b.r for b in leaves])
+        self.leaf_pd = np.array([b.pd for b in leaves])
+
+    def mass(self, s: np.ndarray) -> np.ndarray:
+        """Vessel flow continuity, then junction mass balance, of s (..., vessels, 4)."""
+        junction = (
+            s[..., self.inlet, Q_OUT]
+            - s[..., self.outlets[:, 0], Q_IN]
+            - s[..., self.outlets[:, 1], Q_IN]
+        )
+        return np.concatenate([s[..., Q_IN] - s[..., Q_OUT], junction], axis=-1)
+
+    def residual(self, x: np.ndarray, inflow: float) -> np.ndarray:
+        """All constraint residuals of one state x."""
+        s = x.reshape(-1, 4)
+        return np.concatenate([
+            self.mass(s),
+            s[:, P_IN] - s[:, P_OUT],
+            [s[self.root, Q_IN] - inflow],
+            s[self.leaf, P_OUT] - self.leaf_r * s[self.leaf, Q_OUT] - self.leaf_pd,
+        ])
+
+
 def mass_conservation_error(solution: Solution) -> float:
     """Largest junction or vessel mass-balance violation over all stored states."""
-    net, idx = solution.network, solution.index
-    worst = 0.0
-    for x in solution.states:
-        for vid in net.vessels:
-            worst = max(worst, abs(x[idx(vid, "q_in")] - x[idx(vid, "q_out")]))
-        for j in net.junctions:
-            q = x[idx(j.inlet_vessel, "q_out")]
-            for o in j.outlets:
-                q -= x[idx(o.vessel_id, "q_in")]
-            worst = max(worst, abs(q))
-    return worst
+    states = solution.states.reshape(len(solution.states), -1, 4)
+    return float(np.max(np.abs(_LinearConstraints(solution.network).mass(states))))
 
 
 # -- standard engine ------------------------------------------------------
@@ -263,11 +293,9 @@ def _newton(network, x0, x_prev, dt, inflow, idx, config):
 
 
 def _standard_initial_guess(network, idx, inflow):
-    x = np.zeros(idx.n)
-    for vid in idx.vessel_ids:
-        x[idx(vid, "q_in")] = inflow
-        x[idx(vid, "q_out")] = inflow
-    return x
+    x = np.zeros((len(idx.vessel_ids), 4))
+    x[:, [Q_IN, Q_OUT]] = inflow
+    return x.ravel()
 
 
 def solve_steady_standard(
@@ -345,7 +373,7 @@ class _OptProblem:
             raise SolverError(f"unknown optimization engine {engine!r}")
         self.network = network
         self.engine = engine
-        self.idx = idx = VarIndex(network)
+        self.idx = VarIndex(network)
         outlets = []
         for j in network.junctions:
             for o in j.outlets:
@@ -358,14 +386,13 @@ class _OptProblem:
                         f"junction {j.id}: outlet {o.vessel_id} has no flow split"
                     )
                 outlets.append((j, o))
-        self.a, self.b_template, self.inflow_row = self._constraints()
+        c = self.constraints = _LinearConstraints(network)
 
         # per outlet: junction pressure, outlet pressure, outlet flow, junction
         # inflow, and the junction-law coefficients
-        self.i_pj = np.array([idx(j.inlet_vessel, "p_out") for j, _ in outlets], dtype=int)
-        self.i_po = np.array([idx(o.vessel_id, "p_in") for _, o in outlets], dtype=int)
-        self.i_q = np.array([idx(o.vessel_id, "q_in") for _, o in outlets], dtype=int)
-        self.i_qj = np.array([idx(j.inlet_vessel, "q_out") for j, _ in outlets], dtype=int)
+        inlet, outlet = 4 * np.repeat(c.inlet, 2), 4 * c.outlets.ravel()
+        self.i_pj, self.i_po = inlet + P_OUT, outlet + P_IN
+        self.i_q, self.i_qj = outlet + Q_IN, inlet + Q_OUT
         use_quad = engine == "rri"
         self.r_lin = np.array([o.coefficients.r_lin for _, o in outlets])
         self.r_quad = np.array([o.coefficients.quad() if use_quad else 0.0 for _, o in outlets])
@@ -374,17 +401,17 @@ class _OptProblem:
         self._tree_basis()
 
     def _tree_basis(self):
-        net, idx = self.network, self.idx
-        below = {j.inlet_vessel: j for j in net.junctions}
-        leaves = [bc for bc in net.boundary_conditions if bc.kind == "RESISTANCE"]
-        leaf_r = {bc.vessel_id: bc.r for bc in leaves}
+        net, idx, con = self.network, self.idx, self.constraints
+        feeds = net.topology.feeds
+        leaf_r = np.zeros(len(idx.vessel_ids))  # by vessel position
+        leaf_r[con.leaf] = con.leaf_r
 
         def unit_flow(vid, sign=1.0):
             """State entries moved by a unit flow entering vessel vid."""
-            while vid in below:
+            while vid in feeds:
                 yield from ((idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign))
-                vid = below[vid].outlets[1].vessel_id
-            r = sign * leaf_r[vid]
+                vid = feeds[vid].outlets[1].vessel_id
+            r = sign * leaf_r[idx.position[vid]]
             yield from (
                 (idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign),
                 (idx(vid, "p_in"), r), (idx(vid, "p_out"), r),
@@ -399,20 +426,10 @@ class _OptProblem:
             entries += [(idx(j.inlet_vessel, q), n_j + k, 1.0) for q in ("p_in", "p_out")]
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
         self.basis = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(idx.n, 2 * n_j))
-        self.free = np.array(
-            [idx(j.outlets[0].vessel_id, "q_in") for j in net.junctions]
-            + [idx(j.inlet_vessel, "p_out") for j in net.junctions],
-            dtype=int,
-        )
+        self.free = np.concatenate([4 * con.outlets[:, 0] + Q_IN, 4 * con.inlet + P_OUT])
         self.x_unit = np.zeros(idx.n)
         for i, c in unit_flow(net.inflow_bc.vessel_id):
             self.x_unit[i] = c
-        self.leaf_p = np.array(
-            [[idx(b.vessel_id, "p_in"), idx(b.vessel_id, "p_out")] for b in leaves], dtype=int
-        )
-        self.leaf_q = np.array([[idx(b.vessel_id, "q_out")] for b in leaves], dtype=int)
-        self.leaf_r = np.array([[b.r] for b in leaves])
-        self.leaf_pd = np.array([[b.pd] for b in leaves])
 
     def set_variable_scales(self, q_scale: float, p_var: float) -> None:
         """Column-scale the basis so flow and pressure unknowns are comparable
@@ -423,49 +440,13 @@ class _OptProblem:
         self.q_scale = q_scale
         self.scale = np.repeat([q_scale, p_var], n_j)
 
-    def _constraints(self):
-        idx = self.idx
-        net = self.network
-        rows, rhs = [], []
-
-        def add(coeffs: dict[int, float], b: float):
-            row = np.zeros(idx.n)
-            for i, c in coeffs.items():
-                row[i] = c
-            rows.append(row)
-            rhs.append(b)
-
-        for vid in idx.vessel_ids:
-            add({idx(vid, "q_in"): 1.0, idx(vid, "q_out"): -1.0}, 0.0)
-            add({idx(vid, "p_in"): 1.0, idx(vid, "p_out"): -1.0}, 0.0)
-        for j in net.junctions:
-            coeffs = {idx(j.inlet_vessel, "q_out"): 1.0}
-            for o in j.outlets:
-                coeffs[idx(o.vessel_id, "q_in")] = -1.0
-            add(coeffs, 0.0)
-        root = net.inflow_bc.vessel_id
-        inflow_row = len(rows)
-        add({idx(root, "q_in"): 1.0}, 0.0)  # rhs patched per step
-        for bc in net.boundary_conditions:
-            if bc.kind != "RESISTANCE":
-                continue
-            add(
-                {idx(bc.vessel_id, "p_out"): 1.0, idx(bc.vessel_id, "q_out"): -bc.r},
-                bc.pd,
-            )
-        return np.array(rows), np.array(rhs), inflow_row
-
-    def rhs(self, inflow: float) -> np.ndarray:
-        b = self.b_template.copy()
-        b[self.inflow_row] = inflow
-        return b
-
     def state(self, inflow: float, z: np.ndarray) -> np.ndarray:
         """The feasible state with scaled free unknowns z."""
         x = inflow * self.x_unit + self.basis @ (self.scale * z)
         # leaf pressures come from the leaf's own flow: summed through the
         # basis, their +-R*q_scale terms cancel and lose digits
-        x[self.leaf_p] = self.leaf_r * x[self.leaf_q] + self.leaf_pd
+        s, c = x.reshape(-1, 4), self.constraints
+        s[c.leaf, P_IN] = s[c.leaf, P_OUT] = c.leaf_r * s[c.leaf, Q_OUT] + c.leaf_pd
         return x
 
     def residuals(self, x, x_prev, dt):
@@ -498,12 +479,13 @@ class _OptProblem:
         grad = 2.0 * self.jacobian(x, dt).T @ r
         return {
             "objective": float(np.sum(r**2)),
-            "constraint_violation": float(np.max(np.abs(self.a @ x - self.rhs(inflow)))),
+            "constraint_violation": float(np.max(np.abs(self.constraints.residual(x, inflow)))),
             "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
 
     def solve_step(self, inflow, x_prev, dt, config, x_start=None):
         z = np.zeros(self.free.size) if x_start is None else x_start[self.free] / self.scale
+        lm = {"nfev": 0, "njev": 0, "status": None, "message": "no free unknowns"}
         if z.size:
             result = scipy.optimize.least_squares(
                 lambda z: self.residuals(self.state(inflow, z), x_prev, dt),
@@ -512,8 +494,10 @@ class _OptProblem:
                 method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
             )
             z = result.x
+            lm = {"nfev": result.nfev, "njev": result.njev,
+                  "status": result.status, "message": result.message}
         x = self.state(inflow, z)
-        diag = self.diagnostics(x, inflow, x_prev, dt)
+        diag = {**self.diagnostics(x, inflow, x_prev, dt), **lm}
         violation, z_val = diag["constraint_violation"], diag["objective"]
         if violation > config.constraint_tol:
             raise ConvergenceError(
@@ -525,7 +509,7 @@ class _OptProblem:
         if stationarity > config.stationarity_tol and z_val > config.stationarity_tol**2:
             raise ConvergenceError(
                 f"stationarity {stationarity:.3e} exceeds {config.stationarity_tol:.1e} "
-                f"(objective {z_val:.3e})"
+                f"(objective {z_val:.3e}; {diag['nfev']} evaluations: {diag['message']})"
             )
         return x, diag
 
@@ -614,14 +598,9 @@ def export_solution(solution: Solution, outdir) -> None:
         for vid in solution.index.vessel_ids:
             header += [f"P_{vid}_in", f"P_{vid}_out", f"Q_{vid}_in", f"Q_{vid}_out"]
         w.writerow(header)
+        # a state already lists each vessel's p_in, p_out, q_in, q_out in order
         for t, x in zip(solution.times, solution.states):
-            row = [repr(float(t))]
-            for vid in solution.index.vessel_ids:
-                row += [
-                    repr(float(x[solution.index(vid, q)]))
-                    for q in VarIndex.QUANTITIES
-                ]
-            w.writerow(row)
+            w.writerow([repr(float(v)) for v in (t, *x)])
     with open(outdir / "diagnostics.json", "w") as f:
         json.dump(
             {

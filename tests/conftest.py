@@ -13,6 +13,7 @@ from vascrom.network import (
     JunctionOutlet,
     VascularNetwork,
     Vessel,
+    apply_bifurcation_definition,
 )
 from vascrom.nondim import CoefficientSet
 
@@ -62,6 +63,52 @@ def make_single_junction(coeffs1, coeffs2=None, phi=0.5, bc_r1=100.0,
 
 def rri_coeffs(r_lin, r_quad, l):
     return CoefficientSet(kind="RRI", r_lin=r_lin, r_quad=r_quad, l=l)
+
+
+def random_shape_tree(seed, inflow=100.0, max_depth=4):
+    """Unbalanced bifurcating tree grown by splitting random leaves.
+
+    Leaves sit at mixed depths, at most max_depth junctions below the root.
+    Vessel ids are shuffled, so their sorted order is not the tree order,
+    and vessels and junctions are listed in random order.  Vessel geometry
+    and leaf resistances are random.  seed is an int or a numpy Generator.
+    """
+    rng = np.random.default_rng(seed)
+    depth = [0]  # per node; node 0 is the root
+    children = {}  # node -> its two outlet nodes
+    leaves = [0]
+    n_junctions = int(rng.integers(4, 9))
+    while len(children) < n_junctions or len({depth[v] for v in leaves}) == 1:
+        v = int(rng.choice([v for v in leaves if depth[v] < max_depth]))
+        children[v] = (len(depth), len(depth) + 1)
+        depth += [depth[v] + 1] * 2
+        leaves.remove(v)
+        leaves += children[v]
+    ids = [f"v{k:02d}" for k in rng.permutation(len(depth))]
+    vessels = {
+        ids[k]: Vessel(id=ids[k], length=rng.uniform(0.5, 3.0), area=rng.uniform(0.05, 0.8))
+        for k in rng.permutation(len(ids))
+    }
+    junctions = [
+        Junction(
+            id="j" + ids[v],
+            inlet_vessel=ids[v],
+            outlets=[
+                JunctionOutlet(vessel_id=ids[c], angle=rng.uniform(0.0, math.pi / 2))
+                for c in pair
+            ],
+        )
+        for v, pair in children.items()
+    ]
+    rng.shuffle(junctions)
+    bcs = [BoundaryCondition(vessel_id=ids[0], kind="FLOW", value=inflow)] + [
+        BoundaryCondition(vessel_id=ids[v], kind="RESISTANCE", r=rng.uniform(2e3, 2e4))
+        for v in leaves
+    ]
+    return apply_bifurcation_definition(
+        VascularNetwork(fluid=Fluid(), vessels=vessels, junctions=junctions,
+                        boundary_conditions=bcs)
+    )
 
 
 def newton_rri_reference(network, inflow=None):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from vascrom.network import (
     network_to_dict,
 )
 from vascrom.solver import solve_steady_standard
+from tests.conftest import random_shape_tree
 
 FLUID = Fluid()
 # l such that a unit-area vessel has Poiseuille resistance exactly R
@@ -149,10 +151,14 @@ def _random_asymmetric_tree(depth, seed):
     return network_from_dict(data)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
-def test_estimate_matches_linear_solver_splits(depth):
+@pytest.mark.parametrize(
+    "make_net",
+    [pytest.param(partial(_random_asymmetric_tree, d, seed=d), id=str(d)) for d in range(1, 7)]
+    + [pytest.param(partial(random_shape_tree, s), id=f"random-{s}") for s in range(1, 6)],
+)
+def test_estimate_matches_linear_solver_splits(make_net):
     """On resistor-only trees the resistance-ratio estimate is exact."""
-    net = _random_asymmetric_tree(depth, seed=depth)
+    net = make_net()
     est = estimate_flow_splits(net)
     sol = solve_steady_standard(net)
     for j in net.junctions:

@@ -233,6 +233,23 @@ def test_dangling_vessel_rejected():
         network_from_dict(data)
 
 
+def test_vessel_feeding_two_junctions_rejected():
+    data = _net_dict_single()
+    data["vessels"] += [{"id": f"v{k}", "length": 1.0, "area": 0.5} for k in range(1, 5)]
+    data["junctions"] = [
+        {"id": "j0", "inlet_vessel": "v0", "outlet_vessels": ["v1", "v2"],
+         "angles": [0.5, 0.5]},
+        {"id": "j1", "inlet_vessel": "v0", "outlet_vessels": ["v3", "v4"],
+         "angles": [0.5, 0.5]},
+    ]
+    data["boundary_conditions"] = [data["boundary_conditions"][0]] + [
+        {"vessel_id": f"v{k}", "kind": "RESISTANCE", "value": {"R": 100.0}}
+        for k in range(1, 5)
+    ]
+    with pytest.raises(ConnectivityError, match="vessel v0 feeds two junctions: j0 and j1"):
+        network_from_dict(data)
+
+
 def test_invalid_json_reports_byte_offset(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vessels": [')
@@ -294,6 +311,33 @@ def test_junction_depth():
     net = generate_symmetric_tree(depth=3)
     depths = sorted(net.junction_depth(j) for j in net.junctions)
     assert depths == [0, 1, 1, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_topology_of_random_shape_trees(seed):
+    from tests.conftest import random_shape_tree
+
+    net = random_shape_tree(seed)
+    topo = net.topology
+    # ancestors are counted from the junction list alone
+    parent_of = {o.vessel_id: j for j in net.junctions for o in j.outlets}
+
+    def ancestors(vid):
+        n = 0
+        while vid in parent_of:
+            n, vid = n + 1, parent_of[vid].inlet_vessel
+        return n
+
+    for j in net.junctions:
+        assert net.junction_depth(j) == ancestors(j.inlet_vessel)
+    assert len({ancestors(v) for v in net.leaf_vessels()}) > 1
+    assert list(topo.preorder) != sorted(net.vessels)
+    assert list(topo.vessel_ids) == sorted(net.vessels) == sorted(topo.preorder)
+    assert topo.preorder[0] == net.inflow_bc.vessel_id
+    seen = set()
+    for vid in topo.preorder:
+        assert vid not in parent_of or parent_of[vid].inlet_vessel in seen
+        seen.add(vid)
 
 
 @given(depth=st.integers(0, 4), exponent=st.floats(2.0, 4.0))

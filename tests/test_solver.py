@@ -7,6 +7,7 @@ from tests.conftest import (
     make_single_junction,
     make_single_vessel,
     newton_rri_reference,
+    random_shape_tree,
     rri_coeffs,
 )
 from vascrom.network import (
@@ -234,13 +235,18 @@ def test_opt_matches_ri_when_quadratic_zero():
 
 def _coefficient_tree(depth, seed, r_quad=0.0, inflow=100.0):
     """Random asymmetric tree with random junction coefficients whose flow
-    splits are set from the independent root-finder solution."""
+    splits are set from the independent root-finder solution.  depth=None
+    gives an unbalanced tree with shuffled ids (random_shape_tree), otherwise
+    the full tree of that depth with random leaf resistances."""
     rng = np.random.default_rng(seed)
-    data = network_to_dict(generate_symmetric_tree(depth=depth, inflow=inflow))
-    for bc in data["boundary_conditions"]:
-        if bc["kind"] == "RESISTANCE":
-            bc["value"]["R"] *= rng.uniform(0.5, 2.0)
-    net = network_from_dict(data)
+    if depth is None:
+        net = random_shape_tree(rng, inflow=inflow)
+    else:
+        data = network_to_dict(generate_symmetric_tree(depth=depth, inflow=inflow))
+        for bc in data["boundary_conditions"]:
+            if bc["kind"] == "RESISTANCE":
+                bc["value"]["R"] *= rng.uniform(0.5, 2.0)
+        net = network_from_dict(data)
     for j in net.junctions:
         for o in j.outlets:
             o.coefficients = CoefficientSet(
@@ -268,6 +274,12 @@ def _coefficient_tree(depth, seed, r_quad=0.0, inflow=100.0):
         pytest.param(1, 5, 5.0, -100.0, id="1-5-quad-reversed"),
         pytest.param(2, 6, 5.0, -100.0, id="2-6-quad-reversed"),
         pytest.param(3, 7, 2.0, -60.0, id="3-7-quad-reversed"),
+        # unbalanced trees, ids not in tree order
+        pytest.param(None, 21, 0.0, 100.0, id="random-21"),
+        pytest.param(None, 22, 0.0, -100.0, id="random-22-reversed"),
+        pytest.param(None, 23, 4.0, 80.0, id="random-23-quad"),
+        pytest.param(None, 24, 4.0, -80.0, id="random-24-quad-reversed"),
+        pytest.param(None, 25, 2.0, -120.0, id="random-25-quad-reversed"),
     ],
 )
 def test_opt_linear_matches_independent_root_finder(depth, seed, r_quad, inflow):
@@ -291,6 +303,15 @@ def test_opt_ill_posed_quadratic_pair_stays_feasible():
     assert diag["constraint_violation"] <= 1e-8
     assert diag["objective"] > 1e-6
     assert math.isfinite(diag["objective"])
+
+
+def test_stationarity_error_reports_least_squares_counters():
+    net = make_single_junction(
+        rri_coeffs(0.0, 1.0, 0.0), rri_coeffs(0.0, -1.0, 0.0), phi=0.5
+    )
+    cfg = SolverConfig(mode="steady", stationarity_tol=1e-30)
+    with pytest.raises(ConvergenceError, match=r"stationarity .* \d+ evaluations: "):
+        solve_opt(net, cfg, engine="rri")
 
 
 def test_opt_transient_constant_inflow_matches_steady():
@@ -365,6 +386,48 @@ def test_mass_conservation_both_engines():
     assert mass_conservation_error(std) <= 1e-10
 
 
+def _perturbed(sol, seed=0):
+    """The solution with every state entry moved, so that all constraints are
+    violated by different amounts."""
+    rng = np.random.default_rng(seed)
+    sol.states = sol.states + rng.normal(size=sol.states.shape)
+    return sol
+
+
+def test_mass_conservation_error_matches_loop_reference():
+    net = random_shape_tree(3)
+    sol = _perturbed(solve_steady_standard(net))
+    idx, worst = sol.index, 0.0
+    for x in sol.states:
+        for vid in net.vessels:
+            worst = max(worst, abs(x[idx(vid, "q_in")] - x[idx(vid, "q_out")]))
+        for j in net.junctions:
+            q = x[idx(j.inlet_vessel, "q_out")]
+            for o in j.outlets:
+                q -= x[idx(o.vessel_id, "q_in")]
+            worst = max(worst, abs(q))
+    assert mass_conservation_error(sol) == worst
+
+
+def test_kkt_constraint_violation_matches_loop_reference():
+    net = _coefficient_tree(None, seed=26)
+    cfg = SolverConfig(mode="transient", dt=2e-3, n_steps=3)
+    sol = _perturbed(solve_opt(net, cfg, engine="rri"), seed=1)
+    idx, inflow = sol.index, net.inflow_bc.steady_flow()
+    for x, rec in zip(sol.states, kkt_report(sol)):
+        res = [x[idx(net.inflow_bc.vessel_id, "q_in")] - inflow]
+        for vid in net.vessels:
+            res += [x[idx(vid, "q_in")] - x[idx(vid, "q_out")],
+                    x[idx(vid, "p_in")] - x[idx(vid, "p_out")]]
+        for j in net.junctions:
+            res.append(x[idx(j.inlet_vessel, "q_out")]
+                       - sum(x[idx(o.vessel_id, "q_in")] for o in j.outlets))
+        for leaf in net.leaf_vessels():
+            bc = net.bc_of(leaf, "RESISTANCE")
+            res.append(x[idx(leaf, "p_out")] - bc.r * x[idx(leaf, "q_out")] - bc.pd)
+        assert rec["constraint_violation"] == pytest.approx(max(map(abs, res)), rel=1e-12)
+
+
 # -- export ----------------------------------------------------------------
 
 
@@ -381,6 +444,14 @@ def test_export_solution_files(tmp_path):
     assert "P_v0_in" in rows[0]
     p_in = float(rows[1][rows[0].index("P_v0_in")])
     assert p_in == pytest.approx(sol.inlet_pressure[0], rel=1e-15)
+    for name, value in zip(rows[0][1:], rows[1][1:]):
+        _, vid, end = name.split("_")
+        quantity = f"{name[0].lower()}_{end}"
+        assert float(value) == sol.states[0, sol.index(vid, quantity)]
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["engine"] == "rri"
     assert len(diag["steps"]) == 1
+    # the least-squares counters, so that hitting max_nfev shows
+    step = diag["steps"][0]
+    assert {"nfev", "njev", "status", "message"} <= step.keys()
+    assert 1 <= step["nfev"] < 2000 and step["status"] > 0
