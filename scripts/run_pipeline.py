@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end pipeline: synthesize a junction cohort, train the coefficient
-models, build a symmetric tree, predict its junction coefficients, and solve
-it with both the standard and the junction-coefficient engines.
+models, build a symmetric tree, estimate its flow splits, predict its
+junction coefficients, solve it with the standard and the rri engines and
+compare their inlet pressures.  Each step is one ``vascrom`` CLI command.
 
 Writes all artifacts under --out (default: runs/pipeline).
 
@@ -10,29 +11,11 @@ Usage:
 """
 
 import argparse
-import json
+import sys
 import time
 from pathlib import Path
 
-from vascrom.analysis import depth_statistics
-from vascrom.datagen import build_cohort
-from vascrom.flowsplit import estimate_flow_splits, write_split_report
-from vascrom.mlp import (
-    ModelBundle,
-    TrainingConfig,
-    predict_network,
-    save_dataset,
-    save_models,
-    train_models,
-)
-from vascrom.network import generate_symmetric_tree, save_network
-from vascrom.solver import (
-    SolverConfig,
-    export_solution,
-    mass_conservation_error,
-    solve_opt,
-    solve_steady_standard,
-)
+from vascrom import cli
 
 
 def main():
@@ -40,55 +23,32 @@ def main():
     ap.add_argument("--n", type=int, default=200, help="cohort size (junctions)")
     ap.add_argument("--depth", type=int, default=4, help="tree depth")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--epochs", type=int, default=None,
-                    help="override the default training epoch budget")
+    ap.add_argument("--epochs", type=int, default=500, help="training epoch budget")
     ap.add_argument("--out", type=Path, default=Path("runs/pipeline"))
     args = ap.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-
+    out = args.out
+    tree, net = out / "tree.json", out / "tree_rri.json"
+    steps = [
+        ["generate-data", "--n", args.n, "--seed", args.seed, "--out", out / "cohort"],
+        ["train", "--data", out / "cohort", "--epochs", args.epochs, "--seed", args.seed,
+         "--out", out / "models.json"],
+        ["make-tree", "--depth", args.depth, "--out", tree],
+        ["estimate-splits", "--network", tree, "--out", out / "splits.json",
+         "--network-out", tree],
+        ["predict", "--network", tree, "--models", out / "models.json", "--out", net],
+        ["solve", "--network", net, "--engine", "standard", "--out", out / "solution_standard"],
+        ["solve", "--network", net, "--engine", "rri", "--out", out / "solution_rri"],
+        ["compare", "--solution", out / "solution_rri", "--reference",
+         out / "solution_standard", "--network", net, "--out", out / "compare.json"],
+    ]
     t0 = time.monotonic()
-    dataset, manifest = build_cohort(n=args.n, seed=args.seed)
-    save_dataset(dataset, args.out / "cohort")
-    with open(args.out / "cohort" / "cohort_manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1)
-    print(f"cohort: {manifest['n_rows']} rows "
-          f"({dataset.train_idx.size} train / {dataset.val_idx.size} val) "
-          f"in {time.monotonic() - t0:.1f} s")
-
-    cfg = TrainingConfig(seed=args.seed)
-    if args.epochs is not None:
-        cfg = TrainingConfig(seed=args.seed, epochs=args.epochs)
-    models, report = train_models(dataset, config=cfg)
-    for tag, rep in report.items():
-        print(f"  {tag:10s} val MSE {rep['final_val_mse']:.3e} "
-              f"({rep['epochs_run']} epochs)")
-    bundle = ModelBundle.from_training(dataset, models)
-    save_models(bundle, args.out / "models.json")
-
-    net = generate_symmetric_tree(depth=args.depth)
-    estimate = estimate_flow_splits(net)
-    write_split_report(estimate, args.out / "splits.json")
-    predict_network(bundle, net)
-    save_network(net, args.out / "tree.json")
-
-    ref = solve_steady_standard(net)
-    sol = solve_opt(net, SolverConfig(mode="steady"), engine="rri")
-    export_solution(sol, args.out / "solution_rri")
-    export_solution(ref, args.out / "solution_standard")
-    print(f"inlet pressure: standard {ref.inlet_pressure[0]:.2f} Ba, "
-          f"rri {sol.inlet_pressure[0]:.2f} Ba")
-    print(f"mass conservation: standard {mass_conservation_error(ref):.2e}, "
-          f"rri {mass_conservation_error(sol):.2e}")
-
-    stats = depth_statistics(net, sol, reference=ref)
-    with open(args.out / "depth_stats.json", "w") as f:
-        json.dump(stats, f, indent=1)
-    for row in stats:
-        print(f"  {row['junction']}: depth {row['depth']}, normalized flow "
-              f"{row['normalized_flow']:.4f}, normalized Re "
-              f"{row['normalized_re']:.4f}")
-    print(f"done in {time.monotonic() - t0:.1f} s -> {args.out}")
+    for argv in steps:
+        code = cli.main([str(a) for a in argv])
+        if code != 0:
+            return code
+    print(f"done in {time.monotonic() - t0:.1f} s -> {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

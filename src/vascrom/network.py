@@ -265,12 +265,6 @@ class VascularNetwork:
 
     # -- topology helpers -------------------------------------------------
 
-    def junction_of_inlet(self, vessel_id: str) -> Optional[Junction]:
-        return self.topology.feeds.get(vessel_id)
-
-    def parent_junction(self, vessel_id: str) -> Optional[Junction]:
-        return self.topology.parent.get(vessel_id)
-
     def bc_of(self, vessel_id: str, kind: str) -> Optional[BoundaryCondition]:
         for bc in self.boundary_conditions:
             if bc.vessel_id == vessel_id and bc.kind == kind:

@@ -175,11 +175,6 @@ class CoefficientSet:
     def quad(self) -> float:
         return self.r_quad if self.r_quad is not None else 0.0
 
-    def as_array(self) -> np.ndarray:
-        if self.kind == "RRI":
-            return np.array([self.r_lin, self.r_quad, self.l])
-        return np.array([self.r_lin, self.l])
-
 
 def nondimensionalize_coeffs(
     coeffs: CoefficientSet, scales: CharacteristicScales

@@ -2,7 +2,8 @@
 
 Two engines:
   * standard: per-vessel R/L/C elements with zero-pressure-drop junctions,
-    solved by Newton iteration (backward Euler in time);
+    solved by Newton iteration (backward Euler in time) on a sparse
+    Jacobian factored with SuperLU;
   * rri / ri: vessels act as wires, junctions carry fitted/predicted
     coefficients, solved as an equality-constrained least-squares problem.
     All constraints (mass conservation, wire continuity, boundary conditions)
@@ -10,7 +11,11 @@ Two engines:
     first-outlet flow and the inlet pressure of each junction, read straight
     off the state, and the junction residuals are minimized over them with
     Levenberg-Marquardt.  The null-space basis is built in one pass over the
-    tree; no matrix factorization is needed.
+    tree; no matrix factorization is needed.  Each flow unknown is scaled by
+    its junction's share of the inflow.
+
+Both engines, ``kkt_report`` and the mass check read one linear-constraint
+assembly, ``_LinearConstraints``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .network import VascularNetwork
 
@@ -108,10 +114,28 @@ def _inflow_at(network: VascularNetwork, t: float) -> float:
     return float(bc.value)
 
 
+class _Rows:
+    """Linear rows ``sum_k coef_k * x[cols_k]`` of flat states x (..., n),
+    one row per entry of the column arrays; the terms give values and Jacobian."""
+
+    def __init__(self, *terms):
+        self.terms = [(np.asarray(c), np.broadcast_to(v, np.shape(c))) for c, v in terms]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return sum(v * x[..., c] for c, v in self.terms)
+
+    def matrix(self, n: int) -> scipy.sparse.csr_matrix:
+        """The rows as a sparse (rows, n) matrix."""
+        m = len(self.terms[0][0])
+        cols, vals = (np.concatenate(a) for a in zip(*self.terms))
+        rows = np.tile(np.arange(m), len(self.terms))
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
+
+
 class _LinearConstraints:
-    """Linear constraints on a state reshaped to (vessels, 4): flow and
-    pressure continuity along each vessel, junction mass balance, the inflow
-    and the leaf BCs ``p_out - R*q_out - Pd`` (read when this is built)."""
+    """Linear constraints on a state: flow and pressure continuity along each
+    vessel, junction mass balance, the inflow and the leaf BCs
+    ``p_out - R*q_out - Pd`` (read when this is built)."""
 
     def __init__(self, network: VascularNetwork):
         pos = network.topology.position
@@ -119,39 +143,96 @@ class _LinearConstraints:
         self.outlets = np.array(
             [[pos[o.vessel_id] for o in j.outlets] for j in network.junctions], dtype=int
         ).reshape(-1, 2)
-        self.root = pos[network.inflow_bc.vessel_id]
         leaves = [b for b in network.boundary_conditions if b.kind == "RESISTANCE"]
         self.leaf = np.array([pos[b.vessel_id] for b in leaves], dtype=int)
         self.leaf_r = np.array([b.r for b in leaves])
         self.leaf_pd = np.array([b.pd for b in leaves])
 
-    def mass(self, s: np.ndarray) -> np.ndarray:
-        """Vessel flow continuity, then junction mass balance, of s (..., vessels, 4)."""
-        junction = (
-            s[..., self.inlet, Q_OUT]
-            - s[..., self.outlets[:, 0], Q_IN]
-            - s[..., self.outlets[:, 1], Q_IN]
+        v, inlet, outlets, leaf = (
+            4 * a for a in (np.arange(len(pos)), self.inlet, self.outlets, self.leaf)
         )
-        return np.concatenate([s[..., Q_IN] - s[..., Q_OUT], junction], axis=-1)
+        self.flow = _Rows((v + Q_IN, 1.0), (v + Q_OUT, -1.0))
+        self.pressure = _Rows((v + P_IN, 1.0), (v + P_OUT, -1.0))
+        self.junction_mass = _Rows(
+            (inlet + Q_OUT, 1.0), (outlets[:, 0] + Q_IN, -1.0), (outlets[:, 1] + Q_IN, -1.0)
+        )
+        self.inflow = _Rows(([4 * pos[network.inflow_bc.vessel_id] + Q_IN], 1.0))
+        self.leaf_bc = _Rows((leaf + P_OUT, 1.0), (leaf + Q_OUT, -self.leaf_r))
+
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        """Vessel flow continuity, then junction mass balance, of x (..., n)."""
+        return np.concatenate([self.flow(x), self.junction_mass(x)], axis=-1)
+
+    def boundary(self, x: np.ndarray, inflow: float) -> np.ndarray:
+        """The inflow row, then the leaf rows, of one state x."""
+        return np.concatenate([self.inflow(x) - inflow, self.leaf_bc(x) - self.leaf_pd])
 
     def residual(self, x: np.ndarray, inflow: float) -> np.ndarray:
         """All constraint residuals of one state x."""
-        s = x.reshape(-1, 4)
-        return np.concatenate([
-            self.mass(s),
-            s[:, P_IN] - s[:, P_OUT],
-            [s[self.root, Q_IN] - inflow],
-            s[self.leaf, P_OUT] - self.leaf_r * s[self.leaf, Q_OUT] - self.leaf_pd,
-        ])
+        return np.concatenate([self.mass(x), self.pressure(x), self.boundary(x, inflow)])
 
 
 def mass_conservation_error(solution: Solution) -> float:
     """Largest junction or vessel mass-balance violation over all stored states."""
-    states = solution.states.reshape(len(solution.states), -1, 4)
-    return float(np.max(np.abs(_LinearConstraints(solution.network).mass(states))))
+    return float(np.max(np.abs(_LinearConstraints(solution.network).mass(solution.states))))
 
 
 # -- standard engine ------------------------------------------------------
+
+
+class _StandardSystem:
+    """The standard engine's equations on one network: the two vessel
+    equations, then junction mass balance, equal pressure across each
+    junction, the inflow and the leaf BCs.  Vessel elements and the
+    Jacobian of the linear rows are computed once."""
+
+    def __init__(self, network: VascularNetwork):
+        fluid = network.fluid
+        vessels = [network.vessels[vid] for vid in network.topology.vessel_ids]
+        self.R, self.L = np.array([v.elements(fluid) for v in vessels]).T
+        self.Rs = np.array([v.stenosis_r(fluid) for v in vessels])
+        self.C = np.array([v.capacitance for v in vessels])
+        c = self.constraints = _LinearConstraints(network)
+        inlet, outlets = 4 * np.repeat(c.inlet, 2), 4 * c.outlets.ravel()
+        self.junction_pressure = _Rows((inlet + P_OUT, 1.0), (outlets + P_IN, -1.0))
+        linear = (c.junction_mass, self.junction_pressure, c.inflow, c.leaf_bc)
+        self.linear_jac = scipy.sparse.vstack([r.matrix(4 * len(vessels)) for r in linear])
+
+    @staticmethod
+    def _rates(x, x_prev, dt):
+        """Backward differences of the state as (vessels, 4); zero when steady."""
+        return np.zeros((x.size // 4, 4)) if dt is None else ((x - x_prev) / dt).reshape(-1, 4)
+
+    def residual(self, x, x_prev, dt, inflow):
+        s, ds = x.reshape(-1, 4), self._rates(x, x_prev, dt)
+        q, qdot = s[:, Q_IN], ds[:, Q_IN]
+        vessel = np.stack([
+            # Q_in - Q_out = C (Pdot_in + R Qdot_in + 2 Rs |Q_in| Qdot_in)
+            q - s[:, Q_OUT]
+            - self.C * (ds[:, P_IN] + self.R * qdot + 2 * self.Rs * np.abs(q) * qdot),
+            # P_in - P_out = R Q_in + Rs Q_in |Q_in| + L Qdot_out
+            s[:, P_IN] - s[:, P_OUT] - self.R * q - self.Rs * q * np.abs(q)
+            - self.L * ds[:, Q_OUT],
+        ], axis=1)
+        c = self.constraints
+        return np.concatenate([
+            vessel.ravel(), c.junction_mass(x), self.junction_pressure(x), c.boundary(x, inflow)
+        ])
+
+    def jacobian(self, x, x_prev, dt) -> scipy.sparse.csc_matrix:
+        q, qdot = x.reshape(-1, 4)[:, Q_IN], self._rates(x, x_prev, dt)[:, Q_IN]
+        ddx = 0.0 if dt is None else 1.0 / dt
+        C, R, Rs = self.C, self.R, self.Rs
+        # per vessel, d(first, second equation) / d(p_in, p_out, q_in, q_out)
+        block = np.zeros((q.size, 2, 4))
+        block[:, 0, P_IN] = -C * ddx
+        block[:, 0, Q_IN] = 1.0 - C * (R * ddx + 2 * Rs * (np.sign(q) * qdot + np.abs(q) * ddx))
+        block[:, 0, Q_OUT] = -1.0
+        block[:, 1, P_IN], block[:, 1, P_OUT] = 1.0, -1.0
+        block[:, 1, Q_IN] = -R - 2 * Rs * np.abs(q)
+        block[:, 1, Q_OUT] = -self.L * ddx
+        vessel = scipy.sparse.bsr_matrix((block, np.arange(q.size), np.arange(q.size + 1)))
+        return scipy.sparse.vstack([vessel, self.linear_jac], format="csc")
 
 
 def assemble_standard_residual(
@@ -164,128 +245,41 @@ def assemble_standard_residual(
 ) -> np.ndarray:
     """Residual of the standard 0D equations.  dt=None means steady
     (all time derivatives zero); otherwise backward differences against
-    state_prev.
+    state_prev.  States are in the network's topology order, which any
+    ``index`` of the network shares.
     """
-    idx = index or VarIndex(network)
-    r, _ = _standard_system(network, state, state_prev, dt, inflow, idx, want_jac=False)
-    return r
-
-
-def _standard_system(network, x, x_prev, dt, inflow, idx, want_jac=True):
-    fluid = network.fluid
     if inflow is None:
         inflow = network.inflow_bc.steady_flow()
-    n = idx.n
-    eq = 0
+    return _StandardSystem(network).residual(state, state_prev, dt, inflow)
 
-    def deriv(i):
-        if dt is None:
-            return 0.0
-        return (x[i] - x_prev[i]) / dt
 
-    ddx = 0.0 if dt is None else 1.0 / dt
-
-    n_eq = (
-        2 * len(idx.vessel_ids)
-        + 3 * len(network.junctions)
-        + 1
-        + sum(1 for b in network.boundary_conditions if b.kind == "RESISTANCE")
-    )
-    res = np.zeros(n_eq)
-    jac = np.zeros((n_eq, n)) if want_jac else None
-
-    for vid in idx.vessel_ids:
-        v = network.vessels[vid]
-        R, L = v.elements(fluid)
-        Rs = v.stenosis_r(fluid)
-        C = v.capacitance
-        ip_in, ip_out = idx(vid, "p_in"), idx(vid, "p_out")
-        iq_in, iq_out = idx(vid, "q_in"), idx(vid, "q_out")
-        q_in, q_out = x[iq_in], x[iq_out]
-        pdot_in = deriv(ip_in)
-        qdot_in = deriv(iq_in)
-        qdot_out = deriv(iq_out)
-
-        # Eq 1: Q_in - Q_out = C (Pdot_in + R Qdot_in + 2 Rs |Q_in| Qdot_in)
-        res[eq] = q_in - q_out - C * (pdot_in + R * qdot_in + 2 * Rs * abs(q_in) * qdot_in)
-        if want_jac:
-            jac[eq, iq_in] = 1.0 - C * (
-                R * ddx + 2 * Rs * (np.sign(q_in) * qdot_in + abs(q_in) * ddx)
-            )
-            jac[eq, iq_out] = -1.0
-            jac[eq, ip_in] = -C * ddx
-        eq += 1
-
-        # Eq 2: P_in - P_out = R Q_in + Rs Q_in |Q_in| + L Qdot_out
-        res[eq] = x[ip_in] - x[ip_out] - R * q_in - Rs * q_in * abs(q_in) - L * qdot_out
-        if want_jac:
-            jac[eq, ip_in] = 1.0
-            jac[eq, ip_out] = -1.0
-            jac[eq, iq_in] = -R - 2 * Rs * abs(q_in)
-            jac[eq, iq_out] = -L * ddx
-        eq += 1
-
-    for j in network.junctions:
-        i_qout = idx(j.inlet_vessel, "q_out")
-        i_pout = idx(j.inlet_vessel, "p_out")
-        res[eq] = x[i_qout]
-        if want_jac:
-            jac[eq, i_qout] = 1.0
-        for o in j.outlets:
-            res[eq] -= x[idx(o.vessel_id, "q_in")]
-            if want_jac:
-                jac[eq, idx(o.vessel_id, "q_in")] = -1.0
-        eq += 1
-        for o in j.outlets:
-            i_pin = idx(o.vessel_id, "p_in")
-            res[eq] = x[i_pout] - x[i_pin]
-            if want_jac:
-                jac[eq, i_pout] = 1.0
-                jac[eq, i_pin] = -1.0
-            eq += 1
-
-    root = network.inflow_bc.vessel_id
-    res[eq] = x[idx(root, "q_in")] - inflow
-    if want_jac:
-        jac[eq, idx(root, "q_in")] = 1.0
-    eq += 1
-
-    for bc in network.boundary_conditions:
-        if bc.kind != "RESISTANCE":
-            continue
-        ip, iq = idx(bc.vessel_id, "p_out"), idx(bc.vessel_id, "q_out")
-        res[eq] = x[ip] - bc.r * x[iq] - bc.pd
-        if want_jac:
-            jac[eq, ip] = 1.0
-            jac[eq, iq] = -bc.r
-        eq += 1
-
-    return res, jac
+def _standard_system(network, x, x_prev, dt, inflow, idx=None):
+    """Residual and sparse Jacobian of the standard equations at x."""
+    system = _StandardSystem(network)
+    return system.residual(x, x_prev, dt, inflow), system.jacobian(x, x_prev, dt)
 
 
 def _scaled_norm(res, jac, x):
     # residual relative to the magnitude of each equation's own terms, so
     # convergence is meaningful across the Ba-vs-cm^3/s magnitude spread
-    scale = np.maximum(1.0, np.abs(jac) @ np.abs(x))
+    scale = np.maximum(1.0, abs(jac) @ np.abs(x))
     return float(np.max(np.abs(res) / scale))
 
 
-def _newton(network, x0, x_prev, dt, inflow, idx, config):
+def _newton(system, x0, x_prev, dt, inflow, config):
     x = x0.copy()
-    for it in range(config.max_iterations):
-        res, jac = _standard_system(network, x, x_prev, dt, inflow, idx)
+    for it in range(config.max_iterations + 1):
+        res = system.residual(x, x_prev, dt, inflow)
+        jac = system.jacobian(x, x_prev, dt)
         norm = _scaled_norm(res, jac, x)
         if norm <= config.newton_tol:
             return x, {"iterations": it, "residual_norm": norm}
+        if it == config.max_iterations:
+            break
         try:
-            dx = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as e:
+            x = x + scipy.sparse.linalg.splu(jac).solve(-res)
+        except RuntimeError as e:  # splu: "Factor is exactly singular"
             raise ConvergenceError(f"singular Jacobian at iteration {it}") from e
-        x = x + dx
-    res, jac = _standard_system(network, x, x_prev, dt, inflow, idx)
-    norm = _scaled_norm(res, jac, x)
-    if norm <= config.newton_tol:
-        return x, {"iterations": config.max_iterations, "residual_norm": norm}
     raise ConvergenceError(
         f"Newton did not converge in {config.max_iterations} iterations "
         f"(scaled residual inf-norm {norm:.3e})"
@@ -304,7 +298,7 @@ def solve_steady_standard(
     idx = VarIndex(network)
     inflow = network.inflow_bc.steady_flow()
     x0 = _standard_initial_guess(network, idx, inflow)
-    x, diag = _newton(network, x0, None, None, inflow, idx, config)
+    x, diag = _newton(_StandardSystem(network), x0, None, None, inflow, config)
     return Solution(
         times=np.array([0.0]),
         states=x[None, :],
@@ -330,14 +324,15 @@ def solve_transient_standard(
     )
     inflow0 = _inflow_at(network, times[0])
     x0 = _standard_initial_guess(network, idx, inflow0)
-    x, diag0 = _newton(network, x0, None, None, inflow0, idx, steady_cfg)
+    system = _StandardSystem(network)
+    x, diag0 = _newton(system, x0, None, None, inflow0, steady_cfg)
     states = [x]
     diags = [diag0]
     for k in range(1, len(times)):
         inflow = _inflow_at(network, times[k])
         prev = states[-1]
         try:
-            x, diag = _newton(network, prev, prev, config.dt, inflow, idx, config)
+            x, diag = _newton(system, prev, prev, config.dt, inflow, config)
         except ConvergenceError as e:
             raise ConvergenceError(f"step {k} (t={times[k]:.6g}): {e}") from e
         states.append(x)
@@ -400,6 +395,18 @@ class _OptProblem:
         self.phi = np.array([o.flow_split for _, o in outlets])
         self._tree_basis()
 
+        # each first outlet's share of the inflow: the product of the flow
+        # splits from the root down to it, in one root-first pass
+        topo = network.topology
+        share = {topo.preorder[0]: 1.0}
+        for vid in topo.preorder:
+            if vid in topo.feeds:
+                for o in topo.feeds[vid].outlets:
+                    share[o.vessel_id] = share[vid] * o.flow_split
+        self.share = np.array([abs(share[j.outlets[0].vessel_id]) for j in network.junctions])
+        # a zero share would zero the flow column and the warm start's divisor
+        self.share[self.share == 0.0] = 1.0
+
     def _tree_basis(self):
         net, idx, con = self.network, self.idx, self.constraints
         feeds = net.topology.feeds
@@ -434,11 +441,12 @@ class _OptProblem:
     def set_variable_scales(self, q_scale: float, p_var: float) -> None:
         """Column-scale the basis so flow and pressure unknowns are comparable
         in the reduced least-squares problem; without this the optimizer
-        stalls far from the attainable objective on deep trees.  q_scale also
-        normalizes the residuals."""
-        n_j = len(self.network.junctions)
+        stalls far from the attainable objective on deep trees.  A flow is
+        scaled by q_scale times its share of the inflow (about 2^-depth):
+        with q_scale alone LM stops on xtol above the stationarity gate.
+        q_scale also normalizes the residuals."""
         self.q_scale = q_scale
-        self.scale = np.repeat([q_scale, p_var], n_j)
+        self.scale = np.concatenate([q_scale * self.share, np.full(self.share.size, p_var)])
 
     def state(self, inflow: float, z: np.ndarray) -> np.ndarray:
         """The feasible state with scaled free unknowns z."""

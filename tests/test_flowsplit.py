@@ -84,7 +84,7 @@ def test_depth_two_matches_hand_ladder_reduction():
 
     def hand(vid):
         r_v, _ = net.vessels[vid].elements(net.fluid)
-        j = net.junction_of_inlet(vid)
+        j = net.topology.feeds.get(vid)
         if j is None:
             return r_v + net.bc_of(vid, "RESISTANCE").r
         r1 = hand(j.outlets[0].vessel_id)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from vascrom.network import (
     VascularNetwork,
     Vessel,
     generate_symmetric_tree,
+    load_network,
     network_from_dict,
     network_to_dict,
     poiseuille_elements,
@@ -40,6 +43,7 @@ from vascrom.solver import (
 )
 
 FLUID = Fluid()
+DATA = Path(__file__).parent / "data"
 
 
 # -- config validation -----------------------------------------------------
@@ -89,6 +93,7 @@ def test_jacobian_matches_finite_differences():
     x = rng.uniform(0.5, 2.0, idx.n) * 100.0
     x_prev = x + rng.normal(scale=5.0, size=idx.n)
     res, jac = _standard_system(net, x, x_prev, 1e-3, 100.0, idx)
+    jac = jac.toarray()
     eps = 1e-4
     for col in range(idx.n):
         xp = x.copy()
@@ -141,6 +146,19 @@ def test_steady_nonzero_distal_pressure_offsets_inlet():
     assert shifted.inlet_pressure[0] - base.inlet_pressure[0] == pytest.approx(
         p_d, rel=1e-10
     )
+
+
+def test_steady_standard_memory_is_linear_in_vessels():
+    # 1023 vessels: a dense Jacobian alone would take 134 MB
+    net = generate_symmetric_tree(depth=9, leaf_resistance=8e5)
+    tracemalloc.start()
+    try:
+        sol = solve_steady_standard(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert mass_conservation_error(sol) <= 1e-10
 
 
 def test_transient_constant_inflow_matches_steady():
@@ -303,6 +321,28 @@ def test_opt_ill_posed_quadratic_pair_stays_feasible():
     assert diag["constraint_violation"] <= 1e-8
     assert diag["objective"] > 1e-6
     assert math.isfinite(diag["objective"])
+
+
+def test_opt_deep_unbalanced_tree_meets_stationarity_gate():
+    """A 127-vessel unbalanced tree with estimated splits and predicted
+    coefficients.  Its deep junctions carry a small share of the inflow:
+    with their flow unknowns scaled by the root inflow alone, LM stops on
+    xtol at stationarity 1.6e-6 and the solve raises."""
+    net = load_network(DATA / "unbalanced_v127.json")
+    sol = solve_opt(net, SolverConfig(mode="steady"), engine="rri")
+    diag = sol.diagnostics[0]
+    assert diag["stationarity"] <= 1e-6
+    assert diag["constraint_violation"] <= 1e-8
+    assert kkt_report(sol)[0]["stationarity"] == pytest.approx(diag["stationarity"], abs=1e-12)
+
+
+def test_opt_zero_flow_split_leaves_outlet_flow_free():
+    # the first outlet's share of the inflow is 0: its flow unknown must
+    # still move, the pressure laws pull it toward half the inflow
+    net = make_single_junction(rri_coeffs(1.0, 0.0, 0.0), phi=0.0)
+    sol = solve_opt(net, SolverConfig(mode="steady"), engine="rri")
+    assert 0.0 < sol.q("v1")[0] < 5.0
+    assert sol.diagnostics[0]["stationarity"] <= 1e-6
 
 
 def test_stationarity_error_reports_least_squares_counters():
