@@ -15,7 +15,10 @@ Two engines:
     its junction's share of the inflow.
 
 Both engines, ``kkt_report`` and the mass check read one linear-constraint
-assembly, ``_LinearConstraints``.
+assembly, ``_LinearConstraints``.  Each engine builds its Jacobian's structure
+once per solve (the standard engine's CSC pattern, the rri/ri engines'
+densified basis blocks); Newton and Levenberg-Marquardt iterations update
+only the values that depend on the state.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -183,8 +187,10 @@ def mass_conservation_error(solution: Solution) -> float:
 class _StandardSystem:
     """The standard engine's equations on one network: the two vessel
     equations, then junction mass balance, equal pressure across each
-    junction, the inflow and the leaf BCs.  Vessel elements and the
-    Jacobian of the linear rows are computed once."""
+    junction, the inflow and the leaf BCs.  Vessel elements are computed
+    once, and the Jacobian's sparsity pattern with the linear rows' values
+    on the first ``jacobian()``; each call then writes only the vessel
+    blocks."""
 
     def __init__(self, network: VascularNetwork):
         fluid = network.fluid
@@ -195,8 +201,25 @@ class _StandardSystem:
         c = self.constraints = _LinearConstraints(network)
         inlet, outlets = 4 * np.repeat(c.inlet, 2), 4 * c.outlets.ravel()
         self.junction_pressure = _Rows((inlet + P_OUT, 1.0), (outlets + P_IN, -1.0))
+
+    @cached_property
+    def _jac_pattern(self):
+        """The Jacobian's fixed CSC structure, built on the first ``jacobian()``:
+        every vessel's full 2x4 block (zeros kept) above the linear rows, rows
+        ascending within each column.  Returns the matrix with the linear
+        values in place and the data slot of each ``block.ravel()`` entry."""
+        n_v, c = self.R.size, self.constraints
+        n = 4 * n_v
         linear = (c.junction_mass, self.junction_pressure, c.inflow, c.leaf_bc)
-        self.linear_jac = scipy.sparse.vstack([r.matrix(4 * len(vessels)) for r in linear])
+        linear = scipy.sparse.vstack([r.matrix(n) for r in linear]).tocoo()
+        v, eq, k = np.indices((n_v, 2, 4)).reshape(3, -1)
+        rows = np.concatenate([2 * v + eq, 2 * n_v + linear.row])
+        cols = np.concatenate([4 * v + k, linear.col])
+        vals = np.concatenate([np.zeros(v.size), linear.data])
+        order = np.lexsort((rows, cols))
+        indptr = np.searchsorted(cols[order], np.arange(n + 1))
+        template = scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
+        return template, np.argsort(order)[: v.size]
 
     @staticmethod
     def _rates(x, x_prev, dt):
@@ -231,8 +254,10 @@ class _StandardSystem:
         block[:, 1, P_IN], block[:, 1, P_OUT] = 1.0, -1.0
         block[:, 1, Q_IN] = -R - 2 * Rs * np.abs(q)
         block[:, 1, Q_OUT] = -self.L * ddx
-        vessel = scipy.sparse.bsr_matrix((block, np.arange(q.size), np.arange(q.size + 1)))
-        return scipy.sparse.vstack([vessel, self.linear_jac], format="csc")
+        template, slots = self._jac_pattern
+        jac = template.copy()
+        jac.data[slots] = block.ravel()
+        return jac
 
 
 def assemble_standard_residual(
@@ -447,6 +472,13 @@ class _OptProblem:
         q_scale also normalizes the residuals."""
         self.q_scale = q_scale
         self.scale = np.concatenate([q_scale * self.share, np.full(self.share.size, p_var)])
+        # the state-independent parts of the Jacobian, densified once: the
+        # pressure-drop rows' basis blocks and the whole flow-split block
+        b_pj, b_po, self._b_q, b_qj = (
+            self.basis[i].toarray() for i in (self.i_pj, self.i_po, self.i_q, self.i_qj)
+        )
+        self._b_dp = b_pj - b_po
+        self._flow_jac = (self.phi[:, None] * b_qj - self._b_q) / q_scale * self.scale
 
     def state(self, inflow: float, z: np.ndarray) -> np.ndarray:
         """The feasible state with scaled free unknowns z."""
@@ -468,17 +500,12 @@ class _OptProblem:
         ])
 
     def jacobian(self, x, dt):
-        """Jacobian of the residuals w.r.t. the scaled free unknowns."""
-        b_pj, b_po, b_q, b_qj = (
-            self.basis[i].toarray() for i in (self.i_pj, self.i_po, self.i_q, self.i_qj)
-        )
+        """Jacobian of the residuals w.r.t. the scaled free unknowns; only the
+        pressure-law rows depend on the state."""
         dqdot = 0.0 if dt is None else 1.0 / dt
         dq = self.r_lin + 2 * self.r_quad * np.abs(x[self.i_q]) + self.l * dqdot
-        jac = np.vstack([
-            (b_pj - b_po - dq[:, None] * b_q) / self.q_scale**2,
-            (self.phi[:, None] * b_qj - b_q) / self.q_scale,
-        ])
-        return jac * self.scale
+        pressure = (self._b_dp - dq[:, None] * self._b_q) / self.q_scale**2 * self.scale
+        return np.vstack([pressure, self._flow_jac])
 
     def diagnostics(self, x, inflow, x_prev, dt) -> dict:
         """Objective, constraint violation and stationarity (inf-norm of the

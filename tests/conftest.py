@@ -111,13 +111,16 @@ def random_shape_tree(seed, inflow=100.0, max_depth=4):
     )
 
 
-def newton_rri_reference(network, inflow=None):
-    """Independent steady RRI solve via scipy root-finding.
+def newton_rri_reference(network, inflow=None, flows_prev=None, dt=None):
+    """Independent RRI solve via scipy root-finding.
 
     One flow and one pressure unknown per vessel (vessels are wires); the
     equations are junction mass balance, the junction pressure-drop law, the
-    inflow condition, and the leaf resistance BCs.  Used as a cross-check
-    oracle for the constrained-optimization engine.
+    inflow condition, and the leaf resistance BCs.  Steady by default; given
+    dt and each vessel's previous flow (``flows_prev``), every outlet's
+    pressure drop gains the backward-Euler inertance term
+    ``l * (q - q_prev) / dt``.  Used as a cross-check oracle for the
+    constrained-optimization engine.
     """
     vids = sorted(network.vessels)
     nv = len(vids)
@@ -139,6 +142,8 @@ def newton_rri_reference(network, inflow=None):
                 c = o.coefficients
                 q = x[iq[o.vessel_id]]
                 drop = c.r_lin * q + c.quad() * q * abs(q)
+                if dt is not None:
+                    drop += c.l * (q - flows_prev[o.vessel_id]) / dt
                 res.append(x[ip[j.inlet_vessel]] - x[ip[o.vessel_id]] - drop)
         for vid, bc in leaf_bcs.items():
             res.append(x[ip[vid]] - bc.r * x[iq[vid]] - bc.pd)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from tests.conftest import (
     make_single_junction,
@@ -27,6 +28,10 @@ from vascrom.network import (
 )
 from vascrom.nondim import CoefficientSet
 from vascrom.solver import (
+    P_IN,
+    P_OUT,
+    Q_IN,
+    Q_OUT,
     ConvergenceError,
     Solution,
     SolverConfig,
@@ -39,6 +44,8 @@ from vascrom.solver import (
     solve_opt,
     solve_steady_standard,
     solve_transient_standard,
+    _OptProblem,
+    _StandardSystem,
     _standard_system,
 )
 
@@ -107,6 +114,90 @@ def test_jacobian_matches_finite_differences():
         # difference is amplified by |res| on the stiff pressure rows
         scale = np.maximum(1.0, np.maximum(np.abs(jac[:, col]), np.abs(res) * eps))
         assert np.max(np.abs(jac[:, col] - fd) / scale) < 1e-6
+
+
+def _cached_arrays(obj):
+    """Every array an object holds in its attributes, inside tuples and
+    sparse matrices too."""
+    stack, out = list(vars(obj).values()), []
+    while stack:
+        a = stack.pop()
+        if isinstance(a, np.ndarray):
+            out.append(a)
+        elif scipy.sparse.issparse(a):
+            stack += [getattr(a, k) for k in ("data", "indices", "indptr") if hasattr(a, k)]
+        elif isinstance(a, (tuple, list)):
+            stack += list(a)
+    return out
+
+
+def _assert_fresh(first, second, owner):
+    """Two successive Jacobians of one owner: writing into the first leaves
+    the second as it was, and neither shares memory with the owner."""
+    def arrays(jac):
+        return [jac.data, jac.indices, jac.indptr] if scipy.sparse.issparse(jac) else [jac]
+
+    def dense(jac):
+        return jac.toarray() if scipy.sparse.issparse(jac) else jac.copy()
+
+    before = dense(second)
+    for a in arrays(first):
+        a[...] = 7
+    assert np.array_equal(dense(second), before)
+    for a in arrays(first) + arrays(second):
+        assert not any(np.shares_memory(a, c) for c in _cached_arrays(owner))
+
+
+def _stenosed_random_tree(seed):
+    data = network_to_dict(random_shape_tree(seed))
+    data["vessels"][0]["stenosis_area"] = 0.4 * data["vessels"][0]["area"]
+    return network_from_dict(data)
+
+
+def _bsr_vstack_jacobian(system, x, x_prev, dt):
+    """The standard Jacobian assembled independently: per-vessel 2x4 BSR
+    blocks stacked on the linear rows with ``scipy.sparse.vstack``."""
+    q = x.reshape(-1, 4)[:, Q_IN]
+    ddx = 0.0 if dt is None else 1.0 / dt
+    qdot = np.zeros(q.size) if dt is None else (q - x_prev.reshape(-1, 4)[:, Q_IN]) / dt
+    C, R, Rs = system.C, system.R, system.Rs
+    block = np.zeros((q.size, 2, 4))
+    block[:, 0, P_IN] = -C * ddx
+    block[:, 0, Q_IN] = 1.0 - C * (R * ddx + 2 * Rs * (np.sign(q) * qdot + np.abs(q) * ddx))
+    block[:, 0, Q_OUT] = -1.0
+    block[:, 1, P_IN], block[:, 1, P_OUT] = 1.0, -1.0
+    block[:, 1, Q_IN] = -R - 2 * Rs * np.abs(q)
+    block[:, 1, Q_OUT] = -system.L * ddx
+    c = system.constraints
+    linear = (c.junction_mass, system.junction_pressure, c.inflow, c.leaf_bc)
+    vessel = scipy.sparse.bsr_matrix((block, np.arange(q.size), np.arange(q.size + 1)))
+    return scipy.sparse.vstack([vessel] + [r.matrix(x.size) for r in linear], format="csc")
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3])
+def test_standard_jacobian_pattern_matches_bsr_vstack_assembly(dt):
+    net = _stenosed_random_tree(5)
+    system = _StandardSystem(net)
+    rng = np.random.default_rng(6)
+    n = 4 * len(net.vessels)
+    zero_flows = rng.uniform(10.0, 100.0, n)
+    zero_flows[Q_IN::8] = 0.0  # every other vessel carries no flow
+    mixed = rng.uniform(10.0, 100.0, n) * rng.choice([-1.0, 1.0], n)
+    for x in (zero_flows, mixed):
+        x_prev = x + rng.normal(scale=5.0, size=n)
+        jac = system.jacobian(x, x_prev, dt)
+        assert jac.format == "csc"
+        assert np.array_equal(jac.toarray(), _bsr_vstack_jacobian(system, x, x_prev, dt).toarray())
+
+
+def test_standard_jacobians_share_no_memory():
+    net = _stenosed_random_tree(7)
+    system = _StandardSystem(net)
+    rng = np.random.default_rng(8)
+    x1, x2 = rng.normal(scale=50.0, size=(2, 4 * len(net.vessels)))
+    first = system.jacobian(x1, x2, 1e-3)
+    second = system.jacobian(x2, x1, 1e-3)
+    _assert_fresh(first, second, system)
 
 
 # -- standard engine solves ------------------------------------------------
@@ -308,6 +399,87 @@ def test_opt_linear_matches_independent_root_finder(depth, seed, r_quad, inflow)
         assert sol.q(vid)[0] == pytest.approx(flows[vid], rel=1e-6)
         assert sol.p(vid)[0] == pytest.approx(pressures[vid], rel=1e-6)
     assert mass_conservation_error(sol) < 1e-10
+
+
+def _random_opt_problem(seed, engine, inflow):
+    """An _OptProblem on an unbalanced tree with random coefficients and
+    flow splits, scaled as solve_opt would scale it."""
+    rng = np.random.default_rng(seed)
+    net = random_shape_tree(rng, inflow=inflow)
+    for j in net.junctions:
+        phi = rng.uniform(0.2, 0.8)
+        for o, split in zip(j.outlets, (phi, 1.0 - phi)):
+            o.coefficients = rri_coeffs(
+                rng.uniform(50.0, 500.0), rng.uniform(1.0, 5.0), rng.uniform(0.1, 1.0)
+            )
+            o.flow_split = split
+    problem = _OptProblem(net, engine)
+    problem.set_variable_scales(abs(inflow), 1e4)
+    return problem, rng
+
+
+@pytest.mark.parametrize("engine", ["rri", "ri"])
+@pytest.mark.parametrize("dt", [None, 1e-3])
+@pytest.mark.parametrize("inflow", [100.0, -100.0])
+def test_opt_jacobian_matches_finite_differences(engine, dt, inflow):
+    problem, rng = _random_opt_problem(31, engine, inflow)
+    z = rng.normal(size=problem.free.size)
+    x = problem.state(inflow, z)
+    x_prev = None if dt is None else x + rng.normal(scale=5.0, size=x.size)
+
+    def residuals(z):
+        return problem.residuals(problem.state(inflow, z), x_prev, dt)
+
+    res, jac = residuals(z), problem.jacobian(x, dt)
+    eps = 1e-6
+    for col in range(z.size):
+        step = eps * np.eye(z.size)[col]
+        fd = (residuals(z + step) - residuals(z - step)) / (2 * eps)
+        # the same row-relative scale as the standard engine's check
+        scale = np.maximum(1.0, np.maximum(np.abs(jac[:, col]), np.abs(res) * eps))
+        assert np.max(np.abs(jac[:, col] - fd) / scale) < 1e-6
+
+
+def test_opt_jacobians_share_no_memory():
+    problem, rng = _random_opt_problem(32, "rri", 100.0)
+    x1, x2 = (problem.state(100.0, rng.normal(size=problem.free.size)) for _ in range(2))
+    _assert_fresh(problem.jacobian(x1, 1e-3), problem.jacobian(x2, 1e-3), problem)
+
+
+@pytest.mark.parametrize("depth,seed", [(1, 41), (2, 42), (3, 43)])
+def test_opt_transient_matches_backward_euler_root_finder(depth, seed):
+    """A transient rri solve, step by step, against the root-finder with the
+    inertance term, under a sinusoidal inflow that turns negative.  All
+    junctions of one level carry the same coefficients on both outlets, so
+    the two subtrees of every junction mirror each other and the 0.5 split
+    is exact."""
+    rng = np.random.default_rng(seed)
+    dt, n_steps = 2e-3, 12
+    ts = dt * np.arange(n_steps + 1)
+    inflows = 60.0 * (0.3 + np.sin(2 * np.pi * ts / ts[-1]))
+    assert inflows.min() < 0 < inflows.max()
+    data = network_to_dict(generate_symmetric_tree(depth=depth))
+    for bc in data["boundary_conditions"]:
+        if bc["kind"] == "FLOW":
+            bc["value"] = {"t": list(ts), "q": list(inflows)}
+    net = network_from_dict(data)
+    levels = [
+        rri_coeffs(rng.uniform(50.0, 500.0), rng.uniform(1.0, 5.0), rng.uniform(0.1, 1.0))
+        for _ in range(depth)
+    ]
+    for j in net.junctions:
+        for o in j.outlets:
+            o.coefficients, o.flow_split = levels[net.junction_depth(j)], 0.5
+    cfg = SolverConfig(mode="transient", dt=dt, n_steps=n_steps)
+    sol = solve_opt(net, cfg, engine="rri")
+    for k, inflow in enumerate(inflows):
+        prev = None if k == 0 else {vid: sol.q(vid)[k - 1] for vid in net.vessels}
+        flows, pressures = newton_rri_reference(
+            net, inflow=inflow, flows_prev=prev, dt=None if k == 0 else dt
+        )
+        for vid in net.vessels:
+            assert sol.q(vid)[k] == pytest.approx(flows[vid], rel=1e-6)
+            assert sol.p(vid)[k] == pytest.approx(pressures[vid], rel=1e-6)
 
 
 def test_opt_ill_posed_quadratic_pair_stays_feasible():
