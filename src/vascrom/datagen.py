@@ -245,27 +245,34 @@ def oracle_coeffs(g: DimensionlessGeometry) -> CoefficientSet:
 # -- synthesis and fitting ------------------------------------------------
 
 
+def _flow_columns(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q|Q| and the central-difference Qdot of q sampled on the grid t."""
+    if t.size < 3:
+        raise DatagenError("need at least 3 samples")
+    return q * np.abs(q), central_difference(q, t[1] - t[0])
+
+
+def _pressure_drop(coeffs: CoefficientSet, q, qq, qdot) -> np.ndarray:
+    """dP = R_lin*Q + R_quad*Q|Q| + L*Qdot from precomputed flow columns."""
+    return coeffs.r_lin * q + coeffs.quad() * qq + coeffs.l * qdot
+
+
 def synthesize_timeseries(
     coeffs: CoefficientSet, t: np.ndarray, q: np.ndarray
 ) -> TimeSeries:
     """Forward-evaluate dP = R_lin*Q + R_quad*Q|Q| + L*Qdot on a uniform grid."""
     t = np.asarray(t, float)
     q = np.asarray(q, float)
-    if t.size < 3:
-        raise DatagenError("need at least 3 samples")
-    dt = t[1] - t[0]
-    qdot = central_difference(q, dt)
-    dp = coeffs.r_lin * q + coeffs.quad() * (q * np.abs(q)) + coeffs.l * qdot
-    return TimeSeries(t=t, q=q, dp=dp, qdot=qdot)
+    qq, qdot = _flow_columns(t, q)
+    return TimeSeries(t=t, q=q, dp=_pressure_drop(coeffs, q, qq, qdot), qdot=qdot)
 
 
 _RRI_COLUMNS = ("Q", "Q|Q|", "Qdot")
 _RI_COLUMNS = ("Q", "Qdot")
 
 
-def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
-    qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
-    cols = {"Q": series.q, "Q|Q|": series.q * np.abs(series.q), "Qdot": qdot}
+def _factor(cols: dict[str, np.ndarray], columns: tuple[str, ...]):
+    """Column-scaled SVD of the design matrix, after a rank check."""
     a = np.column_stack([cols[c] for c in columns])
     # Column scaling keeps the rank check meaningful across units.
     scale = np.linalg.norm(a, axis=0)
@@ -279,24 +286,41 @@ def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
         raise UnderdeterminedFitError(
             f"rank-deficient design matrix; deficient direction dominated by {direction!r}"
         )
-    coef_s = vt.T @ ((u.T @ series.dp) / s)
-    return coef_s / scale
+    return u, s, vt, scale
 
 
-def fit_rri(series: TimeSeries) -> CoefficientSet:
-    c = _lstsq_fit(series, _RRI_COLUMNS)
+def _solve(factors, dp: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of dP from the factors of `_factor`."""
+    u, s, vt, scale = factors
+    return vt.T @ ((u.T @ dp) / s) / scale
+
+
+def _rri_set(c: np.ndarray) -> CoefficientSet:
     return CoefficientSet(kind="RRI", r_lin=c[0], r_quad=c[1], l=c[2])
 
 
-def fit_ri(series: TimeSeries) -> CoefficientSet:
-    c = _lstsq_fit(series, _RI_COLUMNS)
+def _ri_set(c: np.ndarray) -> CoefficientSet:
     return CoefficientSet(kind="RI", r_lin=c[0], l=c[1])
+
+
+def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
+    qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
+    cols = {"Q": series.q, "Q|Q|": series.q * np.abs(series.q), "Qdot": qdot}
+    return _solve(_factor(cols, columns), series.dp)
+
+
+def fit_rri(series: TimeSeries) -> CoefficientSet:
+    return _rri_set(_lstsq_fit(series, _RRI_COLUMNS))
+
+
+def fit_ri(series: TimeSeries) -> CoefficientSet:
+    return _ri_set(_lstsq_fit(series, _RI_COLUMNS))
 
 
 def r_squared(series: TimeSeries, coeffs: CoefficientSet) -> float:
     qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
     q = series.q
-    pred = coeffs.r_lin * q + coeffs.quad() * (q * np.abs(q)) + coeffs.l * qdot
+    pred = _pressure_drop(coeffs, q, q * np.abs(q), qdot)
     ss_tot = float(np.sum((series.dp - series.dp.mean()) ** 2))
     if ss_tot == 0:
         raise DatagenError("zero-variance dP; R^2 undefined")
@@ -368,6 +392,7 @@ def build_cohort(
     t, q_inlet = systolic_waveform(
         waveform.re_max, l_c, fluid, waveform.period, waveform.n_steps
     )
+    TimeSeries(t=t, q=q_inlet, dp=q_inlet)  # checks the shared time grid once
     noise_seeds = np.random.SeedSequence(seed).spawn(len(junctions))
 
     features = []
@@ -378,20 +403,21 @@ def build_cohort(
             lam_total = (junc.lam1, junc.lam2)[outlet]
             phi = (junc.phi1, junc.phi2)[outlet]
             q_out = phi * q_inlet
+            qq, qdot = _flow_columns(t, q_out)
+            # the length fractions of an outlet share its flow, and so its
+            # design matrices: factor each once, solve per fraction
+            cols = {"Q": q_out, "Q|Q|": qq, "Qdot": qdot}
+            rri_factors = _factor(cols, _RRI_COLUMNS)
+            ri_factors = _factor(cols, _RI_COLUMNS)
             for frac in LAMBDA_FRACTIONS:
                 g = junc.geometry(outlet, lam_override=frac * lam_total)
                 truth = oracle_coeffs(g)
                 dim = redimensionalize_coeffs(truth, scales)
-                series = synthesize_timeseries(dim, t, q_out)
+                dp = _pressure_drop(dim, q_out, qq, qdot)
                 if noise_sigma > 0:
-                    series = TimeSeries(
-                        t=series.t,
-                        q=series.q,
-                        dp=series.dp + noise_rng.normal(0.0, noise_sigma, series.dp.size),
-                        qdot=series.qdot,
-                    )
-                rri = nondimensionalize_coeffs(fit_rri(series), scales)
-                ri = nondimensionalize_coeffs(fit_ri(series), scales)
+                    dp = dp + noise_rng.normal(0.0, noise_sigma, dp.size)
+                rri = nondimensionalize_coeffs(_rri_set(_solve(rri_factors, dp)), scales)
+                ri = nondimensionalize_coeffs(_ri_set(_solve(ri_factors, dp)), scales)
                 features.append(g.vector())
                 targets["rri_rlin"].append(rri.r_lin)
                 targets["rri_rquad"].append(rri.r_quad)

@@ -101,8 +101,12 @@ def mlp_forward(model: MlpModel, x: np.ndarray):
     return float(out[0]) if single else out
 
 
-def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Mean-squared-error loss and its gradients w.r.t. all weights/biases."""
+def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, grads=None):
+    """Mean-squared-error loss and its gradients w.r.t. all weights/biases.
+
+    The gradients go into `grads`, a (weights, biases) pair of arrays shaped
+    like the model's, when given; otherwise into fresh arrays.
+    """
     x = np.atleast_2d(np.asarray(x, float))
     y = np.asarray(y, float).ravel()
     n_layers = len(model.weights)
@@ -119,35 +123,48 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
     n = y.size
     loss = float(np.mean(resid**2))
 
-    gw = [np.zeros_like(w) for w in model.weights]
-    gb = [np.zeros_like(b) for b in model.biases]
+    if grads is None:
+        grads = [np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases]
+    gw, gb = grads
     delta = (2.0 / n) * resid[:, None]
     for i in range(n_layers - 1, -1, -1):
-        gw[i] = delta.T @ acts[i]
-        gb[i] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=gw[i])
+        delta.sum(axis=0, out=gb[i])
         if i > 0:
             delta = (delta @ model.weights[i]) * (pre[i - 1] > 0)
     return loss, gw, gb
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam (Kingma & Ba 2015) on one flat parameter vector."""
+
+    def __init__(self, params: np.ndarray, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def step(self, params: np.ndarray, grads: np.ndarray):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g**2
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1 - b1) * grads
+        v *= b2
+        v += (1 - b2) * grads**2
+        mhat = m / (1 - b1**self.t)
+        vhat = v / (1 - b2**self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def _layer_views(flat: np.ndarray, model: MlpModel):
+    """Views into `flat` shaped like the model's weights, then its biases."""
+    views, start = [], 0
+    for a in model.weights + model.biases:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    n_layers = len(model.weights)
+    return views[:n_layers], views[n_layers:]
 
 
 # -- datasets -------------------------------------------------------------
@@ -170,7 +187,6 @@ class TrainingDataset:
 
 
 def save_dataset(dataset: TrainingDataset, outdir) -> None:
-    import csv
     from pathlib import Path
 
     outdir = Path(outdir)
@@ -178,12 +194,13 @@ def save_dataset(dataset: TrainingDataset, outdir) -> None:
     split = np.full(dataset.inputs.shape[0], "train", dtype=object)
     split[dataset.val_idx] = "val"
     header = [f"f{i}" for i in range(dataset.inputs.shape[1])] + ["target", "split"]
+    # CSV lines as csv.writer makes them; no cell needs quoting (floats in
+    # repr form, the split names), and the inputs are formatted once
+    inputs = [",".join([repr(float(v)) for v in row]) for row in dataset.inputs]
     for tag, y in dataset.targets.items():
         with open(outdir / f"{tag}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            for row, t, s in zip(dataset.inputs, y, split):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(t)), s])
+            f.write(",".join(header) + "\r\n")
+            f.writelines(f"{x},{float(t)!r},{s}\r\n" for x, t, s in zip(inputs, y, split))
     stats = {
         "re_c": dataset.re_c,
         "input_mean": list(dataset.input_stats.mean),
@@ -206,19 +223,31 @@ def load_dataset(outdir) -> TrainingDataset:
     with open(outdir / "stats.json") as f:
         stats = json.load(f)
     targets = {}
-    inputs = None
-    split = None
+    first = inputs = split = keys = None
     for tag in stats["target_stats"]:
-        rows = []
-        with open(outdir / f"{tag}.csv", newline="") as f:
+        path = outdir / f"{tag}.csv"
+        y, row_keys, x = [], [], []
+        with open(path, newline="") as f:
             reader = csv.reader(f)
-            next(reader)
-            rows = list(reader)
-        x = np.array([[float(v) for v in r[:-2]] for r in rows])
-        targets[tag] = np.array([float(r[-2]) for r in rows])
-        if inputs is None:
-            inputs = x
-            split = np.array([r[-1] for r in rows])
+            header = next(reader, [])
+            for r in reader:
+                if len(r) != len(header):
+                    raise ModelError(f"{path}:{reader.line_num}: {len(r)} cells, header has {len(header)}")
+                y.append(float(r[-2]))
+                row_keys.append((",".join(r[:-2]), r[-1]))
+                if first is None:
+                    x.append([float(v) for v in r[:-2]])
+        targets[tag] = np.array(y)
+        # every tag file must carry the first file's input and split cells
+        if first is None:
+            first, keys = path, row_keys
+            inputs = np.array(x)
+            split = np.array([s for _, s in row_keys])
+        elif row_keys != keys:
+            if len(row_keys) != len(keys):
+                raise ModelError(f"{path}: {len(row_keys)} data rows, {first.name} has {len(keys)}")
+            row = next(i for i, (a, b) in enumerate(zip(row_keys, keys)) if a != b)
+            raise ModelError(f"{path}:{row + 2}: inputs or split differ from {first.name}")
     train_idx = np.flatnonzero(split == "train")
     val_idx = np.flatnonzero(split == "val")
     return TrainingDataset(
@@ -275,7 +304,11 @@ def train_models(
         n_hidden, width = architectures[tag]
         rng = _tag_rng(config.seed, tag)
         model = init_model(tag, dataset.inputs.shape[1], n_hidden, width, rng)
-        params = model.weights + model.biases
+        # one flat parameter vector, with the model's layers as views into it
+        params = np.concatenate([a.ravel() for a in model.weights + model.biases])
+        grads = np.empty_like(params)
+        grad_views = _layer_views(grads, model)
+        model.weights, model.biases = _layer_views(params, model)
         opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
 
         x_train = dataset.inputs[dataset.train_idx]
@@ -291,12 +324,12 @@ def train_models(
             n_batches = 0
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
-                loss, gw, gb = loss_and_grads(model, x_train[idx], y_train[idx])
+                loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], grad_views)
                 if not math.isfinite(loss):
                     raise ModelError(
                         f"model {tag}: divergent loss at epoch {epoch}, batch {n_batches}"
                     )
-                opt.step(params, gw + gb)
+                opt.step(params, grads)
                 epoch_loss += loss
                 n_batches += 1
             val_pred = mlp_forward(model, x_val)

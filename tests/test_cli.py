@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -302,3 +303,31 @@ def test_train_predict_solve_pipeline(tmp_path, capsys):
                  "--out", str(outdir)]) == 0
     header, values = _read_solution(outdir)
     assert values[0][header.index("P_v_in")] > 0
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("truncate", r"ri_l\.csv: 53 data rows, rri_rlin\.csv has 56"),
+        ("reorder", r"ri_l\.csv:2: inputs or split differ from rri_rlin\.csv"),
+        ("blank line", r"ri_l\.csv:5: 0 cells, header has 12"),
+    ],
+)
+def test_train_rejects_mismatched_tag_file(tmp_path, capsys, damage, message):
+    data = tmp_path / "data"
+    assert main(["generate-data", "--n", "4", "--seed", "1", "--out", str(data)]) == 0
+    path = data / "ri_l.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "truncate":
+        lines = lines[:-3]
+    elif damage == "reorder":
+        lines[1:] = lines[:0:-1]
+    else:
+        lines[4] = "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data), "--epochs", "1",
+               "--out", str(tmp_path / "models.json")])
+    assert rc == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "models.json").exists()

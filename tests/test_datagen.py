@@ -387,3 +387,55 @@ def test_cohort_noise_changes_targets_only_slightly():
 def test_timeseries_rejects_nonuniform_grid():
     with pytest.raises(DatagenError):
         TimeSeries(t=np.array([0.0, 0.1, 0.3]), q=np.zeros(3), dp=np.zeros(3))
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
+def test_cohort_equals_per_row_reference(noise_sigma):
+    """build_cohort shares one factorisation per outlet; every target must
+    equal a fresh synthesize-and-fit per row, bit for bit."""
+    from vascrom.datagen import INLET_AREA_COHORT
+    from vascrom.nondim import (
+        apply_znorm,
+        fit_znorm,
+        nondimensionalize_coeffs,
+        redimensionalize_coeffs,
+    )
+
+    n, seed = 3, 0
+    dataset, _ = build_cohort(n=n, seed=seed, noise_sigma=noise_sigma)
+
+    l_c = math.sqrt(INLET_AREA_COHORT / math.pi)
+    scales = characteristic_scales(l_c, FLUID)
+    t, q_inlet = systolic_waveform(5500.0, l_c, FLUID)
+    noise_seeds = np.random.SeedSequence(seed).spawn(n)
+    x, y = [], {tag: [] for tag in COEFFICIENT_TAGS}
+    for jidx, junc in enumerate(sample_geometries(n, seed=seed)):
+        noise_rng = np.random.default_rng(noise_seeds[jidx])
+        for outlet in (0, 1):
+            lam_total = (junc.lam1, junc.lam2)[outlet]
+            phi = (junc.phi1, junc.phi2)[outlet]
+            for frac in LAMBDA_FRACTIONS:
+                g = junc.geometry(outlet, lam_override=frac * lam_total)
+                dim = redimensionalize_coeffs(oracle_coeffs(g), scales)
+                series = synthesize_timeseries(dim, t, phi * q_inlet)
+                if noise_sigma > 0:
+                    series = TimeSeries(
+                        t=series.t,
+                        q=series.q,
+                        dp=series.dp + noise_rng.normal(0.0, noise_sigma, series.dp.size),
+                        qdot=series.qdot,
+                    )
+                rri = nondimensionalize_coeffs(fit_rri(series), scales)
+                ri = nondimensionalize_coeffs(fit_ri(series), scales)
+                x.append(g.vector())
+                for tag, v in zip(COEFFICIENT_TAGS, (rri.r_lin, rri.r_quad, rri.l, ri.r_lin, ri.l)):
+                    y[tag].append(v)
+
+    x = np.array(x)
+    train = dataset.train_idx
+    xz = apply_znorm(x, fit_znorm(x[train], names=DimensionlessGeometry.FEATURE_NAMES))
+    assert np.array_equal(dataset.inputs, xz)
+    for tag in COEFFICIENT_TAGS:
+        raw = np.array(y[tag])
+        expected = apply_znorm(raw, fit_znorm(raw[train])).ravel()
+        assert np.array_equal(dataset.targets[tag], expected), tag

@@ -404,3 +404,156 @@ def test_default_architectures_documented():
         "ri_rlin": (1, 10),
         "ri_l": (1, 20),
     }
+
+
+# -- flat-parameter training against the list-based reference --------------
+
+
+def _reference_loss_and_grads(model, x, y):
+    """Per-layer gradients in fresh arrays, one matmul and one sum per layer."""
+    n_layers = len(model.weights)
+    acts, pre, a = [x], [], x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        a = np.maximum(z, 0.0) if i < n_layers - 1 else z
+        acts.append(a)
+    resid = acts[-1][:, 0] - y
+    loss = float(np.mean(resid**2))
+    gw = [np.zeros_like(w) for w in model.weights]
+    gb = [np.zeros_like(b) for b in model.biases]
+    delta = (2.0 / y.size) * resid[:, None]
+    for i in range(n_layers - 1, -1, -1):
+        gw[i] = delta.T @ acts[i]
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i]) * (pre[i - 1] > 0)
+    return loss, gw, gb
+
+
+def _reference_train(dataset, config, tag):
+    """Adam over a list of separate layer arrays, one update per array."""
+    from vascrom.mlp import _tag_rng
+
+    n_hidden, width = DEFAULT_ARCHITECTURES[tag]
+    rng = _tag_rng(config.seed, tag)
+    model = init_model(tag, dataset.inputs.shape[1], n_hidden, width, rng)
+    params = model.weights + model.biases
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    b1, b2 = config.beta1, config.beta2
+    x_train = dataset.inputs[dataset.train_idx]
+    y_train = dataset.targets[tag][dataset.train_idx]
+    x_val = dataset.inputs[dataset.val_idx]
+    y_val = dataset.targets[tag][dataset.val_idx]
+    train_curve, val_curve, t = [], [], 0
+    n = x_train.shape[0]
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            loss, gw, gb = _reference_loss_and_grads(model, x_train[idx], y_train[idx])
+            t += 1
+            for p, g, m, v in zip(params, gw + gb, ms, vs):
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g**2
+                mhat = m / (1 - b1**t)
+                vhat = v / (1 - b2**t)
+                p -= config.lr * mhat / (np.sqrt(vhat) + config.eps)
+            epoch_loss += loss
+            n_batches += 1
+        val_mse = float(np.mean((mlp_forward(model, x_val) - y_val) ** 2))
+        train_curve.append(epoch_loss / n_batches)
+        val_curve.append(val_mse)
+    report = {
+        "train_loss": train_curve,
+        "val_mse": val_curve,
+        "epochs_run": len(train_curve),
+        "final_val_mse": val_curve[-1],
+    }
+    return model, report
+
+
+def test_flat_training_equals_list_reference(tmp_path, small_cohort):
+    dataset, _ = small_cohort
+    config = TrainingConfig(epochs=3, seed=4)
+    models, report = train_models(dataset, config=config)
+    for tag in DEFAULT_ARCHITECTURES:
+        ref_model, ref_report = _reference_train(dataset, config, tag)
+        assert report[tag] == ref_report, tag
+        for a, b in zip(models[tag].weights + models[tag].biases,
+                        ref_model.weights + ref_model.biases):
+            assert a.shape == b.shape and np.array_equal(a, b), tag
+
+    arrays = [(tag, a) for tag, m in models.items() for a in m.weights + m.biases]
+    for tag_a, a in arrays:
+        for tag_b, b in arrays:
+            if tag_a != tag_b:
+                assert not np.shares_memory(a, b), (tag_a, tag_b)
+
+    path = tmp_path / "models.json"
+    save_models(_bundle_from(models, dataset), path)
+    back = load_models(path)
+    for tag, model in models.items():
+        for a, b in zip(model.weights + model.biases,
+                        back.models[tag].weights + back.models[tag].biases):
+            assert np.array_equal(a, b)
+
+
+def test_loss_and_grads_returns_fresh_arrays(small_cohort):
+    dataset, _ = small_cohort
+    models, _ = train_models(dataset, config=TrainingConfig(epochs=1, seed=0),
+                             tags=["rri_rquad"])
+    m = models["rri_rquad"]
+    x, y = dataset.inputs[:20], dataset.targets["rri_rquad"][:20]
+    loss, gw, gb = loss_and_grads(m, x, y)
+    ref_loss, ref_gw, ref_gb = _reference_loss_and_grads(m, x, y)
+    assert loss == ref_loss
+    for g, ref in zip(gw + gb, ref_gw + ref_gb):
+        assert np.array_equal(g, ref)
+        for p in m.weights + m.biases:
+            assert not np.shares_memory(g, p)
+    _, gw2, gb2 = loss_and_grads(m, x, y)
+    for g, g2 in zip(gw + gb, gw2 + gb2):
+        assert not np.shares_memory(g, g2)
+
+
+def test_save_dataset_bytes_match_row_writer(tmp_path, small_cohort):
+    import csv
+
+    dataset, _ = small_cohort
+    save_dataset(dataset, tmp_path / "data")
+    header = [f"f{i}" for i in range(dataset.inputs.shape[1])] + ["target", "split"]
+    val = set(dataset.val_idx.tolist())
+    for tag, y in dataset.targets.items():
+        ref = tmp_path / f"ref_{tag}.csv"
+        with open(ref, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            for i, (row, t) in enumerate(zip(dataset.inputs, y)):
+                split = "val" if i in val else "train"
+                w.writerow([repr(float(v)) for v in row] + [repr(float(t)), split])
+        assert (tmp_path / "data" / f"{tag}.csv").read_bytes() == ref.read_bytes(), tag
+
+
+def test_load_dataset_rejects_mismatched_tag_files(tmp_path, small_cohort):
+    dataset, _ = small_cohort
+    data = tmp_path / "data"
+    save_dataset(dataset, data)
+    lines = (data / "rri_l.csv").read_text().splitlines(keepends=True)
+    (data / "rri_l.csv").write_text("".join(lines[:-1]))
+    with pytest.raises(ModelError, match=r"rri_l\.csv: .* data rows"):
+        load_dataset(data)
+    lines[3], lines[4] = lines[4], lines[3]
+    (data / "rri_l.csv").write_text("".join(lines))
+    with pytest.raises(ModelError, match=r"rri_l\.csv:4: inputs or split differ"):
+        load_dataset(data)
+    lines[3], lines[4] = lines[4], lines[3]
+    row = 1 + int(dataset.train_idx[5])
+    lines[row] = lines[row].replace(",train", ",val")
+    (data / "rri_l.csv").write_text("".join(lines))
+    with pytest.raises(ModelError, match=rf"rri_l\.csv:{row + 1}: inputs or split differ"):
+        load_dataset(data)
