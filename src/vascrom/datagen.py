@@ -16,11 +16,13 @@ from .nondim import (
     CharacteristicScales,
     CoefficientSet,
     DimensionlessGeometry,
+    NondimError,
     characteristic_scales,
+    feature_matrix,
     fit_znorm,
     apply_znorm,
-    nondimensionalize_coeffs,
-    redimensionalize_coeffs,
+    nondimensionalize_values,
+    redimensionalize_values,
 )
 
 INLET_AREA_COHORT = 1.0  # cm^2, fixed for all synthetic junctions
@@ -217,6 +219,12 @@ def oracle_coeffs(g: DimensionlessGeometry) -> CoefficientSet:
     R_quad* = 0.4*(alpha^-2 - 1) + 0.1*(phi^-1 - 2)
     L* = 0.1*lam*alpha^-1
     """
+    r_lin, r_quad, l = _oracle_values(g)
+    return CoefficientSet(kind="RRI", r_lin=r_lin, r_quad=r_quad, l=l, dimensionless=True)
+
+
+def _oracle_values(g: DimensionlessGeometry) -> tuple[float, float, float]:
+    """oracle_coeffs as plain (r_lin, r_quad, l) floats."""
     checks = [
         ("alpha", g.alpha_self),
         ("alpha", g.alpha_other),
@@ -232,13 +240,10 @@ def oracle_coeffs(g: DimensionlessGeometry) -> CoefficientSet:
                 f"geometry outside oracle validity box: {name}={val} not in [{lo}, {hi}]"
             )
     inv_a2 = g.alpha_self**-2
-    return CoefficientSet(
-        kind="RRI",
-        r_lin=ORACLE_RLIN_LAM * inv_a2 * g.lam_self + ORACLE_RLIN_THETA * g.theta_self,
-        r_quad=ORACLE_RQUAD_ALPHA * (inv_a2 - 1.0)
-        + ORACLE_RQUAD_PHI * (1.0 / g.phi_self - 2.0),
-        l=ORACLE_L_LAM * g.lam_self / g.alpha_self,
-        dimensionless=True,
+    return (
+        ORACLE_RLIN_LAM * inv_a2 * g.lam_self + ORACLE_RLIN_THETA * g.theta_self,
+        ORACLE_RQUAD_ALPHA * (inv_a2 - 1.0) + ORACLE_RQUAD_PHI * (1.0 / g.phi_self - 2.0),
+        ORACLE_L_LAM * g.lam_self / g.alpha_self,
     )
 
 
@@ -252,9 +257,9 @@ def _flow_columns(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q * np.abs(q), central_difference(q, t[1] - t[0])
 
 
-def _pressure_drop(coeffs: CoefficientSet, q, qq, qdot) -> np.ndarray:
+def _pressure_drop(r_lin, r_quad, l, q, qq, qdot) -> np.ndarray:
     """dP = R_lin*Q + R_quad*Q|Q| + L*Qdot from precomputed flow columns."""
-    return coeffs.r_lin * q + coeffs.quad() * qq + coeffs.l * qdot
+    return r_lin * q + r_quad * qq + l * qdot
 
 
 def synthesize_timeseries(
@@ -264,7 +269,8 @@ def synthesize_timeseries(
     t = np.asarray(t, float)
     q = np.asarray(q, float)
     qq, qdot = _flow_columns(t, q)
-    return TimeSeries(t=t, q=q, dp=_pressure_drop(coeffs, q, qq, qdot), qdot=qdot)
+    dp = _pressure_drop(coeffs.r_lin, coeffs.quad(), coeffs.l, q, qq, qdot)
+    return TimeSeries(t=t, q=q, dp=dp, qdot=qdot)
 
 
 _RRI_COLUMNS = ("Q", "Q|Q|", "Qdot")
@@ -295,14 +301,6 @@ def _solve(factors, dp: np.ndarray) -> np.ndarray:
     return vt.T @ ((u.T @ dp) / s) / scale
 
 
-def _rri_set(c: np.ndarray) -> CoefficientSet:
-    return CoefficientSet(kind="RRI", r_lin=c[0], r_quad=c[1], l=c[2])
-
-
-def _ri_set(c: np.ndarray) -> CoefficientSet:
-    return CoefficientSet(kind="RI", r_lin=c[0], l=c[1])
-
-
 def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
     qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
     cols = {"Q": series.q, "Q|Q|": series.q * np.abs(series.q), "Qdot": qdot}
@@ -310,17 +308,19 @@ def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
 
 
 def fit_rri(series: TimeSeries) -> CoefficientSet:
-    return _rri_set(_lstsq_fit(series, _RRI_COLUMNS))
+    c = _lstsq_fit(series, _RRI_COLUMNS)
+    return CoefficientSet(kind="RRI", r_lin=c[0], r_quad=c[1], l=c[2])
 
 
 def fit_ri(series: TimeSeries) -> CoefficientSet:
-    return _ri_set(_lstsq_fit(series, _RI_COLUMNS))
+    c = _lstsq_fit(series, _RI_COLUMNS)
+    return CoefficientSet(kind="RI", r_lin=c[0], l=c[1])
 
 
 def r_squared(series: TimeSeries, coeffs: CoefficientSet) -> float:
     qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
     q = series.q
-    pred = _pressure_drop(coeffs, q, q * np.abs(q), qdot)
+    pred = _pressure_drop(coeffs.r_lin, coeffs.quad(), coeffs.l, q, q * np.abs(q), qdot)
     ss_tot = float(np.sum((series.dp - series.dp.mean()) ** 2))
     if ss_tot == 0:
         raise DatagenError("zero-variance dP; R^2 undefined")
@@ -395,8 +395,8 @@ def build_cohort(
     TimeSeries(t=t, q=q_inlet, dp=q_inlet)  # checks the shared time grid once
     noise_seeds = np.random.SeedSequence(seed).spawn(len(junctions))
 
-    features = []
-    targets: dict[str, list[float]] = {tag: [] for tag in COEFFICIENT_TAGS}
+    # per row: the base descriptors, and the dimensional RRI and RI fits
+    base, rri_fits, ri_fits = [], [], []
     for jidx, junc in enumerate(junctions):
         noise_rng = np.random.default_rng(noise_seeds[jidx])
         for outlet in (0, 1):
@@ -411,22 +411,23 @@ def build_cohort(
             ri_factors = _factor(cols, _RI_COLUMNS)
             for frac in LAMBDA_FRACTIONS:
                 g = junc.geometry(outlet, lam_override=frac * lam_total)
-                truth = oracle_coeffs(g)
-                dim = redimensionalize_coeffs(truth, scales)
-                dp = _pressure_drop(dim, q_out, qq, qdot)
+                r_lin, r_quad, l = redimensionalize_values(*_oracle_values(g), scales)
+                dp = _pressure_drop(r_lin, r_quad, l, q_out, qq, qdot)
                 if noise_sigma > 0:
                     dp = dp + noise_rng.normal(0.0, noise_sigma, dp.size)
-                rri = nondimensionalize_coeffs(_rri_set(_solve(rri_factors, dp)), scales)
-                ri = nondimensionalize_coeffs(_ri_set(_solve(ri_factors, dp)), scales)
-                features.append(g.vector())
-                targets["rri_rlin"].append(rri.r_lin)
-                targets["rri_rquad"].append(rri.r_quad)
-                targets["rri_l"].append(rri.l)
-                targets["ri_rlin"].append(ri.r_lin)
-                targets["ri_l"].append(ri.l)
+                rri_fits.append(_solve(rri_factors, dp))
+                ri_fits.append(_solve(ri_factors, dp))
+                base.append(
+                    (g.alpha_self, g.alpha_other, g.lam_self, g.theta_self, g.theta_other, g.phi_self)
+                )
 
-    x = np.array(features)
-    y = {tag: np.array(v) for tag, v in targets.items()}
+    x = feature_matrix(*np.array(base).T)
+    rri, ri = np.array(rri_fits), np.array(ri_fits)
+    rri_rlin, rri_rquad, rri_l = nondimensionalize_values(rri[:, 0], rri[:, 1], rri[:, 2], scales)
+    ri_rlin, _, ri_l = nondimensionalize_values(ri[:, 0], None, ri[:, 1], scales)
+    y = dict(zip(COEFFICIENT_TAGS, (rri_rlin, rri_rquad, rri_l, ri_rlin, ri_l)))
+    if not all(np.isfinite(v).all() for v in y.values()):
+        raise NondimError("coefficients must be finite")
 
     n_rows = x.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F17]))

@@ -7,25 +7,27 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .network import (
     Fluid,
+    InvalidGeometryError,
     Junction,
+    JunctionOutlet,
     VascularNetwork,
-    length_correction,
-    poiseuille_elements,
 )
 from .nondim import (
     CoefficientSet,
-    DimensionlessGeometry,
     ZNormStats,
     apply_znorm,
-    characteristic_scales,
+    feature_matrix,
+    float_pow,
     invert_znorm,
-    redimensionalize_coeffs,
+    redimensionalize_values,
+    scale_fields,
 )
 
 BUNDLE_VERSION = 1
@@ -434,18 +436,158 @@ def load_models(path) -> ModelBundle:
 
 # -- prediction pipeline --------------------------------------------------
 
-_BASE_FEATURES = {
-    "alpha_self": 0,
-    "alpha_other": 1,
-    "lam_self": 4,
-    "theta_self": 6,
-    "theta_other": 7,
-    "phi_self": 8,
-}
+# features clamped into the trained range and flagged in the report; an
+# out-of-range lam_self is clamped silently and gets the length correction
+_CLAMPED_FEATURES = ("alpha_self", "alpha_other", "theta_self", "theta_other", "phi_self")
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+def _gather_outlets(bundle: ModelBundle, network: VascularNetwork, junctions, tags):
+    """The (junction, outlet) pairs in junction order and their input rows
+    (inlet radius, own and sibling area, attributed and residual length, own
+    and sibling angle, flow split), read up to the first missing input; and
+    the error that input raises, or None."""
+    outlets, rows = [], []
+    for junction in junctions:
+        l_c = network.vessels[junction.inlet_vessel].radius
+        if l_c <= 0 or bundle.re_c <= 0:
+            return outlets, rows, InvalidGeometryError(
+                f"need l_c > 0 and Re_c > 0, got {l_c}, {bundle.re_c}"
+            )
+        for tag in tags:
+            if tag not in bundle.models:
+                return outlets, rows, ModelError(f"bundle lacks model for {tag!r}")
+        if any(o.flow_split is None for o in junction.outlets):
+            return outlets, rows, ModelError(
+                f"junction {junction.id}: flow splits not set; run split estimation first"
+            )
+        for i, outlet in enumerate(junction.outlets):
+            if outlet.attributed_length is None:
+                return outlets, rows, ModelError(
+                    f"junction {junction.id}: bifurcation definition not applied"
+                )
+            other = junction.outlets[1 - i]
+            outlets.append((junction, outlet))
+            rows.append((
+                l_c, network.vessels[outlet.vessel_id].area, network.vessels[other.vessel_id].area,
+                outlet.attributed_length, outlet.residual_length or 0.0,
+                outlet.angle, other.angle, outlet.flow_split,
+            ))
+    return outlets, rows, None
+
+
+def _predict_outlets(
+    bundle: ModelBundle, network: VascularNetwork, junctions, kind: str
+) -> tuple[list[JunctionOutlet], list[CoefficientSet], list[dict]]:
+    """Predict dimensional coefficients for every outlet of the junctions.
+
+    Every outlet is checked before anything is returned, and an error is the
+    one that predicting outlet by outlet, in junction order, meets first.
+    """
+    tags = ("rri_rlin", "rri_rquad", "rri_l") if kind == "RRI" else ("ri_rlin", "ri_l")
+    outlets, rows, missing = _gather_outlets(bundle, network, junctions, tags)
+    coeffs, reports = [], []
+    if rows:
+        coeffs, reports = _predict_rows(bundle, network.fluid, outlets, rows, tags)
+    if missing is not None:
+        raise missing
+    return [o for _, o in outlets], coeffs, reports
+
+
+def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, rows, tags):
+    """One batched pass over the outlet rows of _gather_outlets.
+
+    Builds the features of all outlets, runs one forward per model, then
+    redimensionalises and adds the Poiseuille corrections as array
+    expressions, each the same operations in the same order as for a single
+    outlet.
+    """
+    l_c, area, area_other, attributed, residual, theta, theta_other, phi = np.array(rows, float).T
+    ranges = bundle.feature_ranges
+    scales = SimpleNamespace(**scale_fields(l_c, fluid, bundle.re_c))
+
+    lam = attributed / scales.l_c
+    lam_lo, lam_hi = ranges["lam_self"]
+    raw = {
+        "alpha_self": area / scales.a_c,
+        "alpha_other": area_other / scales.a_c,
+        "theta_self": theta,
+        "theta_other": theta_other,
+        "phi_self": phi,
+    }
+    feats = {feat: np.clip(raw[feat], *ranges[feat]) for feat in _CLAMPED_FEATURES}
+    feats["lam_self"] = np.clip(lam, lam_lo, lam_hi)
+    clamped = {feat: feats[feat] != raw[feat] for feat in _CLAMPED_FEATURES}
+
+    # the checks of DimensionlessGeometry, on the clamped features
+    nonpositive = (
+        (feats["alpha_self"] <= 0) | (feats["alpha_other"] <= 0) | (feats["lam_self"] <= 0)
+    )
+    bad = np.flatnonzero(nonpositive | ~((0.0 < feats["phi_self"]) & (feats["phi_self"] < 1.0)))
+    if bad.size:
+        k = int(bad[0])
+        if k:  # the outlets before it may fail first
+            _predict_rows(bundle, fluid, outlets[:k], rows[:k], tags)
+        if nonpositive[k]:
+            raise InvalidGeometryError("area and length ratios must be positive")
+        raise InvalidGeometryError(
+            f"flow split must lie in (0, 1), got {float(feats['phi_self'][k])}"
+        )
+
+    x = feature_matrix(
+        feats["alpha_self"], feats["alpha_other"], feats["lam_self"],
+        feats["theta_self"], feats["theta_other"], feats["phi_self"],
+    )
+    xz = apply_znorm(x, bundle.input_stats)
+    star = {
+        tag: invert_znorm(mlp_forward(bundle.models[tag], xz), bundle.target_stats[tag])
+        for tag in tags
+    }
+    # tags are (r_lin, r_quad, l) for RRI and (r_lin, l) for RI
+    r_lin, r_quad, l = redimensionalize_values(
+        star[tags[0]], star.get("rri_rquad"), star[tags[-1]], scales
+    )
+
+    # length_correction: lengths outside the trained range, by Poiseuille
+    area2 = float_pow(area, 2)
+    below, above = lam - lam_lo, lam - lam_hi
+    l_add = (
+        np.where(below < 0.0, below, 0.0) * scales.l_c
+        + np.where(above > 0.0, above, 0.0) * scales.l_c
+    )
+    delta_r = l_add * 8.0 * math.pi * fluid.mu / area2
+    delta_l = l_add * fluid.rho / area
+    # poiseuille_elements of the residual branch segment, where there is one
+    has_residual = residual > 0
+    rr = 8.0 * math.pi * fluid.mu * residual / area2
+    delta_r = np.where(has_residual, delta_r + rr, delta_r)
+    delta_l = np.where(has_residual, delta_l + fluid.rho * residual / area, delta_l)
+    r_lin, l = r_lin + delta_r, l + delta_l
+
+    # a non-finite value at any stage stays non-finite, so the CoefficientSet
+    # checks below raise where the outlet-by-outlet stages would
+    coeff_kind = "RI" if r_quad is None else "RRI"
+    r_quads = [None] * len(rows) if r_quad is None else r_quad.tolist()
+    any_clamped = np.logical_or.reduce(list(clamped.values())).tolist()
+    values = zip(outlets, r_lin.tolist(), r_quads, l.tolist(), lam.tolist(), delta_r.tolist(),
+                 delta_l.tolist())
+    coeffs, reports = [], []
+    for i, ((junction, outlet), c_lin, c_quad, c_l, lam_i, dr, dl) in enumerate(values):
+        coeffs.append(CoefficientSet(kind=coeff_kind, r_lin=c_lin, r_quad=c_quad, l=c_l))
+        flagged = [
+            {"feature": feat, "value": float(raw[feat][i]), "range": list(ranges[feat])}
+            for feat in _CLAMPED_FEATURES
+            if clamped[feat][i]
+        ] if any_clamped[i] else []
+        reports.append(
+            {
+                "junction": junction.id,
+                "outlet": outlet.vessel_id,
+                "lambda": lam_i,
+                "length_correction": {"delta_r": dr, "delta_l": dl},
+                "clamped_features": flagged,
+            }
+        )
+    return coeffs, reports
 
 
 def predict_junction_coeffs(
@@ -461,105 +603,19 @@ def predict_junction_coeffs(
     folded in the same way, since vessels carry no elements in RRI/RI mode);
     other out-of-range features are clamped and flagged in the report.
     """
-    fluid = network.fluid
-    inlet = network.vessels[junction.inlet_vessel]
-    scales = characteristic_scales(inlet.radius, fluid, bundle.re_c)
-    names = DimensionlessGeometry.FEATURE_NAMES
-
-    tags = (
-        ("rri_rlin", "rri_rquad", "rri_l") if kind == "RRI" else ("ri_rlin", "ri_l")
-    )
-    for tag in tags:
-        if tag not in bundle.models:
-            raise ModelError(f"bundle lacks model for {tag!r}")
-
-    coeffs_out: list[CoefficientSet] = []
-    reports: list[dict] = []
-    phis = [o.flow_split for o in junction.outlets]
-    if any(p is None for p in phis):
-        raise ModelError(
-            f"junction {junction.id}: flow splits not set; run split estimation first"
-        )
-    for i, outlet in enumerate(junction.outlets):
-        vessel = network.vessels[outlet.vessel_id]
-        other = junction.outlets[1 - i]
-        other_vessel = network.vessels[other.vessel_id]
-        if outlet.attributed_length is None:
-            raise ModelError(
-                f"junction {junction.id}: bifurcation definition not applied"
-            )
-        lam = outlet.attributed_length / scales.l_c
-        lam_lo, lam_hi = bundle.feature_ranges[names[4]]
-        raw = {
-            "alpha_self": vessel.area / scales.a_c,
-            "alpha_other": other_vessel.area / scales.a_c,
-            "lam_self": _clamp(lam, lam_lo, lam_hi),
-            "theta_self": outlet.angle,
-            "theta_other": other.angle,
-            "phi_self": phis[i],
-        }
-        clamped = []
-        for feat, col in _BASE_FEATURES.items():
-            if feat == "lam_self":
-                continue
-            lo, hi = bundle.feature_ranges[names[col]]
-            c = _clamp(raw[feat], lo, hi)
-            if c != raw[feat]:
-                clamped.append({"feature": feat, "value": raw[feat], "range": [lo, hi]})
-                raw[feat] = c
-        g = DimensionlessGeometry(**raw)
-        xz = apply_znorm(g.vector(), bundle.input_stats)
-        preds = {}
-        for tag in tags:
-            z = mlp_forward(bundle.models[tag], xz)
-            preds[tag] = float(invert_znorm(np.array([z]), bundle.target_stats[tag])[0])
-        if kind == "RRI":
-            star = CoefficientSet(
-                kind="RRI",
-                r_lin=preds["rri_rlin"],
-                r_quad=preds["rri_rquad"],
-                l=preds["rri_l"],
-                dimensionless=True,
-            )
-        else:
-            star = CoefficientSet(
-                kind="RI", r_lin=preds["ri_rlin"], l=preds["ri_l"], dimensionless=True
-            )
-        dim = redimensionalize_coeffs(star, scales)
-
-        dr, dl = length_correction(lam, lam_lo, lam_hi, scales.l_c, vessel.area, fluid)
-        if outlet.residual_length and outlet.residual_length > 0:
-            rr, rl = poiseuille_elements(outlet.residual_length, vessel.area, fluid)
-            dr += rr
-            dl += rl
-        final = CoefficientSet(
-            kind=dim.kind,
-            r_lin=dim.r_lin + dr,
-            r_quad=dim.r_quad,
-            l=dim.l + dl,
-            dimensionless=False,
-        )
-        coeffs_out.append(final)
-        reports.append(
-            {
-                "junction": junction.id,
-                "outlet": outlet.vessel_id,
-                "lambda": lam,
-                "length_correction": {"delta_r": dr, "delta_l": dl},
-                "clamped_features": clamped,
-            }
-        )
-    return coeffs_out, reports
+    _, coeffs, reports = _predict_outlets(bundle, network, [junction], kind)
+    return coeffs, reports
 
 
 def predict_network(
     bundle: ModelBundle, network: VascularNetwork, kind: str = "RRI"
 ) -> list[dict]:
-    """Predict and attach coefficients at every junction; returns the report."""
-    all_reports = []
-    for junction in network.junctions:
-        coeffs, reports = predict_junction_coeffs(bundle, network, junction, kind)
-        for outlet, c in zip(junction.outlets, coeffs):
-            outlet.coefficients = c
-        all_reports.extend(reports)
-    return all_reports
+    """Predict and attach coefficients at every junction; returns the report.
+
+    Every outlet is predicted and checked before any coefficient is attached,
+    so a failure leaves the network unchanged.
+    """
+    outlets, coeffs, reports = _predict_outlets(bundle, network, network.junctions, kind)
+    for outlet, c in zip(outlets, coeffs):
+        outlet.coefficients = c
+    return reports

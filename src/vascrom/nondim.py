@@ -48,22 +48,41 @@ class CharacteristicScales:
                 raise NondimError(f"inconsistent characteristic scale {name}")
 
 
+def float_pow(x, p):
+    """x**p with Python's float pow, for a float or elementwise for an array.
+
+    Scalar code computes powers with libm's pow; numpy's own power (a SIMD
+    kernel, or x*x for p = 2) differs from it in the last bit on a few
+    percent of inputs, so array code that must match scalar code bit for bit
+    takes its powers from here.
+    """
+    if isinstance(x, np.ndarray):
+        return np.power(x.astype(object), p).astype(float)
+    return x**p
+
+
+def scale_fields(l_c, fluid: Fluid, re_c: float) -> dict:
+    """The fields of CharacteristicScales for l_c a float or an array of
+    them, unchecked; characteristic_scales checks and wraps them."""
+    u_c = re_c * fluid.mu / (fluid.rho * 2.0 * l_c)
+    a_c = math.pi * float_pow(l_c, 2)
+    return {
+        "l_c": l_c,
+        "a_c": a_c,
+        "u_c": u_c,
+        "q_c": a_c * u_c,
+        "t_c": l_c / u_c,
+        "p_c": fluid.rho * float_pow(u_c, 2),
+        "re_c": re_c,
+    }
+
+
 def characteristic_scales(
     l_c: float, fluid: Fluid, re_c: float = DEFAULT_RE_C
 ) -> CharacteristicScales:
     if l_c <= 0 or re_c <= 0:
         raise InvalidGeometryError(f"need l_c > 0 and Re_c > 0, got {l_c}, {re_c}")
-    u_c = re_c * fluid.mu / (fluid.rho * 2.0 * l_c)
-    a_c = math.pi * l_c**2
-    return CharacteristicScales(
-        l_c=l_c,
-        a_c=a_c,
-        u_c=u_c,
-        q_c=a_c * u_c,
-        t_c=l_c / u_c,
-        p_c=fluid.rho * u_c**2,
-        re_c=re_c,
-    )
+    return CharacteristicScales(**scale_fields(l_c, fluid, re_c))
 
 
 @dataclass(frozen=True)
@@ -106,20 +125,29 @@ class DimensionlessGeometry:
             )
 
     def vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.alpha_self,
-                self.alpha_other,
-                self.alpha_self**-2,
-                self.alpha_other**-2,
-                self.lam_self,
-                self.lam_self**2,
-                self.theta_self,
-                self.theta_other,
-                self.phi_self,
-                1.0 / self.phi_self,
-            ]
-        )
+        base = (self.alpha_self, self.alpha_other, self.lam_self,
+                self.theta_self, self.theta_other, self.phi_self)
+        return feature_matrix(*np.array([base], float).T)[0]
+
+
+def feature_matrix(alpha_self, alpha_other, lam_self, theta_self, theta_other, phi_self):
+    """(n, 10) feature rows, in DimensionlessGeometry.FEATURE_NAMES order,
+    from n-vectors of the base descriptors; the one definition of the
+    feature vector, which DimensionlessGeometry.vector() takes row by row."""
+    return np.column_stack(
+        [
+            alpha_self,
+            alpha_other,
+            float_pow(alpha_self, -2),
+            float_pow(alpha_other, -2),
+            lam_self,
+            float_pow(lam_self, 2),
+            theta_self,
+            theta_other,
+            phi_self,
+            1.0 / phi_self,
+        ]
+    )
 
 
 def nondimensionalize_geometry(
@@ -176,23 +204,34 @@ class CoefficientSet:
         return self.r_quad if self.r_quad is not None else 0.0
 
 
+def nondimensionalize_values(r_lin, r_quad, l, scales):
+    """R_lin* = R_lin*Qc/Pc, R_quad* = R_quad*Qc^2/Pc, L* = L*Qc/(tc*Pc).
+
+    The values and the scales' fields may be floats or arrays; r_quad may be
+    None (RI)."""
+    return (
+        r_lin * scales.q_c / scales.p_c,
+        None if r_quad is None else r_quad * float_pow(scales.q_c, 2) / scales.p_c,
+        l * scales.q_c / (scales.t_c * scales.p_c),
+    )
+
+
+def redimensionalize_values(r_lin, r_quad, l, scales):
+    """The inverse of nondimensionalize_values, on the same kinds of input."""
+    return (
+        r_lin * scales.p_c / scales.q_c,
+        None if r_quad is None else r_quad * scales.p_c / float_pow(scales.q_c, 2),
+        l * scales.t_c * scales.p_c / scales.q_c,
+    )
+
+
 def nondimensionalize_coeffs(
     coeffs: CoefficientSet, scales: CharacteristicScales
 ) -> CoefficientSet:
-    """R_lin* = R_lin*Qc/Pc, R_quad* = R_quad*Qc^2/Pc, L* = L*Qc/(tc*Pc)."""
     if coeffs.dimensionless:
         raise NondimError("coefficients are already dimensionless")
-    return CoefficientSet(
-        kind=coeffs.kind,
-        r_lin=coeffs.r_lin * scales.q_c / scales.p_c,
-        r_quad=(
-            None
-            if coeffs.r_quad is None
-            else coeffs.r_quad * scales.q_c**2 / scales.p_c
-        ),
-        l=coeffs.l * scales.q_c / (scales.t_c * scales.p_c),
-        dimensionless=True,
-    )
+    r_lin, r_quad, l = nondimensionalize_values(coeffs.r_lin, coeffs.r_quad, coeffs.l, scales)
+    return CoefficientSet(kind=coeffs.kind, r_lin=r_lin, r_quad=r_quad, l=l, dimensionless=True)
 
 
 def redimensionalize_coeffs(
@@ -200,17 +239,8 @@ def redimensionalize_coeffs(
 ) -> CoefficientSet:
     if not coeffs.dimensionless:
         raise NondimError("coefficients are already dimensional")
-    return CoefficientSet(
-        kind=coeffs.kind,
-        r_lin=coeffs.r_lin * scales.p_c / scales.q_c,
-        r_quad=(
-            None
-            if coeffs.r_quad is None
-            else coeffs.r_quad * scales.p_c / scales.q_c**2
-        ),
-        l=coeffs.l * scales.t_c * scales.p_c / scales.q_c,
-        dimensionless=False,
-    )
+    r_lin, r_quad, l = redimensionalize_values(coeffs.r_lin, coeffs.r_quad, coeffs.l, scales)
+    return CoefficientSet(kind=coeffs.kind, r_lin=r_lin, r_quad=r_quad, l=l, dimensionless=False)
 
 
 @dataclass(frozen=True)

@@ -389,6 +389,14 @@ def test_timeseries_rejects_nonuniform_grid():
         TimeSeries(t=np.array([0.0, 0.1, 0.3]), q=np.zeros(3), dp=np.zeros(3))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cohort_rejects_non_finite_targets():
+    from vascrom.nondim import NondimError
+
+    with pytest.raises(NondimError, match="coefficients must be finite"):
+        build_cohort(n=2, noise_sigma=np.inf)
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
 def test_cohort_equals_per_row_reference(noise_sigma):
     """build_cohort shares one factorisation per outlet; every target must

@@ -396,6 +396,309 @@ def test_predict_flags_clamped_features(trained_bundle):
     assert clamped  # at least one feature was clamped and flagged
 
 
+# -- batched prediction against the outlet-by-outlet algorithm -------------
+
+
+def _reference_predict_junction(bundle, network, junction, kind="RRI"):
+    """The outlet-by-outlet prediction that the batched pass replaces: three
+    one-row forwards per outlet, with scalar clamps and corrections."""
+    from vascrom.nondim import (
+        CoefficientSet,
+        DimensionlessGeometry,
+        apply_znorm,
+        invert_znorm,
+        redimensionalize_coeffs,
+    )
+    from vascrom.network import poiseuille_elements
+
+    def clamp(value, lo, hi):
+        return min(max(value, lo), hi)
+
+    base_features = {"alpha_self": 0, "alpha_other": 1, "lam_self": 4,
+                     "theta_self": 6, "theta_other": 7, "phi_self": 8}
+    fluid = network.fluid
+    inlet = network.vessels[junction.inlet_vessel]
+    scales = characteristic_scales(inlet.radius, fluid, bundle.re_c)
+    names = DimensionlessGeometry.FEATURE_NAMES
+    tags = ("rri_rlin", "rri_rquad", "rri_l") if kind == "RRI" else ("ri_rlin", "ri_l")
+    for tag in tags:
+        if tag not in bundle.models:
+            raise ModelError(f"bundle lacks model for {tag!r}")
+    coeffs_out, reports = [], []
+    phis = [o.flow_split for o in junction.outlets]
+    if any(p is None for p in phis):
+        raise ModelError(
+            f"junction {junction.id}: flow splits not set; run split estimation first"
+        )
+    for i, outlet in enumerate(junction.outlets):
+        vessel = network.vessels[outlet.vessel_id]
+        other = junction.outlets[1 - i]
+        other_vessel = network.vessels[other.vessel_id]
+        if outlet.attributed_length is None:
+            raise ModelError(f"junction {junction.id}: bifurcation definition not applied")
+        lam = outlet.attributed_length / scales.l_c
+        lam_lo, lam_hi = bundle.feature_ranges[names[4]]
+        raw = {
+            "alpha_self": vessel.area / scales.a_c,
+            "alpha_other": other_vessel.area / scales.a_c,
+            "lam_self": clamp(lam, lam_lo, lam_hi),
+            "theta_self": outlet.angle,
+            "theta_other": other.angle,
+            "phi_self": phis[i],
+        }
+        clamped = []
+        for feat, col in base_features.items():
+            if feat == "lam_self":
+                continue
+            lo, hi = bundle.feature_ranges[names[col]]
+            c = clamp(raw[feat], lo, hi)
+            if c != raw[feat]:
+                clamped.append({"feature": feat, "value": raw[feat], "range": [lo, hi]})
+                raw[feat] = c
+        g = DimensionlessGeometry(**raw)
+        xz = apply_znorm(g.vector(), bundle.input_stats)
+        preds = {}
+        for tag in tags:
+            z = mlp_forward(bundle.models[tag], xz)
+            preds[tag] = float(invert_znorm(np.array([z]), bundle.target_stats[tag])[0])
+        if kind == "RRI":
+            star = CoefficientSet(kind="RRI", r_lin=preds["rri_rlin"], r_quad=preds["rri_rquad"],
+                                  l=preds["rri_l"], dimensionless=True)
+        else:
+            star = CoefficientSet(kind="RI", r_lin=preds["ri_rlin"], l=preds["ri_l"],
+                                  dimensionless=True)
+        dim = redimensionalize_coeffs(star, scales)
+        dr, dl = length_correction(lam, lam_lo, lam_hi, scales.l_c, vessel.area, fluid)
+        if outlet.residual_length and outlet.residual_length > 0:
+            rr, rl = poiseuille_elements(outlet.residual_length, vessel.area, fluid)
+            dr += rr
+            dl += rl
+        coeffs_out.append(CoefficientSet(kind=dim.kind, r_lin=dim.r_lin + dr,
+                                         r_quad=dim.r_quad, l=dim.l + dl))
+        reports.append({
+            "junction": junction.id,
+            "outlet": outlet.vessel_id,
+            "lambda": lam,
+            "length_correction": {"delta_r": dr, "delta_l": dl},
+            "clamped_features": clamped,
+        })
+    return coeffs_out, reports
+
+
+def _reference_predict_network(bundle, network, kind="RRI"):
+    all_reports = []
+    for junction in network.junctions:
+        coeffs, reports = _reference_predict_junction(bundle, network, junction, kind)
+        for outlet, c in zip(junction.outlets, coeffs):
+            outlet.coefficients = c
+        all_reports.extend(reports)
+    return all_reports
+
+
+def _row_by_row_forward(monkeypatch):
+    """Make the batched pass run its forwards one row at a time, so that the
+    matmul is the reference's and any other difference would show."""
+    import vascrom.mlp as mlp_module
+
+    def forward(model, x):
+        x = np.asarray(x, float)
+        if x.ndim == 1:
+            return mlp_forward(model, x)
+        return np.array([mlp_forward(model, row) for row in x])
+
+    monkeypatch.setattr(mlp_module, "mlp_forward", forward)
+
+
+def _prediction_cases():
+    from tests.conftest import random_shape_tree
+
+    def splits(net):
+        estimate_flow_splits(net)
+        return net
+
+    cases = [pytest.param(lambda s=s: splits(random_shape_tree(s)), id=f"random-{s}")
+             for s in range(6)]
+    # attributed lambda = ratio * 2^(-1/3): below and above the trained range,
+    # with (partial_branch) and without (full_branch) a residual segment
+    for ratio in (4.0, 80.0):
+        for definition in ("partial_branch", "full_branch"):
+            cases.append(pytest.param(
+                lambda r=ratio, d=definition: splits(generate_symmetric_tree(
+                    depth=3, length_over_radius=r, bifurcation_definition=d)),
+                id=f"ratio-{ratio:g}-{definition}"))
+    cases.append(pytest.param(
+        lambda: splits(generate_symmetric_tree(depth=3, murray_exponent=0.5)),
+        id="murray-0.5"))
+
+    def tiny_residuals():
+        net = splits(random_shape_tree(6))
+        for j in net.junctions:
+            for o in j.outlets:
+                o.residual_length = 1e-6
+        return net
+
+    cases.append(pytest.param(tiny_residuals, id="tiny-residual"))
+    return cases
+
+
+def _output_units(bundle, network, junction, kind):
+    """Per coefficient, one unit of normalised model output in dimensional
+    terms: the target std times the redimensionalisation factor."""
+    s = characteristic_scales(network.vessels[junction.inlet_vessel].radius,
+                              network.fluid, bundle.re_c)
+    tags = ({"r_lin": "rri_rlin", "r_quad": "rri_rquad", "l": "rri_l"} if kind == "RRI"
+            else {"r_lin": "ri_rlin", "l": "ri_l"})
+    factor = {"r_lin": s.p_c / s.q_c, "r_quad": s.p_c / s.q_c**2, "l": s.t_c * s.p_c / s.q_c}
+    return {f: factor[f] * float(bundle.target_stats[tag].std[0]) for f, tag in tags.items()}
+
+
+@pytest.mark.parametrize("kind", ["RRI", "RI"])
+@pytest.mark.parametrize("make", _prediction_cases())
+def test_batched_prediction_matches_outlet_by_outlet_reference(trained_bundle, make, kind):
+    """Tolerance argument: after the forward pass the batched code runs the
+    reference's operations in the same order (the row-by-row test below
+    checks that bit for bit), so only the batched matmul moves bits.  The
+    model inputs are clamped into the trained box, so a model output is O(1)
+    in normalised units and moves by a few units in the last place (at most
+    4e-15 over 300 random trees).  invert_znorm, the redimensionalisation
+    and the additive corrections scale that by a known factor, but can
+    cancel, so the bound is rel 1e-12 of the coefficient or 1e-12 of one
+    normalised output unit, whichever is larger."""
+    bundle, _ = trained_bundle
+    net = make()
+    ref_net = copy.deepcopy(net)
+    reports = predict_network(bundle, net, kind)
+    ref_reports = _reference_predict_network(bundle, ref_net, kind)
+    assert len(reports) == len(ref_reports) == 2 * len(net.junctions)
+    for rep, ref in zip(reports, ref_reports):
+        assert rep == ref
+    for junction, ref_junction in zip(net.junctions, ref_net.junctions):
+        units = _output_units(bundle, net, junction, kind)
+        for o, ref_o in zip(junction.outlets, ref_junction.outlets):
+            c, ref_c = o.coefficients, ref_o.coefficients
+            assert (c.kind, c.dimensionless) == (ref_c.kind, ref_c.dimensionless)
+            assert (c.r_quad is None) == (ref_c.r_quad is None) == (kind == "RI")
+            for f, unit in units.items():
+                a, b = getattr(c, f), getattr(ref_c, f)
+                assert abs(a - b) <= 1e-12 * max(abs(b), unit), (junction.id, f, a, b)
+
+
+@pytest.mark.parametrize("kind", ["RRI", "RI"])
+@pytest.mark.parametrize("make", _prediction_cases()[:3] + _prediction_cases()[-3:])
+def test_batched_prediction_row_by_row_is_bitwise_reference(monkeypatch, trained_bundle,
+                                                            make, kind):
+    bundle, _ = trained_bundle
+    net = make()
+    ref_net = copy.deepcopy(net)
+    ref_reports = _reference_predict_network(bundle, ref_net, kind)
+    _row_by_row_forward(monkeypatch)
+    assert predict_network(bundle, net, kind) == ref_reports
+    for junction, ref_junction in zip(net.junctions, ref_net.junctions):
+        for o, ref_o in zip(junction.outlets, ref_junction.outlets):
+            assert o.coefficients == ref_o.coefficients
+
+
+@pytest.mark.parametrize("kind", ["RRI", "RI"])
+def test_batched_prediction_row_by_row_on_many_trees(monkeypatch, trained_bundle, kind):
+    """Bit-for-bit agreement over enough outlets that a square taken with
+    numpy's pow in place of Python's (a last-bit difference on about 0.1 %
+    of inputs) would show."""
+    from tests.conftest import random_shape_tree
+
+    bundle, _ = trained_bundle
+    nets = []
+    for seed in range(300):
+        net = random_shape_tree(seed)
+        estimate_flow_splits(net)
+        nets.append(net)
+    ref_nets = copy.deepcopy(nets)
+    ref_reports = [_reference_predict_network(bundle, net, kind) for net in ref_nets]
+    _row_by_row_forward(monkeypatch)
+    for net, ref_net, ref in zip(nets, ref_nets, ref_reports):
+        assert predict_network(bundle, net, kind) == ref
+        coeffs = [o.coefficients for j in net.junctions for o in j.outlets]
+        assert coeffs == [o.coefficients for j in ref_net.junctions for o in j.outlets]
+
+
+def test_predict_network_without_junctions(trained_bundle):
+    bundle, _ = trained_bundle
+    net = generate_symmetric_tree(depth=0)
+    assert net.junctions == []
+    assert predict_network(bundle, net) == []
+    assert predict_network(bundle, net, "RI") == []
+
+
+@pytest.mark.parametrize("kind", ["RRI", "RI"])
+def test_one_forward_per_model_per_network(monkeypatch, trained_bundle, kind):
+    import vascrom.mlp as mlp_module
+
+    bundle, _ = trained_bundle
+    calls = []
+
+    def counting_forward(model, x):
+        calls.append((model.tag, np.shape(x)))
+        return mlp_forward(model, x)
+
+    monkeypatch.setattr(mlp_module, "mlp_forward", counting_forward)
+    net = generate_symmetric_tree(depth=5)
+    estimate_flow_splits(net)
+    predict_network(bundle, net, kind)
+    tags = ["rri_rlin", "rri_rquad", "rri_l"] if kind == "RRI" else ["ri_rlin", "ri_l"]
+    n_outlets = 2 * len(net.junctions)
+    assert sorted(calls) == sorted((tag, (n_outlets, 10)) for tag in tags)
+
+
+def _break_phi(bundle, net, junction):
+    """A split of exactly 1 that the widened phi range leaves unclamped, so
+    the DimensionlessGeometry check rejects it."""
+    junction.outlets[0].flow_split, junction.outlets[1].flow_split = 1.0, 0.0
+    bundle.feature_ranges["phi_self"] = (0.0, 1.0)
+
+
+_BREAKS = {
+    "split": lambda bundle, net, j: setattr(j.outlets[1], "flow_split", None),
+    "definition": lambda bundle, net, j: setattr(j.outlets[1], "attributed_length", None),
+    "geometry": _break_phi,
+    "model": lambda bundle, net, j: bundle.models.pop("rri_l", None),
+    # a residual segment so long that its Poiseuille resistance overflows
+    "nonfinite": lambda bundle, net, j: setattr(j.outlets[1], "residual_length", 1e308),
+}
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("first", sorted(_BREAKS))
+@pytest.mark.parametrize("second", [None] + sorted(_BREAKS))
+def test_failed_prediction_leaves_network_unchanged(trained_bundle, first, second):
+    """A bad junction in the middle of the tree (and maybe a second one
+    further on): the same error as the outlet-by-outlet code, which names the
+    first bad junction, and no coefficient attached anywhere."""
+    from tests.conftest import random_shape_tree
+
+    bundle, _ = trained_bundle
+    bundle = copy.deepcopy(bundle)
+    net = random_shape_tree(3)
+    estimate_flow_splits(net)
+    marker = object()
+    for j in net.junctions:
+        for o in j.outlets:
+            o.coefficients = marker
+    middle = len(net.junctions) // 2
+    _BREAKS[first](bundle, net, net.junctions[middle])
+    if second is not None:
+        _BREAKS[second](bundle, net, net.junctions[-1])
+    ref_error = _raised(_reference_predict_network, bundle, copy.deepcopy(net))
+    assert _raised(predict_network, bundle, net) == ref_error
+    assert all(o.coefficients is marker for j in net.junctions for o in j.outlets)
+    if first in ("split", "definition") and second != "model":
+        assert net.junctions[middle].id in ref_error[1]
+
+
 def test_default_architectures_documented():
     assert DEFAULT_ARCHITECTURES == {
         "rri_rlin": (2, 15),

@@ -15,11 +15,16 @@ from vascrom.nondim import (
     ZNormStats,
     apply_znorm,
     characteristic_scales,
+    feature_matrix,
     fit_znorm,
+    float_pow,
     invert_znorm,
     nondimensionalize_coeffs,
     nondimensionalize_geometry,
+    nondimensionalize_values,
     redimensionalize_coeffs,
+    redimensionalize_values,
+    scale_fields,
 )
 
 FLUID = Fluid()
@@ -124,6 +129,72 @@ def test_geometry_scale_invariance(s):
     )
     g2 = nondimensionalize_geometry(outlet=0, **scaled)
     assert np.allclose(g1.vector(), g2.vector(), rtol=1e-12, atol=1e-12)
+
+
+def _scalar_feature_vector(a_s, a_o, lam, th_s, th_o, phi):
+    """The feature vector as scalar Python arithmetic computes it."""
+    return np.array([a_s, a_o, a_s**-2, a_o**-2, lam, lam**2, th_s, th_o, phi, 1.0 / phi])
+
+
+def test_feature_matrix_rows_are_the_scalar_feature_vectors():
+    """Bit for bit, row for row, on random geometries, on values clamped to
+    range bounds, and on powers where numpy's own pow differs from libm's."""
+    rng = np.random.default_rng(11)
+    n = 4000
+    base = np.column_stack([
+        rng.uniform(0.05, 3.0, n), rng.uniform(0.05, 3.0, n), rng.uniform(0.5, 80.0, n),
+        rng.uniform(0.0, math.pi / 2, n), rng.uniform(0.0, math.pi / 2, n),
+        rng.uniform(0.01, 0.99, n),
+    ])
+    # clamped rows: every descriptor at a cohort-like range bound
+    lows, highs = (0.4, 0.37, 15.0, 0.05, 0.33, 0.15), (1.2, 1.2, 41.0, 1.41, 1.51, 0.89)
+    base[:50] = np.clip(base[:50], lows, highs)
+    base[50:100] = np.where(rng.random((50, 6)) < 0.5, lows, highs)
+    x = feature_matrix(*base.T)
+    assert x.shape == (n, DimensionlessGeometry.N_FEATURES)
+    a, lam = base[:, 0], base[:, 2]
+    # the inputs exercise the case that matters: numpy's pow is not libm's
+    assert np.any(a**-2.0 != np.array([v**-2 for v in a.tolist()]))
+    assert np.any(lam * lam != np.array([v**2 for v in lam.tolist()]))
+    for row, b in zip(x, base.tolist()):
+        g = DimensionlessGeometry(*b)
+        expected = _scalar_feature_vector(*b)
+        assert np.array_equal(row, expected) and np.array_equal(g.vector(), expected), b
+
+
+def test_scale_and_coefficient_arrays_match_the_scalar_functions():
+    """scale_fields and the (re/non)dimensionalisation on arrays, with one
+    scale set per entry, equal the scalar functions entry by entry."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(5)
+    l_c = rng.uniform(0.01, 2.0, 3000)
+    r_lin, r_quad, l = rng.normal(size=(3, l_c.size)) * [[1e3], [1e2], [1.0]]
+    arrays = SimpleNamespace(**scale_fields(l_c, FLUID, 4500.0))
+    back = redimensionalize_values(r_lin, r_quad, l, arrays)
+    star = nondimensionalize_values(r_lin, r_quad, l, arrays)
+    for k, lc in enumerate(l_c.tolist()):
+        s = characteristic_scales(lc, FLUID, 4500.0)
+        # the documented formulas, in scalar arithmetic
+        u_c = 4500.0 * FLUID.mu / (FLUID.rho * 2.0 * lc)
+        assert (s.u_c, s.a_c, s.p_c) == (u_c, math.pi * lc**2, FLUID.rho * u_c**2)
+        for name in ("l_c", "a_c", "u_c", "q_c", "t_c", "p_c"):
+            assert getattr(arrays, name)[k] == getattr(s, name), name
+        c = CoefficientSet(kind="RRI", r_lin=r_lin[k], r_quad=r_quad[k], l=l[k])
+        dim = redimensionalize_coeffs(CoefficientSet(kind="RRI", r_lin=r_lin[k], r_quad=r_quad[k],
+                                                     l=l[k], dimensionless=True), s)
+        nd = nondimensionalize_coeffs(c, s)
+        assert (back[0][k], back[1][k], back[2][k]) == (dim.r_lin, dim.r_quad, dim.l)
+        assert dim.r_quad == r_quad[k] * s.p_c / s.q_c**2
+        assert nondimensionalize_coeffs(c, s).r_quad == r_quad[k] * s.q_c**2 / s.p_c
+        assert (star[0][k], star[1][k], star[2][k]) == (nd.r_lin, nd.r_quad, nd.l)
+
+
+def test_float_pow_is_python_pow():
+    x = np.random.default_rng(2).uniform(0.01, 100.0, 2000)
+    for p in (2, -2):
+        assert np.array_equal(float_pow(x, p), np.array([v**p for v in x.tolist()]))
+        assert float_pow(float(x[0]), p) == float(x[0]) ** p
 
 
 def test_geometry_feature_vector_layout():
