@@ -83,7 +83,9 @@ VALIDATION_ERRORS = (
 
 def _write_manifest(outdir: Path, command: str, args: dict, seed, inputs, outputs, t0):
     outdir.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(args, sort_keys=True, default=str).encode()
+    # the handler ("func") prints with its address, which changes per process
+    settings = {k: v for k, v in args.items() if k != "func"}
+    blob = json.dumps(settings, sort_keys=True, default=str).encode()
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(blob).hexdigest(),

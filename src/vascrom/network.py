@@ -273,8 +273,7 @@ class VascularNetwork:
 
     @property
     def inlet_vessel(self) -> Vessel:
-        bc = next(b for b in self.boundary_conditions if b.kind == "FLOW")
-        return self.vessels[bc.vessel_id]
+        return self.vessels[self.inflow_bc.vessel_id]
 
     @property
     def inflow_bc(self) -> BoundaryCondition:

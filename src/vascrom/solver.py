@@ -15,10 +15,14 @@ Two engines:
     its junction's share of the inflow.
 
 Both engines, ``kkt_report`` and the mass check read one linear-constraint
-assembly, ``_LinearConstraints``.  Each engine builds its Jacobian's structure
-once per solve (the standard engine's CSC pattern, the rri/ri engines'
-densified basis blocks); Newton and Levenberg-Marquardt iterations update
-only the values that depend on the state.
+assembly, ``_LinearConstraints``.  Every solver and ``kkt_report`` take their
+times and inflows from one time grid, ``_time_grid``, and walk it with one
+step loop, ``_march``: a steady step 0, then one backward-Euler step per later
+time; ``kkt_report`` so recomputes each step at the solve's own inflow.  Each
+engine builds its Jacobian's structure once per solve (the standard engine's
+CSC pattern, the rri/ri engines' densified basis blocks); Newton and
+Levenberg-Marquardt iterations update only the values that depend on the
+state.
 """
 
 from __future__ import annotations
@@ -110,12 +114,33 @@ class Solution:
         return self.p(self.network.inflow_bc.vessel_id, "in")
 
 
-def _inflow_at(network: VascularNetwork, t: float) -> float:
+def _time_grid(network: VascularNetwork, config: SolverConfig):
+    """The times of a solve and the inflow at each: t = 0 at the steady
+    inflow, or the transient dt grid with the inflow series interpolated."""
     bc = network.inflow_bc
+    if config.mode == "steady":
+        return np.array([0.0]), np.array([bc.steady_flow()])
+    times = config.dt * np.arange(config.n_steps + 1)
     if isinstance(bc.value, tuple):
-        ts, qs = bc.value
-        return float(np.interp(t, ts, qs))
-    return float(bc.value)
+        return times, np.interp(times, *bc.value)
+    return times, np.full(times.size, float(bc.value))
+
+
+def _march(step, x0, times, inflows, dt):
+    """States and diagnostics of a steady step 0 from x0, then one
+    backward-Euler step per later time, each starting from the state before.
+    ``step(inflow, x_prev, dt, x_start)`` returns one state and its
+    diagnostics; x_prev and dt are None in the steady step."""
+    x, diag = step(inflows[0], None, None, x0)
+    states, diags = [x], [diag]
+    for k in range(1, len(times)):
+        try:
+            x, diag = step(inflows[k], x, dt, x)
+        except ConvergenceError as e:
+            raise ConvergenceError(f"step {k} (t={times[k]:.6g}): {e}") from e
+        states.append(x)
+        diags.append(diag)
+    return np.array(states), diags
 
 
 class _Rows:
@@ -266,22 +291,14 @@ def assemble_standard_residual(
     state_prev: Optional[np.ndarray] = None,
     dt: Optional[float] = None,
     inflow: Optional[float] = None,
-    index: Optional[VarIndex] = None,
 ) -> np.ndarray:
     """Residual of the standard 0D equations.  dt=None means steady
     (all time derivatives zero); otherwise backward differences against
-    state_prev.  States are in the network's topology order, which any
-    ``index`` of the network shares.
+    state_prev.  States are in the network's topology order.
     """
     if inflow is None:
         inflow = network.inflow_bc.steady_flow()
     return _StandardSystem(network).residual(state, state_prev, dt, inflow)
-
-
-def _standard_system(network, x, x_prev, dt, inflow, idx=None):
-    """Residual and sparse Jacobian of the standard equations at x."""
-    system = _StandardSystem(network)
-    return system.residual(x, x_prev, dt, inflow), system.jacobian(x, x_prev, dt)
 
 
 def _scaled_norm(res, jac, x):
@@ -311,66 +328,31 @@ def _newton(system, x0, x_prev, dt, inflow, config):
     )
 
 
-def _standard_initial_guess(network, idx, inflow):
-    x = np.zeros((len(idx.vessel_ids), 4))
-    x[:, [Q_IN, Q_OUT]] = inflow
-    return x.ravel()
+def _solve_standard(network: VascularNetwork, config: SolverConfig, mode: str) -> Solution:
+    if config.mode != mode:
+        raise SolverError(f"config.mode must be {mode!r}")
+    times, inflows = _time_grid(network, config)
+    system = _StandardSystem(network)
+    # Newton starts from the inflow through every vessel at zero pressure
+    x0 = np.tile([0.0, 0.0, inflows[0], inflows[0]], len(network.topology.vessel_ids))
+    states, diags = _march(
+        lambda inflow, x_prev, dt, x: _newton(system, x, x_prev, dt, inflow, config),
+        x0, times, inflows, config.dt,
+    )
+    return Solution(times=times, states=states, index=VarIndex(network), network=network,
+                    engine="standard", config=config, diagnostics=diags)
 
 
 def solve_steady_standard(
     network: VascularNetwork, config: SolverConfig = SolverConfig()
 ) -> Solution:
-    idx = VarIndex(network)
-    inflow = network.inflow_bc.steady_flow()
-    x0 = _standard_initial_guess(network, idx, inflow)
-    x, diag = _newton(_StandardSystem(network), x0, None, None, inflow, config)
-    return Solution(
-        times=np.array([0.0]),
-        states=x[None, :],
-        index=idx,
-        network=network,
-        engine="standard",
-        config=config,
-        diagnostics=[diag],
-    )
+    return _solve_standard(network, config, "steady")
 
 
 def solve_transient_standard(
     network: VascularNetwork, config: SolverConfig
 ) -> Solution:
-    if config.mode != "transient":
-        raise SolverError("config.mode must be 'transient'")
-    idx = VarIndex(network)
-    times = config.dt * np.arange(config.n_steps + 1)
-    steady_cfg = SolverConfig(
-        mode="steady",
-        newton_tol=config.newton_tol,
-        max_iterations=config.max_iterations,
-    )
-    inflow0 = _inflow_at(network, times[0])
-    x0 = _standard_initial_guess(network, idx, inflow0)
-    system = _StandardSystem(network)
-    x, diag0 = _newton(system, x0, None, None, inflow0, steady_cfg)
-    states = [x]
-    diags = [diag0]
-    for k in range(1, len(times)):
-        inflow = _inflow_at(network, times[k])
-        prev = states[-1]
-        try:
-            x, diag = _newton(system, prev, prev, config.dt, inflow, config)
-        except ConvergenceError as e:
-            raise ConvergenceError(f"step {k} (t={times[k]:.6g}): {e}") from e
-        states.append(x)
-        diags.append(diag)
-    return Solution(
-        times=times,
-        states=np.array(states),
-        index=idx,
-        network=network,
-        engine="standard",
-        config=config,
-        diagnostics=diags,
-    )
+    return _solve_standard(network, config, "transient")
 
 
 # -- RRI / RI optimization engine -----------------------------------------
@@ -550,11 +532,9 @@ class _OptProblem:
 
 
 def _standard_warm_start(network):
-    cfg = SolverConfig(mode="steady")
     try:
-        sol = solve_steady_standard(network, cfg)
-        return sol.states[0]
-    except (ConvergenceError, SolverError):
+        return solve_steady_standard(network).states[0]
+    except SolverError:
         return None
 
 
@@ -571,54 +551,39 @@ def solve_opt(
     """
     problem = _OptProblem(network, engine)
     warm = _standard_warm_start(network)
-    if config.mode == "steady":
-        times, inflows = np.array([0.0]), np.array([network.inflow_bc.steady_flow()])
-    else:
-        times = config.dt * np.arange(config.n_steps + 1)
-        inflows = np.array([_inflow_at(network, t) for t in times])
+    times, inflows = _time_grid(network, config)
     # peak inflow scales the objective and the flow unknowns
     q_scale = float(np.max(np.abs(inflows))) or 1.0
     p_var = max(1.0, q_scale)
     if warm is not None:
         p_var = max(p_var, float(np.max(np.abs(warm.reshape(-1, 4)[:, :2]))))
     problem.set_variable_scales(q_scale, p_var)
-    x, diag = problem.solve_step(inflows[0], None, None, config, x_start=warm)
-    states, diags = [x], [diag]
-    for k in range(1, len(times)):
-        prev = states[-1]
-        try:
-            x, diag = problem.solve_step(inflows[k], prev, config.dt, config, x_start=prev)
-        except ConvergenceError as e:
-            raise ConvergenceError(f"step {k} (t={times[k]:.6g}): {e}") from e
-        states.append(x)
-        diags.append(diag)
-    return Solution(
-        times=times,
-        states=np.array(states),
-        index=problem.idx,
-        network=network,
-        engine=engine,
-        config=config,
-        diagnostics=diags,
-        meta={"q_scale": q_scale, "p_var": p_var},
+    states, diags = _march(
+        lambda inflow, x_prev, dt, x: problem.solve_step(inflow, x_prev, dt, config, x_start=x),
+        warm, times, inflows, config.dt,
     )
+    return Solution(times=times, states=states, index=problem.idx, network=network,
+                    engine=engine, config=config, diagnostics=diags,
+                    meta={"q_scale": q_scale, "p_var": p_var})
 
 
 def kkt_report(solution: Solution) -> list[dict]:
     """Recompute per-step objective, constraint violation, and stationarity
-    from the stored states (independent of the solve's own diagnostics)."""
+    from the stored states (independent of the solve's own diagnostics), at
+    the inflows and steps the solve marched through."""
     if solution.engine not in ("rri", "ri"):
         raise SolverError("kkt_report applies to optimization-engine solutions")
     problem = _OptProblem(solution.network, solution.engine)
-    problem.set_variable_scales(solution.meta["q_scale"], solution.meta.get("p_var", 1.0))
-    out = []
-    for k, t in enumerate(solution.times):
-        dt = None if solution.config.mode == "steady" or k == 0 else solution.config.dt
-        x_prev = solution.states[k - 1] if dt is not None else None
-        inflow = _inflow_at(solution.network, t)
-        diag = problem.diagnostics(solution.states[k], inflow, x_prev, dt)
-        out.append({"t": float(t), **diag})
-    return out
+    problem.set_variable_scales(solution.meta["q_scale"], solution.meta["p_var"])
+    stored = iter(solution.states)
+
+    def step(inflow, x_prev, dt, _):
+        x = next(stored)
+        return x, problem.diagnostics(x, inflow, x_prev, dt)
+
+    config = solution.config
+    _, diags = _march(step, None, *_time_grid(solution.network, config), config.dt)
+    return [{"t": float(t), **diag} for t, diag in zip(solution.times, diags)]
 
 
 # -- export ---------------------------------------------------------------

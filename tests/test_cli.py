@@ -1,11 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tests.conftest import make_single_junction, make_single_vessel, rri_coeffs
+import vascrom
 from vascrom.cli import build_parser, main
 from vascrom.network import load_network, network_to_dict, save_network
 
@@ -163,6 +168,23 @@ def test_make_tree_and_estimate_splits(tmp_path):
     assert all(
         o.flow_split is not None for j in reloaded.junctions for o in j.outlets
     )
+
+
+def test_config_hash_is_the_same_in_every_process(tmp_path):
+    """The hash covers the parsed arguments, not the handler function, whose
+    printed form holds its address in one process."""
+    src = str(Path(vascrom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    hashes = []
+    for _ in range(2):
+        subprocess.run(
+            [sys.executable, "-m", "vascrom.cli",
+             "make-tree", "--depth", "2", "--out", "tree.json"],
+            cwd=tmp_path, env=env, check=True, capture_output=True,
+        )
+        hashes.append(json.loads((tmp_path / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 # -- series commands -------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,6 @@ from vascrom.solver import (
     solve_transient_standard,
     _OptProblem,
     _StandardSystem,
-    _standard_system,
 )
 
 FLUID = Fluid()
@@ -99,16 +99,17 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.5, 2.0, idx.n) * 100.0
     x_prev = x + rng.normal(scale=5.0, size=idx.n)
-    res, jac = _standard_system(net, x, x_prev, 1e-3, 100.0, idx)
-    jac = jac.toarray()
+    system = _StandardSystem(net)
+    res = system.residual(x, x_prev, 1e-3, 100.0)
+    jac = system.jacobian(x, x_prev, 1e-3).toarray()
     eps = 1e-4
     for col in range(idx.n):
         xp = x.copy()
         xp[col] += eps
-        rp = assemble_standard_residual(net, xp, x_prev, 1e-3, 100.0, idx)
+        rp = assemble_standard_residual(net, xp, x_prev, 1e-3, 100.0)
         xm = x.copy()
         xm[col] -= eps
-        rm = assemble_standard_residual(net, xm, x_prev, 1e-3, 100.0, idx)
+        rm = assemble_standard_residual(net, xm, x_prev, 1e-3, 100.0)
         fd = (rp - rm) / (2 * eps)
         # relative to the row's own magnitude: cancellation in the central
         # difference is amplified by |res| on the stiff pressure rows
@@ -264,6 +265,45 @@ def test_transient_requires_transient_mode():
     net = make_single_vessel()
     with pytest.raises(SolverError, match="transient"):
         solve_transient_standard(net, SolverConfig(mode="steady"))
+
+
+def test_steady_requires_steady_mode():
+    net = make_single_vessel()
+    with pytest.raises(SolverError, match="steady"):
+        solve_steady_standard(net, SolverConfig(mode="transient"))
+
+
+@pytest.mark.parametrize("engine", ["standard", "rri"])
+@pytest.mark.parametrize("failing", [0, 1, 3])
+def test_march_names_the_failing_step(monkeypatch, engine, failing):
+    """Both engines walk one step loop: an error in a later step is raised
+    again naming the step and its time, chained to the original; the error
+    of the steady step 0 passes unchanged."""
+    import vascrom.solver as solver
+
+    target, name = (solver, "_newton") if engine == "standard" else (_OptProblem, "solve_step")
+    original, calls = getattr(target, name), []
+
+    def step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == failing:
+            raise ConvergenceError("boom")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, step)
+    cfg = SolverConfig(mode="transient", dt=2e-3, n_steps=3)
+    with pytest.raises(ConvergenceError) as info:
+        if engine == "standard":
+            solve_transient_standard(make_single_vessel(), cfg)
+        else:
+            solve_opt(make_single_junction(rri_coeffs(1.0, 0.01, 0.5)), cfg, engine=engine)
+    if failing == 0:
+        assert str(info.value) == "boom"
+        assert info.value.__cause__ is None
+    else:
+        assert str(info.value) == f"step {failing} (t={failing * 2e-3:.6g}): boom"
+        assert str(info.value.__cause__) == "boom"
+    assert len(calls) == failing + 1
 
 
 def test_zero_inflow_gives_zero_state():
@@ -568,17 +608,26 @@ def test_opt_unknown_engine_rejected():
 def test_kkt_report_recomputes_solution_diagnostics():
     net = _coefficient_tree(2, seed=9)
     cfg = SolverConfig(mode="transient", dt=2e-3, n_steps=5)
-    sol = solve_opt(net, cfg, engine="rri")
-    report = kkt_report(sol)
-    assert len(report) == len(sol.times)
-    for rec, diag in zip(report, sol.diagnostics):
-        assert rec["objective"] == pytest.approx(diag["objective"], abs=1e-12)
-        assert rec["constraint_violation"] == pytest.approx(
-            diag["constraint_violation"], abs=1e-12
-        )
-        assert rec["stationarity"] <= 10 * max(
-            diag["stationarity"], cfg.stationarity_tol
-        )
+    # a steady solve of an inflow series that starts before t = 0 runs at
+    # the series' first value; interpolated at t = 0 it would be 125
+    series = _coefficient_tree(2, seed=9)
+    series.boundary_conditions = [
+        replace(b, value=([-0.1, 0.1, 0.3], [100.0, 150.0, 50.0])) if b.kind == "FLOW" else b
+        for b in series.boundary_conditions
+    ]
+    steady = SolverConfig(mode="steady")
+    for sol in (solve_opt(net, cfg, engine="rri"), solve_opt(series, steady, engine="rri")):
+        assert sol.q(net.inflow_bc.vessel_id)[0] == pytest.approx(100.0)
+        report = kkt_report(sol)
+        assert len(report) == len(sol.times)
+        for rec, diag in zip(report, sol.diagnostics):
+            assert rec["objective"] == pytest.approx(diag["objective"], abs=1e-12)
+            assert rec["constraint_violation"] == pytest.approx(
+                diag["constraint_violation"], abs=1e-12
+            )
+            assert rec["stationarity"] <= 10 * max(
+                diag["stationarity"], cfg.stationarity_tol
+            )
 
 
 def test_kkt_report_rejects_standard_solutions():
