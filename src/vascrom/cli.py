@@ -7,6 +7,7 @@ Every command writes a run manifest (manifest.json) beside its outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -145,10 +146,10 @@ def cmd_generate_data(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    dataset = load_dataset(args.data)
     config = TrainingConfig(
         epochs=args.epochs, seed=args.seed, stop_val_mse=args.stop_val_mse
     )
+    dataset = load_dataset(args.data)
     models, report = train_models(dataset, config=config)
     bundle = ModelBundle.from_training(dataset, models)
     out = Path(args.out)
@@ -342,7 +343,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vascrom",
         description="0D vascular networks with ML-predicted junction coefficients "

@@ -103,12 +103,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray):
     return float(out[0]) if single else out
 
 
-def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, grads=None):
-    """Mean-squared-error loss and its gradients w.r.t. all weights/biases.
-
-    The gradients go into `grads`, a (weights, biases) pair of arrays shaped
-    like the model's, when given; otherwise into fresh arrays.
-    """
+def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Mean-squared-error loss and its gradients w.r.t. all weights/biases."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.asarray(y, float).ravel()
     n_layers = len(model.weights)
@@ -125,13 +121,11 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, grads=None):
     n = y.size
     loss = float(np.mean(resid**2))
 
-    if grads is None:
-        grads = [np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases]
-    gw, gb = grads
+    gw, gb = [None] * n_layers, [None] * n_layers
     delta = (2.0 / n) * resid[:, None]
     for i in range(n_layers - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=gw[i])
-        delta.sum(axis=0, out=gb[i])
+        gw[i] = delta.T @ acts[i]
+        gb[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i]) * (pre[i - 1] > 0)
     return loss, gw, gb
@@ -159,14 +153,175 @@ class Adam:
         params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _layer_views(flat: np.ndarray, model: MlpModel):
-    """Views into `flat` shaped like the model's weights, then its biases."""
+def _views(flat: np.ndarray, shapes):
+    """Consecutive views into `flat` with the given shapes."""
     views, start = [], 0
-    for a in model.weights + model.biases:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    n_layers = len(model.weights)
-    return views[:n_layers], views[n_layers:]
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+class _Stack:
+    """Models of any depth and width trained as one.
+
+    The models are held deepest first.  Hidden layer l is one zero-padded
+    (k_l, width, fan_in) weight array and one (k_l, width) bias over the k_l
+    models deeper than l; the output layers are one zero-padded (k, width)
+    array and a (k,) bias.  All of them are views into one flat parameter
+    vector, and so is every model's own layer, so one Adam step updates every
+    model.  The padded units stay exactly zero: their pre-activations are 0,
+    ReLU keeps them 0, their gradients are 0, and so are their Adam updates.
+
+    A product gives the bits a single model gets on its own when it is a
+    matrix-matrix product for the model alone.  Each model's output layer is
+    a matrix-vector product, whose rounding BLAS changes when the length is
+    padded, so it runs at the model's own width.  A batch of one row, a
+    hidden width of 1 or a single input turns hidden-layer products into
+    matrix-vector ones too; such batches run every model's products at its
+    own widths.
+    """
+
+    def __init__(self, models: list[MlpModel], config: "TrainingConfig"):
+        self.models = models
+        self.tags = [m.tag for m in models]
+        depths = [len(m.weights) - 1 for m in models]
+        # k_l, the models deeper than l, and the padded width of layer l
+        self.ks = [sum(d > l for d in depths) for l in range(max(depths, default=0))]
+        self.pads = [max(m.weights[l].shape[0] for m in models[:k]) for l, k in enumerate(self.ks)]
+        heads = [m.weights[-1].shape[1] for m in models]
+        fan_in = [models[0].n_inputs if models else 0] + self.pads
+        hidden = [w.shape[0] for m in models for w in m.weights[:-1]]
+        self.stackable = min(fan_in[:1] + hidden) > 1
+        self.shapes = (
+            [(k, p, f) for k, p, f in zip(self.ks, self.pads, fan_in)]
+            + [(k, p) for k, p in zip(self.ks, self.pads)]
+            + [(len(models), max(self.pads + heads, default=0)), (len(models),)]
+        )
+        self.params = np.zeros(sum(math.prod(s) for s in self.shapes))
+        self.grads = np.zeros_like(self.params)
+        n_layers = len(self.ks)
+        stacks = _views(self.params, self.shapes)
+        self.w, self.b = stacks[:n_layers], stacks[n_layers : 2 * n_layers]
+        self.w_out, self.b_out = stacks[-2:]
+        grad_stacks = _views(self.grads, self.shapes)
+        self.gw, self.gb = grad_stacks[:n_layers], grad_stacks[n_layers : 2 * n_layers]
+        self.gb_out = grad_stacks[-1]
+        # the forward products take the transposed weights, the biases broadcast over the batch
+        self.w_t = [w.transpose(0, 2, 1) for w in self.w]
+        self.b_rows = [b[:, None, :] for b in self.b]
+        self.b_out_col = self.b_out[:, None]
+        # each model's output layer reads its last activation at its own width
+        self.heads = list(zip(depths, heads))
+        self.w_rows = [w[:h] for w, h in zip(self.w_out, heads)]
+        self.gw_rows = [g[:h] for g, h in zip(grad_stacks[-2], heads)]
+        # the models' layers become views into the stacks
+        for i, m in enumerate(models):
+            own = self._own(self.params, i)
+            for dst, src in zip(own, m.weights + m.biases):
+                dst[...] = src
+            m.weights, m.biases = own[: len(m.weights)], own[len(m.weights) :]
+        self.model_grads = [self._own(self.grads, i) for i in range(len(models))]
+        self.config = config
+        self.opt = Adam(self.params, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                        eps=config.eps)
+
+    def _own(self, flat: np.ndarray, i: int) -> list[np.ndarray]:
+        """Model i's weights, then its biases, as views into a flat vector of
+        this stack's layout."""
+        stacks = _views(flat, self.shapes)
+        n_layers = len(self.ks)
+        model = self.models[i]
+        depth = len(model.weights) - 1
+        weights = [stacks[l][i, :o, :f] for l, (o, f) in
+                   enumerate(w.shape for w in model.weights[:depth])]
+        biases = [stacks[n_layers + l][i, : b.size] for l, b in enumerate(model.biases[:depth])]
+        weights.append(stacks[-2][i, None, : model.weights[-1].shape[1]])
+        biases.append(stacks[-1][i : i + 1])
+        return weights + biases
+
+    def take(self, keep: list[int]) -> "_Stack":
+        """A stack of the models at `keep`, with their parameters and Adam state."""
+        new = _Stack([self.models[i] for i in keep], self.config)
+        for j, i in enumerate(keep):
+            for old, cur in ((self.opt.m, new.opt.m), (self.opt.v, new.opt.v)):
+                for src, dst in zip(self._own(old, i), new._own(cur, j)):
+                    dst[...] = src
+        new.opt.t = self.opt.t
+        return new
+
+    def model(self, i: int) -> MlpModel:
+        """A copy of model i."""
+        m = self.models[i]
+        return MlpModel(m.tag, [w.copy() for w in m.weights], [b.copy() for b in m.biases])
+
+    def _stacked(self, n: int) -> bool:
+        """Whether batches of n rows run on the stacked layers."""
+        return n > 1 and self.stackable
+
+    def forward(self, x: np.ndarray):
+        """Every model's predictions (k, n) for inputs x (k, n, n_inputs); also
+        the inputs of the hidden layers and of each model's output layer,
+        which a per-model batch leaves None.
+        """
+        pred = np.empty(x.shape[:2])
+        if not self._stacked(x.shape[1]):
+            for m, xi, out in zip(self.models, x, pred):
+                out[:] = mlp_forward(m, xi)
+            return pred, None, None
+        acts = [x]
+        for w_t, b, k in zip(self.w_t, self.b_rows, self.ks):
+            a = np.matmul(acts[-1][:k], w_t)
+            a += b
+            acts.append(np.maximum(a, 0.0, out=a))
+        heads = [acts[d][i, :, :h] for i, (d, h) in enumerate(self.heads)]
+        for a, w, out in zip(heads, self.w_rows, pred):
+            np.matmul(a, w, out=out)
+        pred += self.b_out_col
+        return pred, acts, heads
+
+    def gradients(self, x: np.ndarray, y: np.ndarray, loss: np.ndarray) -> None:
+        """Each model's mean-squared-error loss on one batch, into `loss` (k,),
+        and the gradients of all of them, into `self.grads`.
+
+        x is (k, n, n_inputs) and y is (k, n): each model's own batch.
+        """
+        if not self._stacked(y.shape[1]):
+            for i, (m, own) in enumerate(zip(self.models, self.model_grads)):
+                loss[i], gw, gb = loss_and_grads(m, x[i], y[i])
+                for dst, src in zip(own, gw + gb):
+                    dst[...] = src
+            return
+        pred, acts, heads = self.forward(x)
+        resid = pred - y
+        np.mean(resid**2, axis=1, out=loss)
+        delta = (2.0 / y.shape[1]) * resid
+        np.sum(delta, axis=1, out=self.gb_out)
+        for d, a, g in zip(delta, heads, self.gw_rows):
+            np.matmul(d, a, out=g)
+        # the models whose last hidden layer is l take their delta from the output layer
+        ks = self.ks + [0]
+        g_deeper = None
+        for l in range(len(self.ks) - 1, -1, -1):
+            deeper, k = ks[l + 1], ks[l]
+            g = np.empty(acts[l + 1].shape)
+            if deeper:
+                np.matmul(g_deeper, self.w[l + 1], out=g[:deeper])
+            if deeper < k:
+                np.multiply(delta[deeper:k, :, None], self.w_out[deeper:k, None, : self.pads[l]],
+                            out=g[deeper:])
+            # a ReLU output is > 0 exactly where its pre-activation is
+            g *= acts[l + 1] > 0.0
+            np.matmul(g.transpose(0, 2, 1), acts[l][:k], out=self.gw[l])
+            np.sum(g, axis=1, out=self.gb[l])
+            g_deeper = g
+
+    def val_mse(self, x: np.ndarray, y: np.ndarray) -> list[float]:
+        """Each model's mean squared error on the rows x (n, n_inputs) with
+        targets y (k, n)."""
+        pred, _, _ = self.forward(np.broadcast_to(x, (len(self.models),) + x.shape))
+        return np.mean((pred - y) ** 2, axis=1).tolist()
 
 
 # -- datasets -------------------------------------------------------------
@@ -281,6 +436,23 @@ class TrainingConfig:
     seed: int = 0
     stop_val_mse: Optional[float] = None  # optional early stop once reached
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ModelError(
+                f"need epochs >= 1 and batch_size >= 1, got {self.epochs}, {self.batch_size}"
+            )
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ModelError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ModelError(f"{name} must lie in [0, 1), got {value}")
+        stop = self.stop_val_mse
+        if stop is not None and not (math.isfinite(stop) and stop >= 0):
+            raise ModelError(f"stop_val_mse must be finite and >= 0, got {stop}")
+
 
 def _tag_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(tag.encode())]))
@@ -294,60 +466,94 @@ def train_models(
 ):
     """Train one model per coefficient tag.  Deterministic for a fixed seed.
 
+    All tags train in lockstep: one step loop in which each batch is one
+    forward and backward pass over the stacked hidden layers of every model
+    (see `_Stack`), one output-layer product per model at its own width, and
+    one Adam step on the joint parameter vector.  Each tag keeps its own
+    random stream for its initial weights and its batch order, its own early
+    stop, and the models and reports equal those of training each tag on its
+    own, bit for bit.  The error raised is the one that training the tags one
+    after another, in `tags` order, meets first.
+
     Returns (models dict, report dict with per-epoch train/val loss curves).
     """
     architectures = architectures or DEFAULT_ARCHITECTURES
-    tags = tags or list(dataset.targets)
-    models: dict[str, MlpModel] = {}
-    report: dict[str, dict] = {}
-    for tag in tags:
+    tags = list(dict.fromkeys(tags or dataset.targets))
+    error = None  # the error of the first failing tag; the tags after it never train
+    for j, tag in enumerate(tags):
         if tag not in architectures:
-            raise ModelError(f"no architecture for coefficient tag {tag!r}")
-        n_hidden, width = architectures[tag]
-        rng = _tag_rng(config.seed, tag)
-        model = init_model(tag, dataset.inputs.shape[1], n_hidden, width, rng)
-        # one flat parameter vector, with the model's layers as views into it
-        params = np.concatenate([a.ravel() for a in model.weights + model.biases])
-        grads = np.empty_like(params)
-        grad_views = _layer_views(grads, model)
-        model.weights, model.biases = _layer_views(params, model)
-        opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+            error = ModelError(f"no architecture for coefficient tag {tag!r}")
+            tags = tags[:j]
+            break
+    rngs = {tag: _tag_rng(config.seed, tag) for tag in tags}
+    n_inputs = dataset.inputs.shape[1]
+    init = [init_model(tag, n_inputs, *architectures[tag], rngs[tag]) for tag in tags]
+    # deepest first, so that each stacked layer covers a leading run of models
+    stack = _Stack(sorted(init, key=lambda m: -len(m.weights)), config)
 
-        x_train = dataset.inputs[dataset.train_idx]
-        y_train = dataset.targets[tag][dataset.train_idx]
-        x_val = dataset.inputs[dataset.val_idx]
-        y_val = dataset.targets[tag][dataset.val_idx]
+    x_train = dataset.inputs[dataset.train_idx]
+    x_val = dataset.inputs[dataset.val_idx]
+    y_train = {tag: dataset.targets[tag][dataset.train_idx] for tag in tags}
+    y_val = {tag: dataset.targets[tag][dataset.val_idx] for tag in tags}
+    curves = {tag: ([], []) for tag in tags}
+    models: dict[str, MlpModel] = {}
+    n = x_train.shape[0]
+    batches = [slice(start, start + config.batch_size) for start in range(0, n, config.batch_size)]
+    for epoch in range(config.epochs):
+        if not stack.tags:
+            break
+        order = np.array([rngs[tag].permutation(n) for tag in stack.tags])
+        y = np.take_along_axis(np.array([y_train[tag] for tag in stack.tags]), order, axis=1)
+        losses = np.empty((len(batches), len(stack.tags)))
+        for i, batch in enumerate(batches):
+            # every tag's batch in one gather; the epoch's inputs are never all copied
+            x = x_train[order[:, batch]]
+            stack.gradients(x, y[:, batch], losses[i])
+            if not all(map(math.isfinite, losses[i].tolist())):
+                first = min(
+                    (tag for tag, loss in zip(stack.tags, losses[i].tolist())
+                     if not math.isfinite(loss)),
+                    key=tags.index,
+                )
+                error = ModelError(f"model {first}: divergent loss at epoch {epoch}, batch {i}")
+                # the tags before it in `tags` order go on, as they would alone
+                keep = [k for k, tag in enumerate(stack.tags) if tags.index(tag) < tags.index(first)]
+                stack, x, order, y = stack.take(keep), x[keep], order[keep], y[keep]
+                losses = losses[:, keep]
+                if not keep:
+                    break
+                stack.gradients(x, y[:, batch], losses[i])
+            stack.opt.step(stack.params, stack.grads)
+        if not stack.tags:
+            break
+        # the sums run in batch order, as a running Python sum would
+        train_loss = (np.cumsum(losses, axis=0)[-1] / len(batches)).tolist()
+        val_mse = stack.val_mse(x_val, np.array([y_val[tag] for tag in stack.tags]))
+        keep = []
+        for k, tag in enumerate(stack.tags):
+            curves[tag][0].append(train_loss[k])
+            curves[tag][1].append(val_mse[k])
+            if config.stop_val_mse is not None and val_mse[k] <= config.stop_val_mse:
+                models[tag] = stack.model(k)
+            else:
+                keep.append(k)
+        if len(keep) < len(stack.tags):
+            stack = stack.take(keep)
+    for k, tag in enumerate(stack.tags):
+        models[tag] = stack.model(k)
+    if error is not None:
+        raise error
 
-        train_curve, val_curve = [], []
-        n = x_train.shape[0]
-        for epoch in range(config.epochs):
-            perm = rng.permutation(n)
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, n, config.batch_size):
-                idx = perm[start : start + config.batch_size]
-                loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], grad_views)
-                if not math.isfinite(loss):
-                    raise ModelError(
-                        f"model {tag}: divergent loss at epoch {epoch}, batch {n_batches}"
-                    )
-                opt.step(params, grads)
-                epoch_loss += loss
-                n_batches += 1
-            val_pred = mlp_forward(model, x_val)
-            val_mse = float(np.mean((val_pred - y_val) ** 2))
-            train_curve.append(epoch_loss / n_batches)
-            val_curve.append(val_mse)
-            if config.stop_val_mse is not None and val_mse <= config.stop_val_mse:
-                break
-        models[tag] = model
+    report = {}
+    for tag in tags:
+        train_curve, val_curve = curves[tag]
         report[tag] = {
             "train_loss": train_curve,
             "val_mse": val_curve,
             "epochs_run": len(train_curve),
             "final_val_mse": val_curve[-1],
         }
-    return models, report
+    return {tag: models[tag] for tag in tags}, report
 
 
 # -- persistence ----------------------------------------------------------

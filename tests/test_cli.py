@@ -53,6 +53,10 @@ def test_help_exits_zero(command, capsys):
     assert command in capsys.readouterr().out
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
@@ -325,6 +329,25 @@ def test_train_predict_solve_pipeline(tmp_path, capsys):
                  "--out", str(outdir)]) == 0
     header, values = _read_solution(outdir)
     assert values[0][header.index("P_v_in")] > 0
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--epochs", "0"], "need epochs >= 1 and batch_size >= 1, got 0, 50"),
+        (["--epochs", "-3"], "need epochs >= 1 and batch_size >= 1, got -3, 50"),
+        (["--stop-val-mse", "nan"], "stop_val_mse must be finite and >= 0, got nan"),
+    ],
+)
+def test_train_rejects_invalid_options(tmp_path, capsys, option, message):
+    data = tmp_path / "data"
+    assert main(["generate-data", "--n", "4", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    models = tmp_path / "models.json"
+    rc = main(["train", "--data", str(data), *option, "--out", str(models)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not models.exists()
 
 
 @pytest.mark.parametrize(

@@ -734,11 +734,12 @@ def _reference_loss_and_grads(model, x, y):
     return loss, gw, gb
 
 
-def _reference_train(dataset, config, tag):
-    """Adam over a list of separate layer arrays, one update per array."""
+def _reference_train(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
+    """One tag on its own: Adam over a list of separate layer arrays, one
+    update per array."""
     from vascrom.mlp import _tag_rng
 
-    n_hidden, width = DEFAULT_ARCHITECTURES[tag]
+    n_hidden, width = architectures[tag]
     rng = _tag_rng(config.seed, tag)
     model = init_model(tag, dataset.inputs.shape[1], n_hidden, width, rng)
     params = model.weights + model.biases
@@ -751,12 +752,14 @@ def _reference_train(dataset, config, tag):
     y_val = dataset.targets[tag][dataset.val_idx]
     train_curve, val_curve, t = [], [], 0
     n = x_train.shape[0]
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             loss, gw, gb = _reference_loss_and_grads(model, x_train[idx], y_train[idx])
+            if not math.isfinite(loss):
+                raise ModelError(f"model {tag}: divergent loss at epoch {epoch}, batch {n_batches}")
             t += 1
             for p, g, m, v in zip(params, gw + gb, ms, vs):
                 m *= b1
@@ -771,6 +774,8 @@ def _reference_train(dataset, config, tag):
         val_mse = float(np.mean((mlp_forward(model, x_val) - y_val) ** 2))
         train_curve.append(epoch_loss / n_batches)
         val_curve.append(val_mse)
+        if config.stop_val_mse is not None and val_mse <= config.stop_val_mse:
+            break
     report = {
         "train_loss": train_curve,
         "val_mse": val_curve,
@@ -778,6 +783,26 @@ def _reference_train(dataset, config, tag):
         "final_val_mse": val_curve[-1],
     }
     return model, report
+
+
+def _reference_train_all(dataset, config, tags, architectures=DEFAULT_ARCHITECTURES):
+    """The tags one after another, in order; the first error stops the run."""
+    models, report = {}, {}
+    for tag in tags:
+        models[tag], report[tag] = _reference_train(dataset, config, tag, architectures)
+    return models, report
+
+
+def _assert_equals_reference(dataset, config, tags, architectures=DEFAULT_ARCHITECTURES):
+    models, report = train_models(dataset, architectures, config, tags)
+    ref_models, ref_report = _reference_train_all(dataset, config, tags, architectures)
+    assert list(models) == list(report) == tags
+    assert report == ref_report
+    for tag in tags:
+        got, ref = models[tag], ref_models[tag]
+        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b), tag
+    return report
 
 
 def test_flat_training_equals_list_reference(tmp_path, small_cohort):
@@ -822,6 +847,131 @@ def test_loss_and_grads_returns_fresh_arrays(small_cohort):
     _, gw2, gb2 = loss_and_grads(m, x, y)
     for g, g2 in zip(gw + gb, gw2 + gb2):
         assert not np.shares_memory(g, g2)
+
+
+# -- lockstep training against the per-tag reference ------------------------
+
+ALL_TAGS = list(DEFAULT_ARCHITECTURES)
+
+
+def test_lockstep_training_equals_per_tag_reference(small_cohort):
+    dataset, _ = small_cohort
+    assert dataset.train_idx.size % 50 != 0  # the last batch is a short one
+    _assert_equals_reference(dataset, TrainingConfig(epochs=20, seed=6), ALL_TAGS)
+
+
+def test_lockstep_single_row_batches_and_validation_set(small_cohort):
+    # one-row products are matrix-vector ones, whose bits change with padding
+    dataset, _ = small_cohort
+    one_val = copy.copy(dataset)
+    one_val.val_idx = dataset.val_idx[:1]
+    assert dataset.train_idx.size % 151 == 1
+    _assert_equals_reference(one_val, TrainingConfig(epochs=4, seed=2, batch_size=151), ALL_TAGS)
+
+
+def test_lockstep_early_stop_of_some_tags(small_cohort):
+    dataset, _ = small_cohort
+    config = TrainingConfig(epochs=30, seed=3, stop_val_mse=0.05)
+    report = _assert_equals_reference(dataset, config, ALL_TAGS)
+    epochs_run = sorted(rep["epochs_run"] for rep in report.values())
+    assert epochs_run[0] < epochs_run[1] < epochs_run[-1] == config.epochs
+
+
+def _first_batch_rows(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
+    """The training rows of the tag's first epoch, in batch order."""
+    from vascrom.mlp import _tag_rng
+
+    rng = _tag_rng(config.seed, tag)
+    init_model(tag, dataset.inputs.shape[1], *architectures[tag], rng)
+    return dataset.train_idx[rng.permutation(dataset.train_idx.size)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_divergence_raises_the_per_tag_error(small_cohort):
+    # ri_l diverges in the first batch, rri_l only in the last batch of the
+    # epoch; training the tags one by one meets rri_l's error first
+    dataset, _ = small_cohort
+    config = TrainingConfig(epochs=3, seed=0)
+    poisoned = copy.deepcopy(dataset)
+    poisoned.targets["ri_l"][_first_batch_rows(dataset, config, "ri_l")[0]] = np.inf
+    poisoned.targets["rri_l"][_first_batch_rows(dataset, config, "rri_l")[-1]] = np.nan
+    with pytest.raises(ModelError) as ref:
+        _reference_train_all(poisoned, config, ALL_TAGS)
+    assert str(ref.value) == "model rri_l: divergent loss at epoch 0, batch 15"
+    with pytest.raises(ModelError) as got:
+        train_models(poisoned, config=config)
+    assert str(got.value) == str(ref.value)
+
+
+def test_lockstep_tag_subset_in_given_order(small_cohort):
+    dataset, _ = small_cohort
+    _assert_equals_reference(dataset, TrainingConfig(epochs=5, seed=1),
+                             ["ri_l", "rri_rquad", "rri_l"])
+
+
+@pytest.mark.parametrize(
+    "architectures",
+    [
+        {"rri_l": (2, 7)},
+        {"rri_rlin": (1, 9), "rri_rquad": (3, 6), "rri_l": (2, 11)},
+        {tag: (1 + i % 2, 12) for i, tag in enumerate(ALL_TAGS)},
+    ],
+    ids=["one tag", "three depths", "equal widths"],
+)
+def test_lockstep_custom_architectures(small_cohort, architectures):
+    dataset, _ = small_cohort
+    _assert_equals_reference(dataset, TrainingConfig(epochs=5, seed=8),
+                             list(architectures), architectures)
+
+
+def test_one_adam_step_per_batch_for_all_tags(monkeypatch, small_cohort):
+    from vascrom import mlp
+
+    dataset, _ = small_cohort
+    calls = []
+    step = mlp.Adam.step
+
+    def counting_step(self, params, grads):
+        calls.append(params.size)
+        step(self, params, grads)
+
+    monkeypatch.setattr(mlp.Adam, "step", counting_step)
+    config = TrainingConfig(epochs=3, seed=0)
+    models, _ = train_models(dataset, config=config)
+    n_batches = math.ceil(dataset.train_idx.size / config.batch_size)
+    assert len(calls) == config.epochs * n_batches
+    n_params = sum(a.size for m in models.values() for a in m.weights + m.biases)
+    assert calls[0] >= n_params  # one vector holds every model
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epochs", 0, "epochs >= 1"),
+        ("epochs", -3, "epochs >= 1"),
+        ("batch_size", 0, "batch_size >= 1"),
+        ("lr", 0.0, "lr must be finite and > 0"),
+        ("lr", -1e-3, "lr must be finite and > 0"),
+        ("lr", math.inf, "lr must be finite and > 0"),
+        ("lr", math.nan, "lr must be finite and > 0"),
+        ("eps", 0.0, "eps must be finite and > 0"),
+        ("eps", math.inf, "eps must be finite and > 0"),
+        ("beta1", -0.1, r"beta1 must lie in \[0, 1\)"),
+        ("beta1", 1.0, r"beta1 must lie in \[0, 1\)"),
+        ("beta1", math.nan, r"beta1 must lie in \[0, 1\)"),
+        ("beta2", 1.0, r"beta2 must lie in \[0, 1\)"),
+        ("stop_val_mse", math.nan, "stop_val_mse must be finite and >= 0"),
+        ("stop_val_mse", math.inf, "stop_val_mse must be finite and >= 0"),
+        ("stop_val_mse", -0.1, "stop_val_mse must be finite and >= 0"),
+    ],
+)
+def test_training_config_rejects_invalid_values(field, value, message):
+    with pytest.raises(ModelError, match=message):
+        TrainingConfig(**{field: value})
+
+
+def test_training_config_accepts_boundary_values():
+    TrainingConfig(epochs=1, batch_size=1, beta1=0.0, beta2=0.0, stop_val_mse=0.0)
 
 
 def test_save_dataset_bytes_match_row_writer(tmp_path, small_cohort):
