@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .flowsplit import ensure_flow_splits
 from .network import MMHG_TO_BA, VascularNetwork
 from .nondim import CoefficientSet
 from .solver import Solution, SolverConfig, solve_opt
@@ -91,17 +92,26 @@ def pressure_error(
     reference: Solution,
     datum_pressure: float = 0.0,
 ) -> dict:
-    """Max-over-time inlet pressure error vs a reference solution.
-
-    absolute is in mmHg; relative divides by the reference inlet-pressure
-    range above the (distal) datum.  Mean-over-time values are also reported.
-    """
+    """Max-over-time inlet pressure error vs a reference solution, as
+    ``series_pressure_error`` of the two inlet-pressure series."""
     if solution.times.size != reference.times.size or not np.allclose(
         solution.times, reference.times
     ):
         raise AnalysisError("solution and reference time grids do not match")
-    p = solution.inlet_pressure
-    p_ref = reference.inlet_pressure
+    return series_pressure_error(
+        solution.inlet_pressure, reference.inlet_pressure, datum_pressure
+    )
+
+
+def series_pressure_error(
+    p: np.ndarray, p_ref: np.ndarray, datum_pressure: float = 0.0
+) -> dict:
+    """Max-over-time error of a pressure series against a reference series
+    on the same time grid.
+
+    absolute is in mmHg; relative divides by the reference pressure range
+    above the (distal) datum.  Mean-over-time values are also reported.
+    """
     denom = float(np.max(np.abs(p_ref - datum_pressure)))
     if denom == 0:
         raise AnalysisError("reference pressure range is zero; relative error undefined")
@@ -221,11 +231,8 @@ def resolve_with_fits(
 ) -> list[dict]:
     """Re-solve the tree with fitted coefficients at each sweep inflow and
     report inlet-pressure errors vs the reference solutions (if given)."""
-    from .flowsplit import estimate_flow_splits
-
     engine = "rri" if next(iter(fits.values())).kind == "RRI" else "ri"
-    if any(o.flow_split is None for j in network.junctions for o in j.outlets):
-        estimate_flow_splits(network)
+    ensure_flow_splits(network)
     for j in network.junctions:
         for o in j.outlets:
             o.coefficients = fits[(j.id, o.vessel_id)]

@@ -1,16 +1,21 @@
 """Command-line front end wiring the pipeline stages together.
 
-Exit codes: 0 success, 1 validation/input error, 2 numerical failure.
-Every command writes a run manifest (manifest.json) beside its outputs.
+Each ``cmd_*`` handler holds only its pipeline calls.  ``main`` runs every
+command the same way: it times the handler, maps its exceptions to the exit
+code (0 success, 1 validation/input error, 2 numerical failure) and, only
+once the handler has returned, writes the run manifest: command, config
+hash, seed, input and output paths, tool version and wall time.  A command
+writing a directory gets ``<dir>/manifest.json``; one writing a file
+``<name>.<ext>`` gets ``<name>.manifest.json`` beside it.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -18,14 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import (
-    MMHG_TO_BA,
-    Fluid,
-    NetworkError,
-    generate_symmetric_tree,
-    load_network,
-    save_network,
-)
+from .network import NetworkError, generate_symmetric_tree, load_network, save_network
 from .nondim import NondimError
 from .datagen import (
     DatagenError,
@@ -35,6 +33,7 @@ from .datagen import (
     fit_ri,
     fit_rri,
     ingest_timeseries_csv,
+    plug_flow,
     r_squared,
 )
 from .mlp import (
@@ -48,14 +47,18 @@ from .mlp import (
     save_models,
     train_models,
 )
-from .flowsplit import FlowSplitError, estimate_flow_splits, write_split_report
+from .flowsplit import (
+    FlowSplitError,
+    ensure_flow_splits,
+    estimate_flow_splits,
+    write_split_report,
+)
 from .analysis import (
     AnalysisError,
-    depth_statistics,
     fit_tree_coefficients,
     impedance,
-    pressure_error,
     resolve_with_fits,
+    series_pressure_error,
     write_impedance_csv,
 )
 from .solver import (
@@ -69,6 +72,7 @@ from .solver import (
     solve_transient_standard,
 )
 
+# exit code 1; ConvergenceError, a SolverError, is caught first and exits 2
 VALIDATION_ERRORS = (
     NetworkError,
     NondimError,
@@ -76,37 +80,26 @@ VALIDATION_ERRORS = (
     ModelError,
     FlowSplitError,
     AnalysisError,
+    SolverError,
     FileNotFoundError,
     KeyError,
     ValueError,
 )
 
 
-def _write_manifest(outdir: Path, command: str, args: dict, seed, inputs, outputs, t0):
-    outdir.mkdir(parents=True, exist_ok=True)
-    # the handler ("func") prints with its address, which changes per process
-    settings = {k: v for k, v in args.items() if k != "func"}
-    blob = json.dumps(settings, sort_keys=True, default=str).encode()
-    manifest = {
-        "command": command,
-        "config_hash": hashlib.sha256(blob).hexdigest(),
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "tool_version": __version__,
-        "wall_time_s": time.monotonic() - t0,
-    }
-    with open(outdir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1)
+def _writable(path) -> Path:
+    """path as a Path, with its parent directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def _re_to_flow(re_value: float, radius: float, fluid: Fluid) -> float:
-    # plug flow: Re = rho*(Q/A)*2r/mu  ->  Q = Re*mu*pi*r/(2*rho)
-    return re_value * fluid.mu * math.pi * radius / (2.0 * fluid.rho)
+def _write_json(obj, path) -> None:
+    with open(_writable(path), "w") as f:
+        json.dump(obj, f, indent=1)
 
 
-def cmd_make_tree(args) -> int:
-    t0 = time.monotonic()
+def cmd_make_tree(args) -> None:
     net = generate_symmetric_tree(
         depth=args.depth,
         inlet_radius=args.inlet_radius,
@@ -116,16 +109,12 @@ def cmd_make_tree(args) -> int:
         leaf_resistance=args.leaf_resistance,
         bifurcation_definition=args.bif_def,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _writable(args.out)
     save_network(net, out)
-    _write_manifest(out.parent, "make-tree", vars(args), None, [], [out], t0)
     print(f"wrote {out}: {len(net.vessels)} vessels, {len(net.junctions)} junctions")
-    return 0
 
 
-def cmd_generate_data(args) -> int:
-    t0 = time.monotonic()
+def cmd_generate_data(args) -> None:
     outdir = Path(args.out)
     dataset, manifest = build_cohort(
         n=args.n,
@@ -135,71 +124,44 @@ def cmd_generate_data(args) -> int:
         noise_sigma=args.noise_sigma,
     )
     save_dataset(dataset, outdir)
-    with open(outdir / "cohort_manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1)
-    _write_manifest(
-        outdir, "generate-data", vars(args), args.seed, [], [outdir], t0
-    )
+    _write_json(manifest, outdir / "cohort_manifest.json")
     print(f"wrote {manifest['n_rows']} rows for {args.n} junctions to {outdir}")
-    return 0
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
+def cmd_train(args) -> None:
     config = TrainingConfig(
         epochs=args.epochs, seed=args.seed, stop_val_mse=args.stop_val_mse
     )
     dataset = load_dataset(args.data)
     models, report = train_models(dataset, config=config)
-    bundle = ModelBundle.from_training(dataset, models)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_models(bundle, out)
-    with open(out.with_suffix(".report.json"), "w") as f:
-        json.dump(report, f, indent=1)
-    _write_manifest(out.parent, "train", vars(args), args.seed, [args.data], [out], t0)
+    out = _writable(args.out)
+    save_models(ModelBundle.from_training(dataset, models), out)
+    _write_json(report, out.with_suffix(".report.json"))
     for tag, rep in report.items():
         print(f"{tag}: val MSE {rep['final_val_mse']:.4g} after {rep['epochs_run']} epochs")
-    return 0
 
 
-def cmd_estimate_splits(args) -> int:
-    t0 = time.monotonic()
+def cmd_estimate_splits(args) -> None:
     net = load_network(args.network)
     estimate = estimate_flow_splits(net)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_split_report(estimate, out)
+    write_split_report(estimate, _writable(args.out))
     if args.network_out:
-        save_network(net, args.network_out)
-    _write_manifest(
-        out.parent, "estimate-splits", vars(args), None, [args.network], [out], t0
-    )
+        save_network(net, _writable(args.network_out))
     print(f"estimated splits for {len(estimate.splits)} junctions")
-    return 0
 
 
-def cmd_predict(args) -> int:
-    t0 = time.monotonic()
+def cmd_predict(args) -> None:
     net = load_network(args.network)
     bundle = load_models(args.models)
-    if any(o.flow_split is None for j in net.junctions for o in j.outlets):
-        estimate_flow_splits(net)
+    ensure_flow_splits(net)
     reports = predict_network(bundle, net, kind=args.kind)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _writable(args.out)
     save_network(net, out)
-    with open(out.with_suffix(".report.json"), "w") as f:
-        json.dump(reports, f, indent=1)
-    _write_manifest(
-        out.parent, "predict", vars(args), None, [args.network, args.models], [out], t0
-    )
+    _write_json(reports, out.with_suffix(".report.json"))
     print(f"predicted {args.kind} coefficients for {len(net.junctions)} junctions")
-    return 0
 
 
-def cmd_solve(args) -> int:
-    t0 = time.monotonic()
+def cmd_solve(args) -> None:
     net = load_network(args.network)
     config = SolverConfig(mode=args.mode, dt=args.dt, n_steps=args.steps)
     if args.engine == "standard":
@@ -208,139 +170,80 @@ def cmd_solve(args) -> int:
         else:
             sol = solve_transient_standard(net, config)
     else:
-        if any(o.flow_split is None for j in net.junctions for o in j.outlets):
-            estimate_flow_splits(net)
+        ensure_flow_splits(net)
         sol = solve_opt(net, config, engine=args.engine)
-    outdir = Path(args.out)
-    export_solution(sol, outdir)
+    export_solution(sol, args.out)
     if args.engine != "standard":
-        with open(outdir / "kkt.json", "w") as f:
-            json.dump(kkt_report(sol), f, indent=1)
-    _write_manifest(outdir, "solve", vars(args), None, [args.network], [outdir], t0)
+        _write_json(kkt_report(sol), Path(args.out) / "kkt.json")
     print(
         f"{args.engine}/{args.mode} solve done: "
         f"inlet pressure {sol.inlet_pressure[-1]:.4f} Ba"
     )
-    return 0
 
 
-def cmd_fit_coeffs(args) -> int:
-    t0 = time.monotonic()
+def cmd_fit_coeffs(args) -> None:
     series = ingest_timeseries_csv(args.series)
     coeffs = fit_rri(series) if args.kind == "RRI" else fit_ri(series)
-    result = {
-        "kind": coeffs.kind,
-        "r_lin": coeffs.r_lin,
-        "r_quad": coeffs.r_quad,
-        "l": coeffs.l,
-        "r_squared": r_squared(series, coeffs),
-    }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        json.dump(result, f, indent=1)
-    _write_manifest(out.parent, "fit-coeffs", vars(args), None, [args.series], [out], t0)
-    print(f"{coeffs.kind} fit: R^2 = {result['r_squared']:.6f}")
-    return 0
+    r2 = r_squared(series, coeffs)
+    _write_json(
+        {"kind": coeffs.kind, "r_lin": coeffs.r_lin, "r_quad": coeffs.r_quad,
+         "l": coeffs.l, "r_squared": r2},
+        args.out,
+    )
+    print(f"{coeffs.kind} fit: R^2 = {r2:.6f}")
 
 
-def cmd_fit_tree(args) -> int:
-    t0 = time.monotonic()
+def cmd_fit_tree(args) -> None:
     net = load_network(args.network)
-    if any(o.flow_split is None for j in net.junctions for o in j.outlets):
-        estimate_flow_splits(net)
-    inlet_radius = net.inlet_vessel.radius
+    ensure_flow_splits(net)
     re_values = [float(v) for v in args.re.split(",")]
-    inflows = [_re_to_flow(r, inlet_radius, net.fluid) for r in re_values]
+    inflows = [plug_flow(r, net.inlet_vessel.radius, net.fluid) for r in re_values]
     solutions = []
     for q in inflows:
         with net.steady_inflow(q):
             solutions.append(solve_opt(net, SolverConfig(mode="steady"), engine="rri"))
     fits = fit_tree_coefficients(net, solutions, mode=args.kind)
     errors = resolve_with_fits(net, fits, inflows, references=solutions)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        json.dump(
-            {
-                "mode": args.kind,
-                "re_sweep": re_values,
-                "fits": [
-                    {
-                        "junction": jid,
-                        "outlet": vid,
-                        "r_lin": c.r_lin,
-                        "r_quad": c.r_quad,
-                        "l": c.l,
-                    }
-                    for (jid, vid), c in fits.items()
-                ],
-                "resolve_errors": errors,
-            },
-            f,
-            indent=1,
-        )
-    _write_manifest(out.parent, "fit-tree", vars(args), None, [args.network], [out], t0)
+    rows = [
+        {"junction": jid, "outlet": vid, "r_lin": c.r_lin, "r_quad": c.r_quad, "l": c.l}
+        for (jid, vid), c in fits.items()
+    ]
+    _write_json(
+        {"mode": args.kind, "re_sweep": re_values, "fits": rows, "resolve_errors": errors},
+        args.out,
+    )
     print(f"fitted {len(fits)} junction outlets over Re sweep {re_values}")
-    return 0
 
 
-def cmd_impedance(args) -> int:
-    t0 = time.monotonic()
+def cmd_impedance(args) -> None:
     series = ingest_timeseries_csv(args.series)
     spectrum = impedance(series.q, series.dp, period=args.period, dt=series.dt)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _writable(args.out)
     write_impedance_csv(spectrum, out)
-    _write_manifest(out.parent, "impedance", vars(args), None, [args.series], [out], t0)
     print(f"wrote {spectrum.omega.size} harmonics to {out}")
-    return 0
 
 
-def cmd_compare(args) -> int:
-    t0 = time.monotonic()
-    import csv as _csv
+def _read_solution_csv(path) -> tuple[list[str], np.ndarray]:
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        rows = np.array([[float(v) for v in row] for row in reader])
+    return header, rows
 
-    def read_solution_csv(path):
-        with open(path, newline="") as f:
-            reader = _csv.reader(f)
-            header = next(reader)
-            rows = np.array([[float(v) for v in row] for row in reader])
-        return header, rows
 
-    h1, sol = read_solution_csv(Path(args.solution) / "solution.csv")
-    h2, ref = read_solution_csv(Path(args.reference) / "solution.csv")
+def cmd_compare(args) -> None:
+    h1, sol = _read_solution_csv(Path(args.solution) / "solution.csv")
+    h2, ref = _read_solution_csv(Path(args.reference) / "solution.csv")
     if h1 != h2 or sol.shape != ref.shape:
         raise AnalysisError("solution and reference layouts do not match")
     net = load_network(args.network)
-    root = net.inflow_bc.vessel_id
-    col = h1.index(f"P_{root}_in")
-    diff = np.abs(sol[:, col] - ref[:, col])
-    denom = float(np.max(np.abs(ref[:, col])))
-    if denom == 0:
-        raise AnalysisError("reference pressure range is zero")
-    result = {
-        "absolute_mmhg": float(np.max(diff)) / MMHG_TO_BA,
-        "relative": float(np.max(diff)) / denom,
-    }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        json.dump(result, f, indent=1)
-    _write_manifest(
-        out.parent,
-        "compare",
-        vars(args),
-        None,
-        [args.solution, args.reference],
-        [out],
-        t0,
-    )
+    col = h1.index(f"P_{net.inflow_bc.vessel_id}_in")
+    error = series_pressure_error(sol[:, col], ref[:, col])
+    _write_json({k: error[k] for k in ("absolute_mmhg", "relative")}, args.out)
     print(
-        f"inlet pressure error: {result['absolute_mmhg']:.4f} mmHg "
-        f"({100 * result['relative']:.2f}%)"
+        f"inlet pressure error: {error['absolute_mmhg']:.4f} mmHg "
+        f"({100 * error['relative']:.2f}%)"
     )
-    return 0
 
 
 @functools.cache
@@ -436,20 +339,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the path options a command reads and writes, as named in the parsed arguments
+INPUT_OPTIONS = frozenset({"data", "network", "models", "series", "solution", "reference"})
+OUTPUT_OPTIONS = frozenset({"out", "network_out"})
+
+
+def _write_manifest(args, wall_time_s: float) -> None:
+    """The run record of a command that succeeded.  It goes to
+    ``<out>/manifest.json`` when the command wrote a directory, else beside
+    the output file as ``<name>.manifest.json``."""
+    # the handler ("func") prints with its address, which changes per process
+    settings = {k: v for k, v in vars(args).items() if k != "func"}
+    blob = json.dumps(settings, sort_keys=True, default=str).encode()
+    out = Path(args.out)
+    _write_json(
+        {
+            "command": args.command,
+            "config_hash": hashlib.sha256(blob).hexdigest(),
+            "seed": settings.get("seed"),
+            "inputs": [str(v) for k, v in settings.items() if k in INPUT_OPTIONS],
+            "outputs": [str(v) for k, v in settings.items() if k in OUTPUT_OPTIONS and v],
+            "tool_version": __version__,
+            "wall_time_s": wall_time_s,
+        },
+        out / "manifest.json" if out.is_dir() else out.with_suffix(".manifest.json"),
+    )
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except (ConvergenceError,) as e:
+        args.func(args)
+    except ConvergenceError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except (SolverError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except VALIDATION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    _write_manifest(args, time.monotonic() - t0)
+    return 0
 
 
 if __name__ == "__main__":

@@ -4,16 +4,14 @@ time-series synthesis, and RRI/RI coefficient extraction."""
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
-from .network import Fluid, InvalidGeometryError
+from .network import Fluid
 from .nondim import (
-    CharacteristicScales,
     CoefficientSet,
     DimensionlessGeometry,
     NondimError,
@@ -88,14 +86,20 @@ def systolic_waveform(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Half-sine inlet flow over one systolic period.
 
-    Q_max corresponds to plug flow at Reynolds number re_max through a circular
-    section of radius l_c: Q_max = Re_max*mu*pi*l_c/(2*rho).
+    Q_max is the plug flow at Reynolds number re_max through a circular
+    section of radius l_c.
     """
     if re_max < 0 or period <= 0 or l_c <= 0:
         raise DatagenError("need re_max >= 0, period > 0, l_c > 0")
     t = np.linspace(0.0, period, n_steps)
-    q_max = re_max * fluid.mu * math.pi * l_c / (2.0 * fluid.rho)
+    q_max = plug_flow(re_max, l_c, fluid)
     return t, q_max * np.sin(math.pi * t / period)
+
+
+def plug_flow(re: float, radius: float, fluid: Fluid) -> float:
+    """Flow rate of plug flow at Reynolds number re through a circular section:
+    Re = rho*(Q/A)*2r/mu, so Q = Re*mu*pi*r/(2*rho)."""
+    return re * fluid.mu * math.pi * radius / (2.0 * fluid.rho)
 
 
 def distal_resistance_for_split(
@@ -342,9 +346,12 @@ def ingest_timeseries_csv(path) -> TimeSeries:
             if len(row) != 3:
                 raise DatagenError(f"{path}:{i}: expected 3 columns")
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError as e:
                 raise DatagenError(f"{path}:{i}: non-numeric cell") from e
+            if not all(map(math.isfinite, values)):
+                raise DatagenError(f"{path}:{i}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise DatagenError(f"{path}: no data rows")
     arr = np.array(rows)

@@ -77,6 +77,12 @@ def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
     return SplitEstimate(splits=splits, resistances=resistances)
 
 
+def ensure_flow_splits(network: VascularNetwork) -> None:
+    """Estimate the flow splits unless every junction outlet already has one."""
+    if any(o.flow_split is None for j in network.junctions for o in j.outlets):
+        estimate_flow_splits(network)
+
+
 def write_split_report(estimate: SplitEstimate, path) -> None:
     out = {
         "junctions": [

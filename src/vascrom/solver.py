@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -63,10 +64,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("steady", "transient"):
             raise SolverError(f"unknown mode {self.mode!r}")
-        if self.mode == "transient" and (self.dt <= 0 or self.n_steps < 1):
-            raise SolverError("transient mode needs dt > 0 and n_steps >= 1")
-        if self.newton_tol <= 0 or self.constraint_tol <= 0 or self.stationarity_tol <= 0:
-            raise SolverError("tolerances must be positive")
+        if self.mode == "transient" and not (
+            math.isfinite(self.dt) and self.dt > 0 and self.n_steps >= 1
+        ):
+            raise SolverError(
+                "transient mode needs a finite dt > 0 and n_steps >= 1, "
+                f"got dt={self.dt}, n_steps={self.n_steps}"
+            )
+        tols = (self.newton_tol, self.constraint_tol, self.stationarity_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise SolverError(f"tolerances must be finite and positive, got {tols}")
 
 
 # offsets of the quantities in the (vessel, quantity) view of a state

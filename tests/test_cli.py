@@ -31,21 +31,21 @@ def _read_solution(outdir):
 # -- parser ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "make-tree",
-        "generate-data",
-        "train",
-        "estimate-splits",
-        "predict",
-        "solve",
-        "fit-coeffs",
-        "fit-tree",
-        "impedance",
-        "compare",
-    ],
+COMMANDS = (
+    "make-tree",
+    "generate-data",
+    "train",
+    "estimate-splits",
+    "predict",
+    "solve",
+    "fit-coeffs",
+    "fit-tree",
+    "impedance",
+    "compare",
 )
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([command, "--help"])
@@ -138,6 +138,17 @@ def test_solve_rri_writes_kkt_report(tmp_path):
     assert kkt[0]["constraint_violation"] <= 1e-8
 
 
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_solve_rejects_non_finite_time_step(tmp_path, capsys, dt):
+    net_path = _write_single_vessel(tmp_path / "net.json")
+    outdir = tmp_path / "sol"
+    rc = main(["solve", "--network", net_path, "--mode", "transient",
+               "--dt", dt, "--out", str(outdir)])
+    assert rc == 1
+    assert "transient mode needs a finite dt > 0" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_solve_transient_row_count(tmp_path):
     net_path = _write_single_vessel(tmp_path / "net.json")
     outdir = tmp_path / "sol"
@@ -155,7 +166,7 @@ def test_make_tree_and_estimate_splits(tmp_path):
     tree = tmp_path / "tree.json"
     rc = main(["make-tree", "--depth", "3", "--out", str(tree)])
     assert rc == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "tree.manifest.json").read_text())
     assert manifest["command"] == "make-tree"
     assert manifest["config_hash"]
 
@@ -174,9 +185,13 @@ def test_make_tree_and_estimate_splits(tmp_path):
     )
 
 
+MAKE_TREE_DEPTH_2_HASH = "eeefd25b566628c8eadca7f1100a7ad48eae0e450516463dfd2b2987464ea49c"
+
+
 def test_config_hash_is_the_same_in_every_process(tmp_path):
     """The hash covers the parsed arguments, not the handler function, whose
-    printed form holds its address in one process."""
+    printed form holds its address in one process.  Its value for this argv
+    is pinned: the hash of a given command line does not change."""
     src = str(Path(vascrom.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -187,8 +202,9 @@ def test_config_hash_is_the_same_in_every_process(tmp_path):
              "make-tree", "--depth", "2", "--out", "tree.json"],
             cwd=tmp_path, env=env, check=True, capture_output=True,
         )
-        hashes.append(json.loads((tmp_path / "manifest.json").read_text())["config_hash"])
-    assert hashes[0] == hashes[1]
+        manifest = json.loads((tmp_path / "tree.manifest.json").read_text())
+        hashes.append(manifest["config_hash"])
+    assert hashes == [MAKE_TREE_DEPTH_2_HASH] * 2
 
 
 # -- series commands -------------------------------------------------------
@@ -236,6 +252,25 @@ def test_impedance_command(tmp_path):
     rows = out.read_text().strip().splitlines()
     for row in rows[1:]:
         assert float(row.split(",")[3]) == pytest.approx(42.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "command, column, cell",
+    [("impedance", 2, "inf"), ("fit-coeffs", 1, "nan"), ("fit-coeffs", 0, "-inf")],
+)
+def test_series_commands_reject_non_finite_cells(tmp_path, capsys, command, column, cell):
+    path = tmp_path / "series.csv"
+    lines = Path(_write_series(path)).read_text().splitlines(keepends=True)
+    cells = lines[4].rstrip().split(",")
+    cells[column] = cell
+    lines[4] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    out = tmp_path / "out" / "result"
+    extra = ["--period", "1.0"] if command == "impedance" else []
+    rc = main([command, "--series", str(path), *extra, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}:5: non-finite cell\n"
+    assert not out.parent.exists()
 
 
 def test_fit_coeffs_bad_header(tmp_path, capsys):
@@ -376,3 +411,97 @@ def test_train_rejects_mismatched_tag_file(tmp_path, capsys, damage, message):
     assert rc == 1
     assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "models.json").exists()
+
+
+# -- run manifests ---------------------------------------------------------
+
+
+MANIFEST_KEYS = {
+    "command", "config_hash", "seed", "inputs", "outputs", "tool_version", "wall_time_s",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One input of every kind a command reads, made by the CLI itself."""
+    from vascrom.network import generate_symmetric_tree
+    from vascrom.nondim import CoefficientSet
+
+    d = tmp_path_factory.mktemp("inputs")
+    _write_series(d / "series.csv")
+    assert main(["make-tree", "--depth", "2", "--out", str(d / "tree.json")]) == 0
+    assert main(["generate-data", "--n", "4", "--seed", "1", "--out", str(d / "data")]) == 0
+    assert main(["train", "--data", str(d / "data"), "--epochs", "2",
+                 "--out", str(d / "models.json")]) == 0
+    net = generate_symmetric_tree(depth=2)
+    for j in net.junctions:
+        for o in j.outlets:
+            o.coefficients = CoefficientSet(kind="RRI", r_lin=200.0, r_quad=4.0, l=0.2)
+    save_network(net, d / "net.json")
+    for name in ("s1", "s2"):
+        assert main(["solve", "--network", str(d / "net.json"), "--out", str(d / name)]) == 0
+    return d
+
+
+def _manifest_cases(d, r):
+    """command -> (options, input paths, output paths, manifest path, seed)"""
+    return {
+        "make-tree": (["--depth", "2", "--out", r / "tree.json"],
+                      [], [r / "tree.json"], r / "tree.manifest.json", None),
+        "generate-data": (["--n", "2", "--seed", "3", "--out", r / "data"],
+                          [], [r / "data"], r / "data" / "manifest.json", 3),
+        "train": (["--data", d / "data", "--epochs", "1", "--out", r / "models.json"],
+                  [d / "data"], [r / "models.json"], r / "models.manifest.json", 0),
+        "estimate-splits": (["--network", d / "tree.json", "--out", r / "splits.json",
+                             "--network-out", r / "tree.json"],
+                            [d / "tree.json"], [r / "splits.json", r / "tree.json"],
+                            r / "splits.manifest.json", None),
+        "predict": (["--network", d / "tree.json", "--models", d / "models.json",
+                     "--out", r / "tree_rri.json"],
+                    [d / "tree.json", d / "models.json"], [r / "tree_rri.json"],
+                    r / "tree_rri.manifest.json", None),
+        "solve": (["--network", d / "net.json", "--engine", "rri", "--out", r / "sol"],
+                  [d / "net.json"], [r / "sol"], r / "sol" / "manifest.json", None),
+        "fit-coeffs": (["--series", d / "series.csv", "--out", r / "fit.json"],
+                       [d / "series.csv"], [r / "fit.json"], r / "fit.manifest.json", None),
+        "fit-tree": (["--network", d / "net.json", "--re", "600,1300", "--out",
+                      r / "fits.json"],
+                     [d / "net.json"], [r / "fits.json"], r / "fits.manifest.json", None),
+        "impedance": (["--series", d / "series.csv", "--period", "1.0", "--out",
+                       r / "z.csv"],
+                      [d / "series.csv"], [r / "z.csv"], r / "z.manifest.json", None),
+        "compare": (["--solution", d / "s1", "--reference", d / "s2",
+                     "--network", d / "net.json", "--out", r / "cmp.json"],
+                    [d / "s1", d / "s2", d / "net.json"], [r / "cmp.json"],
+                    r / "cmp.manifest.json", None),
+    }
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_writes_one_manifest(tmp_path, cli_inputs, command):
+    run = tmp_path / "run"
+    options, inputs, outputs, where, seed = _manifest_cases(cli_inputs, run)[command]
+    assert main([command, *map(str, options)]) == 0
+    manifests = [
+        p for p in run.rglob("*")
+        if p.name == "manifest.json" or p.name.endswith(".manifest.json")
+    ]
+    assert manifests == [where]
+    manifest = json.loads(where.read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert re.fullmatch("[0-9a-f]{64}", manifest["config_hash"])
+    assert manifest["seed"] == seed
+    assert manifest["inputs"] == [str(p) for p in inputs]
+    assert manifest["outputs"] == [str(p) for p in outputs]
+    assert manifest["tool_version"] == vascrom.__version__
+    assert manifest["wall_time_s"] > 0
+
+
+def test_failing_command_writes_no_manifest(tmp_path, cli_inputs, capsys):
+    run = tmp_path / "run"
+    rc = main(["train", "--data", str(cli_inputs / "data"), "--epochs", "0",
+               "--out", str(run / "models.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: need epochs >= 1")
+    assert not run.exists()

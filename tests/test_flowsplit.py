@@ -10,6 +10,7 @@ from vascrom.flowsplit import (
     FlowSplitError,
     UnsupportedConfigurationError,
     effective_resistance,
+    ensure_flow_splits,
     estimate_flow_splits,
     write_split_report,
 )
@@ -193,6 +194,18 @@ def test_raising_one_branch_resistance_shifts_flow_away(bump):
     phi1, phi2 = est.splits["j0"]
     assert phi1 <= 0.5 + 1e-12
     assert phi1 + phi2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_ensure_flow_splits_estimates_only_when_one_is_missing():
+    net = generate_symmetric_tree(depth=2)
+    for j in net.junctions:
+        for o in j.outlets:
+            o.flow_split = 0.25
+    ensure_flow_splits(net)
+    assert all(o.flow_split == 0.25 for j in net.junctions for o in j.outlets)
+    net.junctions[-1].outlets[1].flow_split = None
+    ensure_flow_splits(net)
+    assert all(o.flow_split == 0.5 for j in net.junctions for o in j.outlets)
 
 
 def test_split_report_file(tmp_path):

@@ -62,15 +62,18 @@ def test_config_rejects_unknown_mode():
 
 
 def test_config_rejects_bad_transient_grid():
-    with pytest.raises(SolverError):
-        SolverConfig(mode="transient", dt=0.0)
+    for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(SolverError, match="finite dt > 0"):
+            SolverConfig(mode="transient", dt=dt)
     with pytest.raises(SolverError):
         SolverConfig(mode="transient", n_steps=0)
 
 
 def test_config_rejects_nonpositive_tolerances():
-    with pytest.raises(SolverError):
-        SolverConfig(newton_tol=0.0)
+    for name in ("newton_tol", "constraint_tol", "stationarity_tol"):
+        for bad in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(SolverError, match="finite and positive"):
+                SolverConfig(**{name: bad})
 
 
 # -- standard engine residual and Jacobian ---------------------------------
