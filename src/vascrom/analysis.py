@@ -46,6 +46,8 @@ def impedance(
     Harmonics where |F(Q)| falls below floor*max|F(Q)| are dropped to avoid
     noise amplification.
     """
+    if not (math.isfinite(period) and period > 0):
+        raise AnalysisError(f"period must be finite and > 0, got {period}")
     q = np.asarray(q, float)
     dp = np.asarray(dp, float)
     if q.size != dp.size or q.size < 2:

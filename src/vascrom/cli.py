@@ -96,7 +96,7 @@ def _writable(path) -> Path:
 
 def _write_json(obj, path) -> None:
     with open(_writable(path), "w") as f:
-        json.dump(obj, f, indent=1)
+        f.write(json.dumps(obj, indent=1))
 
 
 def cmd_make_tree(args) -> None:
@@ -226,7 +226,9 @@ def cmd_impedance(args) -> None:
 def _read_solution_csv(path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise AnalysisError(f"{path}: empty solution file")
         rows = np.array([[float(v) for v in row] for row in reader])
     return header, rows
 

@@ -92,4 +92,4 @@ def write_split_report(estimate: SplitEstimate, path) -> None:
         "effective_resistances": estimate.resistances,
     }
     with open(path, "w") as f:
-        json.dump(out, f, indent=1)
+        f.write(json.dumps(out, indent=1))

@@ -23,6 +23,7 @@ from .nondim import (
     CoefficientSet,
     ZNormStats,
     apply_znorm,
+    coefficient_sets,
     feature_matrix,
     float_pow,
     invert_znorm,
@@ -369,7 +370,7 @@ def save_dataset(dataset: TrainingDataset, outdir) -> None:
         "feature_ranges": {k: list(v) for k, v in dataset.feature_ranges.items()},
     }
     with open(outdir / "stats.json", "w") as f:
-        json.dump(stats, f, indent=1)
+        f.write(json.dumps(stats, indent=1))
 
 
 def load_dataset(outdir) -> TrainingDataset:
@@ -604,7 +605,7 @@ def save_models(bundle: ModelBundle, path) -> None:
         ],
     }
     with open(path, "w") as f:
-        json.dump(out, f)
+        f.write(json.dumps(out))
 
 
 def load_models(path) -> ModelBundle:
@@ -770,15 +771,12 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, rows, tags):
     r_lin, l = r_lin + delta_r, l + delta_l
 
     # a non-finite value at any stage stays non-finite, so the CoefficientSet
-    # checks below raise where the outlet-by-outlet stages would
-    coeff_kind = "RI" if r_quad is None else "RRI"
-    r_quads = [None] * len(rows) if r_quad is None else r_quad.tolist()
+    # checks raise where the outlet-by-outlet stages would
+    coeffs = coefficient_sets("RI" if r_quad is None else "RRI", r_lin, l, r_quad)
     any_clamped = np.logical_or.reduce(list(clamped.values())).tolist()
-    values = zip(outlets, r_lin.tolist(), r_quads, l.tolist(), lam.tolist(), delta_r.tolist(),
-                 delta_l.tolist())
-    coeffs, reports = [], []
-    for i, ((junction, outlet), c_lin, c_quad, c_l, lam_i, dr, dl) in enumerate(values):
-        coeffs.append(CoefficientSet(kind=coeff_kind, r_lin=c_lin, r_quad=c_quad, l=c_l))
+    values = zip(outlets, lam.tolist(), delta_r.tolist(), delta_l.tolist())
+    reports = []
+    for i, ((junction, outlet), lam_i, dr, dl) in enumerate(values):
         flagged = [
             {"feature": feat, "value": float(raw[feat][i]), "range": list(ranges[feat])}
             for feat in _CLAMPED_FEATURES

@@ -519,7 +519,8 @@ def network_to_dict(network: VascularNetwork) -> dict:
 
 def save_network(network: VascularNetwork, path) -> None:
     with open(path, "w") as f:
-        json.dump(network_to_dict(network), f, indent=1)
+        # one write of the whole text; json.dump would make thousands of small ones
+        f.write(json.dumps(network_to_dict(network), indent=1))
 
 
 def network_from_dict(data: dict) -> VascularNetwork:

@@ -19,10 +19,12 @@ assembly, ``_LinearConstraints``.  Every solver and ``kkt_report`` take their
 times and inflows from one time grid, ``_time_grid``, and walk it with one
 step loop, ``_march``: a steady step 0, then one backward-Euler step per later
 time; ``kkt_report`` so recomputes each step at the solve's own inflow.  Each
-engine builds its Jacobian's structure once per solve (the standard engine's
-CSC pattern, the rri/ri engines' densified basis blocks); Newton and
-Levenberg-Marquardt iterations update only the values that depend on the
-state.
+engine builds its Jacobian's structure once per solve, in array code from the
+topology's index arrays: the standard engine's CSC pattern, and the rri/ri
+engines' fixed sparse CSR pattern, whose flow-split rows are constant.  Newton
+and Levenberg-Marquardt iterations refill only the values that depend on the
+state.  The rri/ri Jacobian stays sparse in the diagnostics and
+``kkt_report``; only MINPACK's Levenberg-Marquardt gets a dense copy.
 """
 
 from __future__ import annotations
@@ -160,12 +162,11 @@ class _Rows:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return sum(v * x[..., c] for c, v in self.terms)
 
-    def matrix(self, n: int) -> scipy.sparse.csr_matrix:
-        """The rows as a sparse (rows, n) matrix."""
+    def entries(self):
+        """The (row, column, value) arrays of every term, term by term."""
         m = len(self.terms[0][0])
         cols, vals = (np.concatenate(a) for a in zip(*self.terms))
-        rows = np.tile(np.arange(m), len(self.terms))
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
+        return np.tile(np.arange(m), len(self.terms)), cols, vals
 
 
 class _LinearConstraints:
@@ -242,12 +243,16 @@ class _StandardSystem:
         values in place and the data slot of each ``block.ravel()`` entry."""
         n_v, c = self.R.size, self.constraints
         n = 4 * n_v
-        linear = (c.junction_mass, self.junction_pressure, c.inflow, c.leaf_bc)
-        linear = scipy.sparse.vstack([r.matrix(n) for r in linear]).tocoo()
         v, eq, k = np.indices((n_v, 2, 4)).reshape(3, -1)
-        rows = np.concatenate([2 * v + eq, 2 * n_v + linear.row])
-        cols = np.concatenate([4 * v + k, linear.col])
-        vals = np.concatenate([np.zeros(v.size), linear.data])
+        rows, cols, vals = [2 * v + eq], [4 * v + k], [np.zeros(v.size)]
+        first = 2 * n_v  # the first row of each linear block
+        for block in (c.junction_mass, self.junction_pressure, c.inflow, c.leaf_bc):
+            r, col, val = block.entries()
+            rows.append(first + r)
+            cols.append(col)
+            vals.append(val)
+            first += len(block.terms[0][0])
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
         order = np.lexsort((rows, cols))
         indptr = np.searchsorted(cols[order], np.arange(n + 1))
         template = scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
@@ -365,6 +370,23 @@ def solve_transient_standard(
 # -- RRI / RI optimization engine -----------------------------------------
 
 
+def _row_entries(m: scipy.sparse.csr_matrix, rows: np.ndarray):
+    """The entries of rows ``rows`` of a CSR matrix, as the keys ``k *
+    columns + column`` of a matrix whose row k is m's row rows[k], and their
+    values."""
+    start, count = m.indptr[rows], np.diff(m.indptr)[rows]
+    at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    return np.repeat(np.arange(rows.size), count) * max(m.shape[1], 1) + m.indices[at], m.data[at]
+
+
+def _values_at(keys: np.ndarray, entries) -> np.ndarray:
+    """Entry values on the sorted keys, which hold all of their keys; zero
+    where there is no entry."""
+    out = np.zeros(keys.size)
+    out[np.searchsorted(keys, entries[0])] = entries[1]
+    return out
+
+
 class _OptProblem:
     """Junction residuals of one network/engine pair over its feasible set.
 
@@ -422,35 +444,43 @@ class _OptProblem:
         self.share[self.share == 0.0] = 1.0
 
     def _tree_basis(self):
-        net, idx, con = self.network, self.idx, self.constraints
-        feeds = net.topology.feeds
-        leaf_r = np.zeros(len(idx.vessel_ids))  # by vessel position
+        """The basis and x_unit, following the second-outlet links from every
+        junction's two outlets and from the inflow vessel as one frontier."""
+        con, n_j = self.constraints, len(self.network.junctions)
+        n_v = len(self.idx.vessel_ids)
+        leaf_r = np.zeros(n_v)  # by vessel position
         leaf_r[con.leaf] = con.leaf_r
-
-        def unit_flow(vid, sign=1.0):
-            """State entries moved by a unit flow entering vessel vid."""
-            while vid in feeds:
-                yield from ((idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign))
-                vid = feeds[vid].outlets[1].vessel_id
-            r = sign * leaf_r[idx.position[vid]]
-            yield from (
-                (idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign),
-                (idx(vid, "p_in"), r), (idx(vid, "p_out"), r),
-            )
-
-        n_j = len(net.junctions)
-        entries = []  # (row, column, value)
-        for k, j in enumerate(net.junctions):
-            first, second = (o.vessel_id for o in j.outlets)
-            entries += [(i, k, c) for i, c in unit_flow(first)]
-            entries += [(i, k, c) for i, c in unit_flow(second, -1.0)]
-            entries += [(idx(j.inlet_vessel, q), n_j + k, 1.0) for q in ("p_in", "p_out")]
-        rows, cols, vals = zip(*entries) if entries else ((), (), ())
-        self.basis = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(idx.n, 2 * n_j))
+        second = np.full(n_v, -1)  # each vessel's second outlet; -1 at a leaf
+        second[con.inlet] = con.outlets[:, 1]
+        # a unit flow into each first outlet (column k) and out of each second
+        # one (column k), and into the inflow vessel (column 2 n_j, x_unit)
+        j = np.arange(n_j)
+        vessel = np.concatenate([con.outlets[:, 0], con.outlets[:, 1],
+                                 [self.idx.position[self.network.inflow_bc.vessel_id]]])
+        col = np.concatenate([j, j, [2 * n_j]])
+        sign = np.concatenate([np.ones(n_j), -np.ones(n_j), [1.0]])
+        path = []  # (vessel, column, sign) at every vessel a unit flow passes
+        while vessel.size:
+            path.append((vessel, col, sign))
+            on = second[vessel] >= 0
+            vessel, col, sign = second[vessel[on]], col[on], sign[on]
+        vessel, col, sign = (np.concatenate(a) for a in zip(*path))
+        # it flows through each vessel on its path and at the leaf raises both
+        # pressures by R; a pressure unknown moves its own inlet's pressures
+        leaf = second[vessel] < 0
+        r = sign[leaf] * leaf_r[vessel[leaf]]
+        v, lv, inlet = 4 * vessel, 4 * vessel[leaf], 4 * con.inlet
+        rows = np.concatenate([v + Q_IN, v + Q_OUT, lv + P_IN, lv + P_OUT,
+                               inlet + P_IN, inlet + P_OUT])
+        cols = np.concatenate([col, col, col[leaf], col[leaf], n_j + j, n_j + j])
+        vals = np.concatenate([sign, sign, r, r, np.ones(2 * n_j)])
+        unit = cols == 2 * n_j
+        self.basis = scipy.sparse.csr_matrix(
+            (vals[~unit], (rows[~unit], cols[~unit])), shape=(self.idx.n, 2 * n_j)
+        )
         self.free = np.concatenate([4 * con.outlets[:, 0] + Q_IN, 4 * con.inlet + P_OUT])
-        self.x_unit = np.zeros(idx.n)
-        for i, c in unit_flow(net.inflow_bc.vessel_id):
-            self.x_unit[i] = c
+        self.x_unit = np.zeros(self.idx.n)
+        self.x_unit[rows[unit]] = vals[unit]
 
     def set_variable_scales(self, q_scale: float, p_var: float) -> None:
         """Column-scale the basis so flow and pressure unknowns are comparable
@@ -461,13 +491,30 @@ class _OptProblem:
         q_scale also normalizes the residuals."""
         self.q_scale = q_scale
         self.scale = np.concatenate([q_scale * self.share, np.full(self.share.size, p_var)])
-        # the state-independent parts of the Jacobian, densified once: the
-        # pressure-drop rows' basis blocks and the whole flow-split block
-        b_pj, b_po, self._b_q, b_qj = (
-            self.basis[i].toarray() for i in (self.i_pj, self.i_po, self.i_q, self.i_qj)
+        # the Jacobian's fixed CSR pattern: the pressure-drop rows on the union
+        # of the entries of their basis rows b_pj, b_po and b_q, then the
+        # constant flow-split rows on the union of b_qj's and b_q's
+        n_out, n = self.i_q.size, self.scale.size
+        b_pj, b_po, b_q, b_qj = (
+            _row_entries(self.basis, i) for i in (self.i_pj, self.i_po, self.i_q, self.i_qj)
         )
-        self._b_dp = b_pj - b_po
-        self._flow_jac = (self.phi[:, None] * b_qj - self._b_q) / q_scale * self.scale
+        pressure = np.unique(np.concatenate([b_pj[0], b_po[0], b_q[0]]))
+        flow = np.union1d(b_qj[0], b_q[0])
+        self._dp = _values_at(pressure, b_pj)
+        self._dp[np.searchsorted(pressure, b_po[0])] -= b_po[1]  # b_pj - b_po
+        self._bq = _values_at(pressure, b_q)
+        self._rows, self._cols = np.divmod(pressure, max(n, 1))
+        rows, cols = np.divmod(flow, max(n, 1))
+        flow_data = (
+            (self.phi[rows] * _values_at(flow, b_qj) - _values_at(flow, b_q))
+            / q_scale * self.scale[cols]
+        )
+        rows = np.concatenate([self._rows, n_out + rows])
+        self._jac = scipy.sparse.csr_matrix(
+            (np.concatenate([np.zeros(pressure.size), flow_data]),
+             np.concatenate([self._cols, cols]), np.searchsorted(rows, np.arange(2 * n_out + 1))),
+            shape=(2 * n_out, n),
+        )
 
     def state(self, inflow: float, z: np.ndarray) -> np.ndarray:
         """The feasible state with scaled free unknowns z."""
@@ -488,19 +535,22 @@ class _OptProblem:
             (self.phi * x[self.i_qj] - q) / self.q_scale,
         ])
 
-    def jacobian(self, x, dt):
-        """Jacobian of the residuals w.r.t. the scaled free unknowns; only the
-        pressure-law rows depend on the state."""
+    def jacobian(self, x, dt) -> scipy.sparse.csr_matrix:
+        """Jacobian of the residuals w.r.t. the scaled free unknowns, on the
+        fixed pattern; only the pressure-law rows depend on the state."""
         dqdot = 0.0 if dt is None else 1.0 / dt
         dq = self.r_lin + 2 * self.r_quad * np.abs(x[self.i_q]) + self.l * dqdot
-        pressure = (self._b_dp - dq[:, None] * self._b_q) / self.q_scale**2 * self.scale
-        return np.vstack([pressure, self._flow_jac])
+        jac = self._jac.copy()
+        jac.data[: self._dp.size] = (
+            (self._dp - dq[self._rows] * self._bq) / self.q_scale**2 * self.scale[self._cols]
+        )
+        return jac
 
     def diagnostics(self, x, inflow, x_prev, dt) -> dict:
         """Objective, constraint violation and stationarity (inf-norm of the
         objective gradient w.r.t. the scaled free unknowns) at state x."""
         r = self.residuals(x, x_prev, dt)
-        grad = 2.0 * self.jacobian(x, dt).T @ r
+        grad = 2.0 * (self.jacobian(x, dt).T @ r)
         return {
             "objective": float(np.sum(r**2)),
             "constraint_violation": float(np.max(np.abs(self.constraints.residual(x, inflow)))),
@@ -514,7 +564,8 @@ class _OptProblem:
             result = scipy.optimize.least_squares(
                 lambda z: self.residuals(self.state(inflow, z), x_prev, dt),
                 z,
-                jac=lambda z: self.jacobian(self.state(inflow, z), dt),
+                # MINPACK takes only a dense Jacobian
+                jac=lambda z: self.jacobian(self.state(inflow, z), dt).toarray(),
                 method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
             )
             z = result.x
@@ -609,13 +660,12 @@ def export_solution(solution: Solution, outdir) -> None:
         for t, x in zip(solution.times, solution.states):
             w.writerow([repr(float(v)) for v in (t, *x)])
     with open(outdir / "diagnostics.json", "w") as f:
-        json.dump(
+        f.write(json.dumps(
             {
                 "engine": solution.engine,
                 "mode": solution.config.mode,
                 "meta": solution.meta,
                 "steps": solution.diagnostics,
             },
-            f,
             indent=1,
-        )
+        ))

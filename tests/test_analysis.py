@@ -80,6 +80,14 @@ def test_impedance_rejects_zero_flow():
         impedance(np.zeros(t.size), np.ones(t.size), period=1.0, dt=dt)
 
 
+@pytest.mark.parametrize("period", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_impedance_rejects_bad_period(period):
+    t, dt = _grid()
+    q = 4.0 + np.sin(2 * np.pi * t)
+    with pytest.raises(AnalysisError, match="period must be finite and > 0"):
+        impedance(q, 3.0 * q, period=period, dt=dt)
+
+
 def test_impedance_multi_period_series():
     t, dt = _grid(n=128, n_periods=3)
     q = 4.0 + np.sin(2 * np.pi * t)

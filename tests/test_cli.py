@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tests.conftest import make_single_junction, make_single_vessel, rri_coeffs
+from tests.conftest import make_single_junction, make_single_vessel, random_shape_tree, rri_coeffs
 import vascrom
 from vascrom.cli import build_parser, main
 from vascrom.network import load_network, network_to_dict, save_network
@@ -273,6 +274,17 @@ def test_series_commands_reject_non_finite_cells(tmp_path, capsys, command, colu
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("period", ["0", "inf", "nan", "-1"])
+def test_impedance_rejects_bad_period(tmp_path, capsys, period):
+    series = _write_series(tmp_path / "series.csv")
+    out = tmp_path / "out" / "z.csv"
+    rc = main(["impedance", "--series", series, "--period", period, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: period must be finite and > 0, got {float(period)}\n"
+    assert not out.parent.exists()
+
+
 def test_fit_coeffs_bad_header(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("time,flow,drop\n0,1,2\n")
@@ -338,6 +350,20 @@ def test_compare_identical_solutions(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["absolute_mmhg"] == 0.0
     assert result["relative"] == 0.0
+
+
+def test_compare_rejects_empty_solution_file(tmp_path, capsys):
+    net_path = _write_single_vessel(tmp_path / "net.json")
+    for name in ("s1", "s2"):
+        assert main(["solve", "--network", net_path, "--out", str(tmp_path / name)]) == 0
+    empty = tmp_path / "s2" / "solution.csv"
+    empty.write_text("")
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--solution", str(tmp_path / "s1"), "--reference",
+               str(tmp_path / "s2"), "--network", net_path, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty solution file\n"
+    assert not out.exists()
 
 
 # -- train/predict smoke path ----------------------------------------------
@@ -505,3 +531,39 @@ def test_failing_command_writes_no_manifest(tmp_path, cli_inputs, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: need epochs >= 1")
     assert not run.exists()
+
+
+# -- JSON files --------------------------------------------------------------
+
+
+def _json_dump_of(path, **kwargs) -> bytes:
+    """The file's content written again by ``json.dump`` with these arguments."""
+    buf = io.StringIO()
+    with open(path) as f:
+        json.dump(json.load(f), buf, **kwargs)
+    return buf.getvalue().encode()
+
+
+def test_json_files_equal_json_dump_output(tmp_path, small_cohort, trained_bundle):
+    from vascrom.cli import _write_json
+    from vascrom.flowsplit import estimate_flow_splits, write_split_report
+    from vascrom.mlp import predict_network, save_dataset, save_models
+    from vascrom.solver import SolverConfig, export_solution, solve_opt
+
+    (dataset, _), (bundle, _) = small_cohort, trained_bundle
+    net = random_shape_tree(4)
+    estimate = estimate_flow_splits(net)
+    predict_network(bundle, net)
+    save_network(net, tmp_path / "net.json")
+    write_split_report(estimate, tmp_path / "splits.json")
+    save_dataset(dataset, tmp_path / "data")
+    save_models(bundle, tmp_path / "models.json")
+    export_solution(solve_opt(net, SolverConfig(), engine="rri"), tmp_path / "sol")
+    _write_json({"x": [0.1, -2.5e-300, float("nan")], "n": 3, "s": "\u00e9"},
+                tmp_path / "out" / "obj.json")
+    indent = {"indent": 1}
+    for name, kwargs in {
+        "net.json": indent, "splits.json": indent, "data/stats.json": indent,
+        "models.json": {}, "sol/diagnostics.json": indent, "out/obj.json": indent,
+    }.items():
+        assert (tmp_path / name).read_bytes() == _json_dump_of(tmp_path / name, **kwargs), name

@@ -14,6 +14,7 @@ from tests.conftest import (
     random_shape_tree,
     rri_coeffs,
 )
+from vascrom.flowsplit import estimate_flow_splits
 from vascrom.network import (
     BoundaryCondition,
     Fluid,
@@ -158,6 +159,14 @@ def _stenosed_random_tree(seed):
     return network_from_dict(data)
 
 
+def _rows_matrix(rows, n):
+    """Linear rows as a sparse (rows, n) CSR matrix, read off their terms."""
+    m = len(rows.terms[0][0])
+    cols, vals = (np.concatenate(a) for a in zip(*rows.terms))
+    r = np.tile(np.arange(m), len(rows.terms))
+    return scipy.sparse.csr_matrix((vals, (r, cols)), shape=(m, n))
+
+
 def _bsr_vstack_jacobian(system, x, x_prev, dt):
     """The standard Jacobian assembled independently: per-vessel 2x4 BSR
     blocks stacked on the linear rows with ``scipy.sparse.vstack``."""
@@ -175,7 +184,7 @@ def _bsr_vstack_jacobian(system, x, x_prev, dt):
     c = system.constraints
     linear = (c.junction_mass, system.junction_pressure, c.inflow, c.leaf_bc)
     vessel = scipy.sparse.bsr_matrix((block, np.arange(q.size), np.arange(q.size + 1)))
-    return scipy.sparse.vstack([vessel] + [r.matrix(x.size) for r in linear], format="csc")
+    return scipy.sparse.vstack([vessel] + [_rows_matrix(r, x.size) for r in linear], format="csc")
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3])
@@ -192,6 +201,37 @@ def test_standard_jacobian_pattern_matches_bsr_vstack_assembly(dt):
         jac = system.jacobian(x, x_prev, dt)
         assert jac.format == "csc"
         assert np.array_equal(jac.toarray(), _bsr_vstack_jacobian(system, x, x_prev, dt).toarray())
+
+
+def _vstack_jac_pattern(system):
+    """The standard Jacobian's CSC template and data slots, built from one
+    CSR matrix per linear block stacked with ``scipy.sparse.vstack``."""
+    n_v, c = system.R.size, system.constraints
+    n = 4 * n_v
+    linear = (c.junction_mass, system.junction_pressure, c.inflow, c.leaf_bc)
+    linear = scipy.sparse.vstack([_rows_matrix(r, n) for r in linear]).tocoo()
+    v, eq, k = np.indices((n_v, 2, 4)).reshape(3, -1)
+    rows = np.concatenate([2 * v + eq, 2 * n_v + linear.row])
+    cols = np.concatenate([4 * v + k, linear.col])
+    vals = np.concatenate([np.zeros(v.size), linear.data])
+    order = np.lexsort((rows, cols))
+    indptr = np.searchsorted(cols[order], np.arange(n + 1))
+    template = scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
+    return template, np.argsort(order)[: v.size]
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 13, 14, 15])
+def test_standard_jac_pattern_matches_vstack_reference(seed):
+    net = _stenosed_random_tree(seed)
+    template, slots = _StandardSystem(net)._jac_pattern
+    ref, ref_slots = _vstack_jac_pattern(_StandardSystem(net))
+    assert _same_bytes(slots, ref_slots)
+    for key in ("data", "indices", "indptr"):
+        assert _same_bytes(getattr(template, key), getattr(ref, key))
 
 
 def test_standard_jacobians_share_no_memory():
@@ -473,7 +513,7 @@ def test_opt_jacobian_matches_finite_differences(engine, dt, inflow):
     def residuals(z):
         return problem.residuals(problem.state(inflow, z), x_prev, dt)
 
-    res, jac = residuals(z), problem.jacobian(x, dt)
+    res, jac = residuals(z), problem.jacobian(x, dt).toarray()
     eps = 1e-6
     for col in range(z.size):
         step = eps * np.eye(z.size)[col]
@@ -481,6 +521,77 @@ def test_opt_jacobian_matches_finite_differences(engine, dt, inflow):
         # the same row-relative scale as the standard engine's check
         scale = np.maximum(1.0, np.maximum(np.abs(jac[:, col]), np.abs(res) * eps))
         assert np.max(np.abs(jac[:, col] - fd) / scale) < 1e-6
+
+
+def _loop_tree_basis(problem):
+    """basis, free and x_unit of an _OptProblem, built by walking each unit
+    flow down the tree one vessel at a time."""
+    net, idx, con = problem.network, problem.idx, problem.constraints
+    feeds = net.topology.feeds
+    leaf_r = np.zeros(len(idx.vessel_ids))
+    leaf_r[con.leaf] = con.leaf_r
+
+    def unit_flow(vid, sign=1.0):
+        while vid in feeds:
+            yield from ((idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign))
+            vid = feeds[vid].outlets[1].vessel_id
+        r = sign * leaf_r[idx.position[vid]]
+        yield from (
+            (idx(vid, "q_in"), sign), (idx(vid, "q_out"), sign),
+            (idx(vid, "p_in"), r), (idx(vid, "p_out"), r),
+        )
+
+    n_j = len(net.junctions)
+    entries = []
+    for k, j in enumerate(net.junctions):
+        first, second = (o.vessel_id for o in j.outlets)
+        entries += [(i, k, c) for i, c in unit_flow(first)]
+        entries += [(i, k, c) for i, c in unit_flow(second, -1.0)]
+        entries += [(idx(j.inlet_vessel, q), n_j + k, 1.0) for q in ("p_in", "p_out")]
+    rows, cols, vals = zip(*entries)
+    basis = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(idx.n, 2 * n_j))
+    free = np.concatenate([4 * con.outlets[:, 0] + Q_IN, 4 * con.inlet + P_OUT])
+    x_unit = np.zeros(idx.n)
+    for i, c in unit_flow(net.inflow_bc.vessel_id):
+        x_unit[i] = c
+    return basis, free, x_unit
+
+
+@pytest.mark.parametrize("engine", ["rri", "ri"])
+@pytest.mark.parametrize("seed", [33, 34, 35, 36])
+def test_tree_basis_matches_loop_reference(engine, seed):
+    problem, rng = _random_opt_problem(seed, engine, 100.0)
+    basis, free, x_unit = _loop_tree_basis(problem)
+    for key in ("data", "indices", "indptr"):
+        assert _same_bytes(getattr(problem.basis, key), getattr(basis, key))
+    assert _same_bytes(problem.free, free)
+    assert _same_bytes(problem.x_unit, x_unit)
+
+
+def _dense_jacobian(problem, x, dt):
+    """The rri/ri Jacobian from densified basis rows: the pressure rows
+    ``(b_pj - b_po - dq * b_q) / q_scale^2 * scale`` over the flow rows
+    ``(phi * b_qj - b_q) / q_scale * scale``."""
+    b_pj, b_po, b_q, b_qj = (
+        problem.basis[i].toarray() for i in (problem.i_pj, problem.i_po, problem.i_q, problem.i_qj)
+    )
+    dqdot = 0.0 if dt is None else 1.0 / dt
+    dq = problem.r_lin + 2 * problem.r_quad * np.abs(x[problem.i_q]) + problem.l * dqdot
+    pressure = (b_pj - b_po - dq[:, None] * b_q) / problem.q_scale**2 * problem.scale
+    flow = (problem.phi[:, None] * b_qj - b_q) / problem.q_scale * problem.scale
+    return np.vstack([pressure, flow])
+
+
+@pytest.mark.parametrize("engine", ["rri", "ri"])
+@pytest.mark.parametrize("dt", [None, 1e-3])
+@pytest.mark.parametrize("inflow", [100.0, -100.0])
+def test_opt_sparse_jacobian_matches_dense_formula(engine, dt, inflow):
+    problem, rng = _random_opt_problem(37, engine, inflow)
+    for _ in range(3):
+        x = problem.state(inflow, rng.normal(size=problem.free.size))
+        jac = problem.jacobian(x, dt)
+        assert jac.format == "csr"
+        assert _same_bytes(jac.toarray(), _dense_jacobian(problem, x, dt))
 
 
 def test_opt_jacobians_share_no_memory():
@@ -631,6 +742,29 @@ def test_kkt_report_recomputes_solution_diagnostics():
             assert rec["stationarity"] <= 10 * max(
                 diag["stationarity"], cfg.stationarity_tol
             )
+
+
+def test_kkt_report_memory_is_linear_in_vessels():
+    # 1023 vessels: one dense (2J)x(2J) basis block alone would take 8.4 MB
+    net = generate_symmetric_tree(depth=9, leaf_resistance=8e5)
+    estimate_flow_splits(net)
+    for j in net.junctions:
+        for o in j.outlets:
+            o.coefficients = rri_coeffs(50.0, 2.0, 0.5)
+    # the standard solution stands in for a stored rri state: kkt_report
+    # reads only the state, and the rri solve of this tree takes seconds
+    std = solve_steady_standard(net)
+    q_scale = net.inflow_bc.steady_flow()
+    p_var = float(np.max(np.abs(std.states[0].reshape(-1, 4)[:, :2])))
+    sol = replace(std, engine="rri", meta={"q_scale": q_scale, "p_var": p_var})
+    tracemalloc.start()
+    try:
+        (report,) = kkt_report(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert all(math.isfinite(report[k]) for k in ("objective", "stationarity"))
 
 
 def test_kkt_report_rejects_standard_solutions():
