@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import Fluid
+from .network import Fluid, circle_radius
 from .nondim import (
     CoefficientSet,
     DimensionlessGeometry,
@@ -24,7 +24,6 @@ from .nondim import (
 )
 
 INLET_AREA_COHORT = 1.0  # cm^2, fixed for all synthetic junctions
-DEFAULT_R_DIST2 = 1e5  # Ba s/cm^3
 LAMBDA_FRACTIONS = (0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
 
 COEFFICIENT_TAGS = ("rri_rlin", "rri_rquad", "rri_l", "ri_rlin", "ri_l")
@@ -100,15 +99,6 @@ def plug_flow(re: float, radius: float, fluid: Fluid) -> float:
     """Flow rate of plug flow at Reynolds number re through a circular section:
     Re = rho*(Q/A)*2r/mu, so Q = Re*mu*pi*r/(2*rho)."""
     return re * fluid.mu * math.pi * radius / (2.0 * fluid.rho)
-
-
-def distal_resistance_for_split(
-    phi: float, r_dist2: float = DEFAULT_R_DIST2, p_dist: float = 0.0
-) -> float:
-    """R_dist,1 achieving flow split phi with equal distal pressures."""
-    if not (0.0 < phi < 1.0):
-        raise DatagenError(f"flow split must lie in (0, 1), got {phi}")
-    return (1.0 - phi) / phi * r_dist2
 
 
 # -- sampling -------------------------------------------------------------
@@ -358,14 +348,6 @@ def ingest_timeseries_csv(path) -> TimeSeries:
     return TimeSeries(t=arr[:, 0], q=arr[:, 1], dp=arr[:, 2])
 
 
-def write_timeseries_csv(series: TimeSeries, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "Q", "dP"])
-        for t, q, dp in zip(series.t, series.q, series.dp):
-            w.writerow([repr(float(t)), repr(float(q)), repr(float(dp))])
-
-
 # -- cohort building ------------------------------------------------------
 
 
@@ -394,7 +376,7 @@ def build_cohort(
     if re_c is None:
         re_c = DEFAULT_RE_C
     junctions = sample_geometries(n, ranges, seed)
-    l_c = math.sqrt(INLET_AREA_COHORT / math.pi)
+    l_c = circle_radius(INLET_AREA_COHORT)
     scales = characteristic_scales(l_c, fluid, re_c)
     t, q_inlet = systolic_waveform(
         waveform.re_max, l_c, fluid, waveform.period, waveform.n_steps

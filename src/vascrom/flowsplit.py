@@ -28,18 +28,13 @@ class SplitEstimate:
     resistances: dict[str, float]
 
 
-def effective_resistance(network: VascularNetwork, vessel_id: str) -> float:
-    """Series-parallel reduction of the subtree rooted at vessel_id."""
-    return _reduce(network, network.topology.subtree(vessel_id))[vessel_id]
-
-
-def _reduce(network: VascularNetwork, preorder: list[str]) -> dict[str, float]:
-    """Effective resistance of every vessel of a subtree given in pre-order,
-    reduced children first."""
+def _reduce(network: VascularNetwork) -> dict[str, float]:
+    """Series-parallel effective resistance of every vessel, including the
+    vessel itself, reduced children first."""
     leaf_r = {b.vessel_id: b.r for b in network.boundary_conditions if b.kind == "RESISTANCE"}
     feeds = network.topology.feeds
     r_eff: dict[str, float] = {}
-    for vid in reversed(preorder):
+    for vid in reversed(network.topology.preorder):
         r_vessel, _ = network.vessels[vid].elements(network.fluid)
         junction = feeds.get(vid)
         if junction is not None:
@@ -63,7 +58,7 @@ def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
                 f"nonzero distal pressure on {bc.vessel_id}; the split estimate "
                 "assumes equal (zero) distal pressures"
             )
-    r_eff = _reduce(network, network.topology.preorder)
+    r_eff = _reduce(network)
     splits: dict[str, tuple[float, float]] = {}
     resistances: dict[str, float] = {}
     for junction in network.junctions:

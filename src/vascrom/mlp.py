@@ -12,20 +12,16 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (
-    Fluid,
-    InvalidGeometryError,
-    Junction,
-    JunctionOutlet,
-    VascularNetwork,
-)
+from .network import Fluid, VascularNetwork
 from .nondim import (
-    CoefficientSet,
     ZNormStats,
     apply_znorm,
+    base_descriptors,
+    characteristic_scales,
     coefficient_sets,
     feature_matrix,
     float_pow,
+    invalid_geometry,
     invert_znorm,
     redimensionalize_values,
     scale_fields,
@@ -648,97 +644,76 @@ def load_models(path) -> ModelBundle:
 _CLAMPED_FEATURES = ("alpha_self", "alpha_other", "theta_self", "theta_other", "phi_self")
 
 
-def _gather_outlets(bundle: ModelBundle, network: VascularNetwork, junctions, tags):
-    """The (junction, outlet) pairs in junction order and their input rows
-    (inlet radius, own and sibling area, attributed and residual length, own
-    and sibling angle, flow split), read up to the first missing input; and
-    the error that input raises, or None."""
+def outlet_features(network: VascularNetwork):
+    """The dimensionless geometry of every junction outlet of a network, read
+    in junction order.
+
+    Returns the (junction, outlet) pairs, a namespace of arrays over them
+    (the inlet radius l_c, the six base descriptors of base_descriptors with
+    lam_self unclamped, the outlet area and the residual segment length) and
+    the error of the first missing input, or None.  Reading stops at that
+    input, so that a caller can let the outlets before it fail first.
+    """
     outlets, rows = [], []
-    for junction in junctions:
-        l_c = network.vessels[junction.inlet_vessel].radius
-        if l_c <= 0 or bundle.re_c <= 0:
-            return outlets, rows, InvalidGeometryError(
-                f"need l_c > 0 and Re_c > 0, got {l_c}, {bundle.re_c}"
-            )
-        for tag in tags:
-            if tag not in bundle.models:
-                return outlets, rows, ModelError(f"bundle lacks model for {tag!r}")
+
+    def result(missing=None):
+        l_c, area, area_other, length, theta, theta_other, phi, residual = (
+            np.array(rows, float).reshape(-1, 8).T
+        )
+        features = SimpleNamespace(
+            l_c=l_c,
+            **base_descriptors(l_c, area, area_other, length, theta, theta_other, phi),
+            area=area,
+            residual=residual,
+        )
+        return outlets, features, missing
+
+    for junction in network.junctions:
         if any(o.flow_split is None for o in junction.outlets):
-            return outlets, rows, ModelError(
+            return result(ModelError(
                 f"junction {junction.id}: flow splits not set; run split estimation first"
-            )
-        for i, outlet in enumerate(junction.outlets):
+            ))
+        l_c = network.vessels[junction.inlet_vessel].radius
+        for outlet, other in zip(junction.outlets, junction.outlets[::-1]):
             if outlet.attributed_length is None:
-                return outlets, rows, ModelError(
+                return result(ModelError(
                     f"junction {junction.id}: bifurcation definition not applied"
-                )
-            other = junction.outlets[1 - i]
+                ))
             outlets.append((junction, outlet))
             rows.append((
                 l_c, network.vessels[outlet.vessel_id].area, network.vessels[other.vessel_id].area,
-                outlet.attributed_length, outlet.residual_length or 0.0,
-                outlet.angle, other.angle, outlet.flow_split,
+                outlet.attributed_length, outlet.angle, other.angle, outlet.flow_split,
+                outlet.residual_length or 0.0,
             ))
-    return outlets, rows, None
+    return result()
 
 
-def _predict_outlets(
-    bundle: ModelBundle, network: VascularNetwork, junctions, kind: str
-) -> tuple[list[JunctionOutlet], list[CoefficientSet], list[dict]]:
-    """Predict dimensional coefficients for every outlet of the junctions.
+def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
+    """One batched pass over the outlets and features of outlet_features.
 
-    Every outlet is checked before anything is returned, and an error is the
-    one that predicting outlet by outlet, in junction order, meets first.
-    """
-    tags = ("rri_rlin", "rri_rquad", "rri_l") if kind == "RRI" else ("ri_rlin", "ri_l")
-    outlets, rows, missing = _gather_outlets(bundle, network, junctions, tags)
-    coeffs, reports = [], []
-    if rows:
-        coeffs, reports = _predict_rows(bundle, network.fluid, outlets, rows, tags)
-    if missing is not None:
-        raise missing
-    return [o for _, o in outlets], coeffs, reports
-
-
-def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, rows, tags):
-    """One batched pass over the outlet rows of _gather_outlets.
-
-    Builds the features of all outlets, runs one forward per model, then
+    Clamps the features of all outlets, runs one forward per model, then
     redimensionalises and adds the Poiseuille corrections as array
     expressions, each the same operations in the same order as for a single
     outlet.
     """
-    l_c, area, area_other, attributed, residual, theta, theta_other, phi = np.array(rows, float).T
     ranges = bundle.feature_ranges
-    scales = SimpleNamespace(**scale_fields(l_c, fluid, bundle.re_c))
-
-    lam = attributed / scales.l_c
+    scales = scale_fields(features.l_c, fluid, bundle.re_c)
+    raw = vars(features)
+    lam = features.lam_self
     lam_lo, lam_hi = ranges["lam_self"]
-    raw = {
-        "alpha_self": area / scales.a_c,
-        "alpha_other": area_other / scales.a_c,
-        "theta_self": theta,
-        "theta_other": theta_other,
-        "phi_self": phi,
-    }
     feats = {feat: np.clip(raw[feat], *ranges[feat]) for feat in _CLAMPED_FEATURES}
     feats["lam_self"] = np.clip(lam, lam_lo, lam_hi)
     clamped = {feat: feats[feat] != raw[feat] for feat in _CLAMPED_FEATURES}
 
-    # the checks of DimensionlessGeometry, on the clamped features
-    nonpositive = (
-        (feats["alpha_self"] <= 0) | (feats["alpha_other"] <= 0) | (feats["lam_self"] <= 0)
+    invalid = invalid_geometry(
+        feats["alpha_self"], feats["alpha_other"], feats["lam_self"], feats["phi_self"]
     )
-    bad = np.flatnonzero(nonpositive | ~((0.0 < feats["phi_self"]) & (feats["phi_self"] < 1.0)))
-    if bad.size:
-        k = int(bad[0])
+    if invalid is not None:
+        k, error = invalid
         if k:  # the outlets before it may fail first
-            _predict_rows(bundle, fluid, outlets[:k], rows[:k], tags)
-        if nonpositive[k]:
-            raise InvalidGeometryError("area and length ratios must be positive")
-        raise InvalidGeometryError(
-            f"flow split must lie in (0, 1), got {float(feats['phi_self'][k])}"
-        )
+            head = SimpleNamespace(**{name: value[:k] for name, value in raw.items()})
+            _predict_rows(bundle, fluid, outlets[:k], head, tags)
+        raise error
 
     x = feature_matrix(
         feats["alpha_self"], feats["alpha_other"], feats["lam_self"],
@@ -754,7 +729,8 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, rows, tags):
         star[tags[0]], star.get("rri_rquad"), star[tags[-1]], scales
     )
 
-    # length_correction: lengths outside the trained range, by Poiseuille
+    # the length correction: lengths outside the trained range, by Poiseuille
+    area, residual = features.area, features.residual
     area2 = float_pow(area, 2)
     below, above = lam - lam_lo, lam - lam_hi
     l_add = (
@@ -794,32 +770,34 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, rows, tags):
     return coeffs, reports
 
 
-def predict_junction_coeffs(
-    bundle: ModelBundle,
-    network: VascularNetwork,
-    junction: Junction,
-    kind: str = "RRI",
-) -> tuple[list[CoefficientSet], list[dict]]:
-    """Predict dimensional coefficients for both outlets of one junction.
-
-    Out-of-range outlet lengths receive the Poiseuille length correction on
-    R_lin and L (the residual branch segment beyond the attributed length is
-    folded in the same way, since vessels carry no elements in RRI/RI mode);
-    other out-of-range features are clamped and flagged in the report.
-    """
-    _, coeffs, reports = _predict_outlets(bundle, network, [junction], kind)
-    return coeffs, reports
-
-
 def predict_network(
     bundle: ModelBundle, network: VascularNetwork, kind: str = "RRI"
 ) -> list[dict]:
     """Predict and attach coefficients at every junction; returns the report.
 
+    Out-of-range outlet lengths receive the Poiseuille length correction on
+    R_lin and L (the residual branch segment beyond the attributed length is
+    folded in the same way, since vessels carry no elements in RRI/RI mode);
+    other out-of-range features are clamped and flagged in the report.
+
     Every outlet is predicted and checked before any coefficient is attached,
-    so a failure leaves the network unchanged.
+    so a failure leaves the network unchanged.  The error is the one that
+    predicting outlet by outlet, in junction order, meets first.
     """
-    outlets, coeffs, reports = _predict_outlets(bundle, network, network.junctions, kind)
-    for outlet, c in zip(outlets, coeffs):
+    tags = ("rri_rlin", "rri_rquad", "rri_l") if kind == "RRI" else ("ri_rlin", "ri_l")
+    if network.junctions:
+        # the bundle's own checks, which the first junction meets first
+        inlet = network.vessels[network.junctions[0].inlet_vessel]
+        characteristic_scales(inlet.radius, network.fluid, bundle.re_c)
+        for tag in tags:
+            if tag not in bundle.models:
+                raise ModelError(f"bundle lacks model for {tag!r}")
+    outlets, features, missing = outlet_features(network)
+    coeffs, reports = [], []
+    if outlets:
+        coeffs, reports = _predict_rows(bundle, network.fluid, outlets, features, tags)
+    if missing is not None:
+        raise missing
+    for (_, outlet), c in zip(outlets, coeffs):
         outlet.coefficients = c
     return reports

@@ -74,6 +74,12 @@ def poiseuille_elements(length: float, area: float, fluid: Fluid) -> tuple[float
     return R, L
 
 
+def circle_radius(area: float) -> float:
+    """Radius of a circular section of the given area, sqrt(A/pi).  A
+    junction's characteristic length l_c is the radius of its inlet."""
+    return math.sqrt(area / math.pi)
+
+
 def stenosis_resistance(area: float, stenosis_area: float, kt: float, rho: float) -> float:
     """Empirical expansion-loss resistance, proportional to Q|Q|."""
     if not (0 < stenosis_area <= area):
@@ -81,26 +87,6 @@ def stenosis_resistance(area: float, stenosis_area: float, kt: float, rho: float
             f"need 0 < A_stenosis <= A, got A={area}, A_stenosis={stenosis_area}"
         )
     return (kt * rho / (2.0 * area**2)) * (area / stenosis_area - 1.0) ** 2
-
-
-def length_correction(
-    lam: float,
-    lam_min: float,
-    lam_max: float,
-    l_c: float,
-    outlet_area: float,
-    fluid: Fluid,
-) -> tuple[float, float]:
-    """Poiseuille correction for outlet lengths outside the trained range.
-
-    Returns (delta_R, delta_L); both are negative when lam < lam_min.
-    """
-    if l_c <= 0 or outlet_area <= 0:
-        raise InvalidGeometryError("l_c and outlet area must be positive")
-    l_add = min(0.0, lam - lam_min) * l_c + max(0.0, lam - lam_max) * l_c
-    delta_r = l_add * 8.0 * math.pi * fluid.mu / outlet_area**2
-    delta_l = l_add * fluid.rho / outlet_area
-    return delta_r, delta_l
 
 
 @dataclass(frozen=True)
@@ -135,7 +121,7 @@ class Vessel:
 
     @property
     def radius(self) -> float:
-        return math.sqrt(self.area / math.pi)
+        return circle_radius(self.area)
 
     def elements(self, fluid: Fluid) -> tuple[float, float]:
         return poiseuille_elements(self.length, self.area, fluid)
@@ -233,10 +219,6 @@ class Topology:
     preorder: tuple[str, ...]  # root first, every vessel before its subtree
     depth: dict[str, int]  # junction id -> number of junctions upstream
 
-    def subtree(self, vessel_id: str) -> list[str]:
-        """Vessels of the subtree rooted at vessel_id, in pre-order."""
-        return _preorder(self.feeds, vessel_id)
-
 
 def _preorder(feeds: dict[str, Junction], vessel_id: str) -> list[str]:
     """Walk down from vessel_id: each vessel, then its first outlet's subtree,
@@ -312,6 +294,16 @@ class VascularNetwork:
         jids = [j.id for j in self.junctions]
         if len(set(jids)) != len(jids):
             raise SchemaError("duplicate junction ids")
+        for v in self.vessels.values():
+            try:
+                finite = all(map(math.isfinite, v.elements(self.fluid)))
+            except (ZeroDivisionError, OverflowError):  # A**2 under- or overflows
+                finite = False
+            if not finite:
+                raise InvalidGeometryError(
+                    f"vessel {v.id}: Poiseuille resistance and inductance must be "
+                    f"finite, got l={v.length}, A={v.area}"
+                )
 
         for j in self.junctions:
             for vid in [j.inlet_vessel] + [o.vessel_id for o in j.outlets]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .network import Fluid, InvalidGeometryError
+from .network import Fluid, InvalidGeometryError, circle_radius
 
 DEFAULT_RE_C = 4500.0  # reference Reynolds number; the choice is arbitrary
 
@@ -19,33 +20,6 @@ class NondimError(Exception):
 
 class DegenerateFeatureError(NondimError):
     pass
-
-
-@dataclass(frozen=True)
-class CharacteristicScales:
-    """Characteristic values derived from the inlet radius l_c.
-
-    A_c = pi*l_c^2, U_c = Re_c*mu/(2*rho*l_c), Q_c = A_c*U_c,
-    t_c = l_c/U_c, P_c = rho*U_c^2.
-    """
-
-    l_c: float
-    a_c: float
-    u_c: float
-    q_c: float
-    t_c: float
-    p_c: float
-    re_c: float
-
-    def __post_init__(self):
-        checks = {
-            "a_c": math.pi * self.l_c**2,
-            "q_c": self.a_c * self.u_c,
-            "t_c": self.l_c / self.u_c,
-        }
-        for name, expected in checks.items():
-            if not math.isclose(getattr(self, name), expected, rel_tol=1e-12):
-                raise NondimError(f"inconsistent characteristic scale {name}")
 
 
 def float_pow(x, p):
@@ -61,28 +35,30 @@ def float_pow(x, p):
     return x**p
 
 
-def scale_fields(l_c, fluid: Fluid, re_c: float) -> dict:
-    """The fields of CharacteristicScales for l_c a float or an array of
-    them, unchecked; characteristic_scales checks and wraps them."""
+def characteristic_area(l_c):
+    """A_c = pi*l_c^2, for l_c a float or an array of them."""
+    return math.pi * float_pow(l_c, 2)
+
+
+def scale_fields(l_c, fluid: Fluid, re_c: float) -> SimpleNamespace:
+    """Characteristic values derived from the inlet radius l_c, a float or an
+    array of them, unchecked: A_c = pi*l_c^2, U_c = Re_c*mu/(2*rho*l_c),
+    Q_c = A_c*U_c, t_c = l_c/U_c, P_c = rho*U_c^2."""
     u_c = re_c * fluid.mu / (fluid.rho * 2.0 * l_c)
-    a_c = math.pi * float_pow(l_c, 2)
-    return {
-        "l_c": l_c,
-        "a_c": a_c,
-        "u_c": u_c,
-        "q_c": a_c * u_c,
-        "t_c": l_c / u_c,
-        "p_c": fluid.rho * float_pow(u_c, 2),
-        "re_c": re_c,
-    }
+    a_c = characteristic_area(l_c)
+    return SimpleNamespace(
+        l_c=l_c, a_c=a_c, u_c=u_c, q_c=a_c * u_c, t_c=l_c / u_c,
+        p_c=fluid.rho * float_pow(u_c, 2), re_c=re_c,
+    )
 
 
 def characteristic_scales(
     l_c: float, fluid: Fluid, re_c: float = DEFAULT_RE_C
-) -> CharacteristicScales:
+) -> SimpleNamespace:
+    """scale_fields for one junction, after checking l_c and Re_c."""
     if l_c <= 0 or re_c <= 0:
         raise InvalidGeometryError(f"need l_c > 0 and Re_c > 0, got {l_c}, {re_c}")
-    return CharacteristicScales(**scale_fields(l_c, fluid, re_c))
+    return scale_fields(l_c, fluid, re_c)
 
 
 @dataclass(frozen=True)
@@ -117,12 +93,9 @@ class DimensionlessGeometry:
     )
 
     def __post_init__(self):
-        if self.alpha_self <= 0 or self.alpha_other <= 0 or self.lam_self <= 0:
-            raise InvalidGeometryError("area and length ratios must be positive")
-        if not (0.0 < self.phi_self < 1.0):
-            raise InvalidGeometryError(
-                f"flow split must lie in (0, 1), got {self.phi_self}"
-            )
+        invalid = invalid_geometry(self.alpha_self, self.alpha_other, self.lam_self, self.phi_self)
+        if invalid is not None:
+            raise invalid[1]
 
     def vector(self) -> np.ndarray:
         base = (self.alpha_self, self.alpha_other, self.lam_self,
@@ -150,6 +123,40 @@ def feature_matrix(alpha_self, alpha_other, lam_self, theta_self, theta_other, p
     )
 
 
+def base_descriptors(l_c, area_self, area_other, length_self, theta_self,
+                     theta_other, phi_self) -> dict:
+    """The fields of DimensionlessGeometry, unclamped and unchecked, for an
+    outlet of area area_self and attributed length length_self whose sibling
+    has area area_other, behind a junction inlet of radius l_c: alpha = A/A_c
+    and lam = length/l_c.  Floats, or n-vectors for n outlets."""
+    a_c = characteristic_area(l_c)
+    return {
+        "alpha_self": area_self / a_c,
+        "alpha_other": area_other / a_c,
+        "lam_self": length_self / l_c,
+        "theta_self": theta_self,
+        "theta_other": theta_other,
+        "phi_self": phi_self,
+    }
+
+
+def invalid_geometry(alpha_self, alpha_other, lam_self, phi_self):
+    """The first outlet whose descriptors DimensionlessGeometry rejects, as
+    (index, InvalidGeometryError), or None if it takes them all: the ratios
+    must be positive and the flow split in (0, 1).  Floats for one outlet,
+    or n-vectors."""
+    nonpositive = (alpha_self <= 0) | (alpha_other <= 0) | (lam_self <= 0)
+    # operators that floats and arrays share; phi != phi rejects a NaN split
+    outside = (phi_self <= 0.0) | (phi_self >= 1.0) | (phi_self != phi_self)
+    bad = np.flatnonzero(nonpositive | outside)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    if np.ravel(nonpositive)[k]:
+        return k, InvalidGeometryError("area and length ratios must be positive")
+    return k, InvalidGeometryError(f"flow split must lie in (0, 1), got {np.ravel(phi_self)[k]}")
+
+
 def nondimensionalize_geometry(
     inlet_area: float,
     outlet_areas: tuple[float, float],
@@ -158,24 +165,19 @@ def nondimensionalize_geometry(
     phi: tuple[float, float],
     outlet: int,
 ) -> DimensionlessGeometry:
-    """Dimensionless descriptor for one outlet (0 or 1) of a junction.
+    """Dimensionless descriptor for one outlet (0 or 1) of a junction, from
+    base_descriptors.
 
     The characteristic length is the junction inlet radius, so the result is
     invariant under uniform spatial scaling of the junction.
     """
     if inlet_area <= 0:
         raise InvalidGeometryError("inlet area must be positive")
-    l_c = math.sqrt(inlet_area / math.pi)
-    a_c = math.pi * l_c**2
     other = 1 - outlet
-    return DimensionlessGeometry(
-        alpha_self=outlet_areas[outlet] / a_c,
-        alpha_other=outlet_areas[other] / a_c,
-        lam_self=outlet_lengths[outlet] / l_c,
-        theta_self=outlet_angles[outlet],
-        theta_other=outlet_angles[other],
-        phi_self=phi[outlet],
-    )
+    return DimensionlessGeometry(**base_descriptors(
+        circle_radius(inlet_area), outlet_areas[outlet], outlet_areas[other],
+        outlet_lengths[outlet], outlet_angles[outlet], outlet_angles[other], phi[outlet],
+    ))
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ def redimensionalize_values(r_lin, r_quad, l, scales):
 
 
 def nondimensionalize_coeffs(
-    coeffs: CoefficientSet, scales: CharacteristicScales
+    coeffs: CoefficientSet, scales: SimpleNamespace
 ) -> CoefficientSet:
     if coeffs.dimensionless:
         raise NondimError("coefficients are already dimensionless")
@@ -266,7 +268,7 @@ def nondimensionalize_coeffs(
 
 
 def redimensionalize_coeffs(
-    coeffs: CoefficientSet, scales: CharacteristicScales
+    coeffs: CoefficientSet, scales: SimpleNamespace
 ) -> CoefficientSet:
     if not coeffs.dimensionless:
         raise NondimError("coefficients are already dimensional")

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import scipy.optimize
@@ -295,22 +294,6 @@ class _StandardSystem:
         jac = template.copy()
         jac.data[slots] = block.ravel()
         return jac
-
-
-def assemble_standard_residual(
-    network: VascularNetwork,
-    state: np.ndarray,
-    state_prev: Optional[np.ndarray] = None,
-    dt: Optional[float] = None,
-    inflow: Optional[float] = None,
-) -> np.ndarray:
-    """Residual of the standard 0D equations.  dt=None means steady
-    (all time derivatives zero); otherwise backward differences against
-    state_prev.  States are in the network's topology order.
-    """
-    if inflow is None:
-        inflow = network.inflow_bc.steady_flow()
-    return _StandardSystem(network).residual(state, state_prev, dt, inflow)
 
 
 def _scaled_norm(res, jac, x):

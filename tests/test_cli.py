@@ -13,7 +13,7 @@ import pytest
 from tests.conftest import make_single_junction, make_single_vessel, random_shape_tree, rri_coeffs
 import vascrom
 from vascrom.cli import build_parser, main
-from vascrom.network import load_network, network_to_dict, save_network
+from vascrom.network import generate_symmetric_tree, load_network, network_to_dict, save_network
 
 
 def _write_single_vessel(path, **kwargs):
@@ -126,6 +126,24 @@ def test_solve_rejects_infinite_inflow(tmp_path, capsys):
 
     assert _solve_with_bad_value(tmp_path, edit) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate-splits"])
+@pytest.mark.parametrize("field, value", [("area", 1e-320), ("area", 1e200), ("length", 1e308)])
+def test_vessel_with_non_finite_poiseuille_elements_exits_1(tmp_path, capsys, command,
+                                                             field, value):
+    """Finite, positive geometry whose Poiseuille R or L is not: A**2
+    underflows to zero or overflows, or R overflows.  These ended in a
+    traceback, or for the long vessel in a singular Jacobian (exit 2)."""
+    data = network_to_dict(generate_symmetric_tree(depth=2))
+    data["vessels"][1][field] = value
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(data))
+    out = {"solve": ["--out", str(tmp_path / "o")],
+           "estimate-splits": ["--out", str(tmp_path / "splits.json")]}[command]
+    assert main([command, "--network", str(net_path), *out]) == 1
+    err = capsys.readouterr().err
+    assert "vessel v0: Poiseuille resistance and inductance must be finite" in err
 
 
 def test_solve_rri_writes_kkt_report(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from vascrom.datagen import (
     WaveformConfig,
     build_cohort,
     central_difference,
-    distal_resistance_for_split,
     fit_ri,
     fit_rri,
     ingest_timeseries_csv,
@@ -27,7 +27,6 @@ from vascrom.datagen import (
     sample_geometries,
     synthesize_timeseries,
     systolic_waveform,
-    write_timeseries_csv,
 )
 
 FLUID = Fluid()
@@ -71,31 +70,6 @@ def test_waveform_zero_re_is_zero():
 def test_waveform_nonnegative():
     _, q = systolic_waveform(2000.0, 0.3, FLUID)
     assert np.all(q >= -1e-12)
-
-
-# -- boundary conditions ---------------------------------------------------
-
-
-def test_distal_resistance_even_split():
-    assert distal_resistance_for_split(0.5) == pytest.approx(1e5)
-
-
-def test_distal_resistance_quarter_split():
-    assert distal_resistance_for_split(0.25) == pytest.approx(3e5)
-
-
-def test_distal_resistance_limit_and_errors():
-    assert distal_resistance_for_split(0.999) < 110.0
-    with pytest.raises(DatagenError):
-        distal_resistance_for_split(0.0)
-    with pytest.raises(DatagenError):
-        distal_resistance_for_split(1.0)
-
-
-def test_distal_resistance_balance_property():
-    for phi in (0.15, 0.3, 0.5, 0.72, 0.89):
-        r1 = distal_resistance_for_split(phi, r_dist2=1e5)
-        assert phi * r1 == pytest.approx((1 - phi) * 1e5, rel=1e-12)
 
 
 # -- sampling --------------------------------------------------------------
@@ -273,6 +247,15 @@ def test_r_squared_zero_variance_rejected():
 
 
 # -- CSV round trip --------------------------------------------------------
+
+
+def write_timeseries_csv(series, path):
+    """A t,Q,dP file with every value written as its repr."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["t", "Q", "dP"])
+        for t, q, dp in zip(series.t, series.q, series.dp):
+            w.writerow([repr(float(t)), repr(float(q)), repr(float(dp))])
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vascrom.flowsplit import (
     FlowSplitError,
     UnsupportedConfigurationError,
-    effective_resistance,
     ensure_flow_splits,
     estimate_flow_splits,
     write_split_report,
@@ -63,21 +62,29 @@ def _junction_net(r_v0, r_v1, r_v2, bc_r1, bc_r2, inflow=100.0, pd=0.0):
 
 
 def test_leaf_series_sum():
-    vessels = {"v0": _vessel("v0", 10.0)}
-    bcs = [
-        BoundaryCondition(vessel_id="v0", kind="FLOW", value=1.0),
-        BoundaryCondition(vessel_id="v0", kind="RESISTANCE", r=90.0),
-    ]
-    net = VascularNetwork(fluid=FLUID, vessels=vessels, junctions=[],
-                          boundary_conditions=bcs)
-    assert effective_resistance(net, "v0") == pytest.approx(100.0, rel=1e-12)
+    # an outlet vessel of 10 ending in a BC of 90
+    net = _junction_net(5.0, 10.0, 50.0, 90.0, 150.0)
+    assert estimate_flow_splits(net).resistances["v1"] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_parallel_of_identical_subtrees():
-    # two child subtrees of 200 each (child vessel 50 + BC 150) under a
-    # parent vessel of 10: 10 + (1/200 + 1/200)^-1 = 110
-    net = _junction_net(10.0, 50.0, 50.0, 150.0, 150.0)
-    assert effective_resistance(net, "v0") == pytest.approx(110.0, rel=1e-12)
+    # outlet v0 of 10 feeds two child subtrees of 200 each (child vessel 50 +
+    # BC 150): 10 + (1/200 + 1/200)^-1 = 110
+    vessels = {vid: _vessel(vid, r) for vid, r in
+               (("v", 1.0), ("w", 1.0), ("v0", 10.0), ("v1", 50.0), ("v2", 50.0))}
+    junctions = [
+        Junction(id="jv", inlet_vessel="v", outlets=[
+            JunctionOutlet(vessel_id="v0", angle=0.5), JunctionOutlet(vessel_id="w", angle=0.5)]),
+        Junction(id="j0", inlet_vessel="v0", outlets=[
+            JunctionOutlet(vessel_id="v1", angle=0.5), JunctionOutlet(vessel_id="v2", angle=0.5)]),
+    ]
+    bcs = [BoundaryCondition(vessel_id="v", kind="FLOW", value=1.0)] + [
+        BoundaryCondition(vessel_id=vid, kind="RESISTANCE", r=r)
+        for vid, r in (("w", 1.0), ("v1", 150.0), ("v2", 150.0))
+    ]
+    net = VascularNetwork(fluid=FLUID, vessels=vessels, junctions=junctions,
+                          boundary_conditions=bcs)
+    assert estimate_flow_splits(net).resistances["v0"] == pytest.approx(110.0, rel=1e-12)
 
 
 def test_depth_two_matches_hand_ladder_reduction():
@@ -92,10 +99,11 @@ def test_depth_two_matches_hand_ladder_reduction():
         r2 = hand(j.outlets[1].vessel_id)
         return r_v + r1 * r2 / (r1 + r2)
 
-    for vid in net.vessels:
-        assert effective_resistance(net, vid) == pytest.approx(
-            hand(vid), rel=1e-12
-        )
+    resistances = estimate_flow_splits(net).resistances
+    # every vessel but the root is a junction outlet
+    assert set(resistances) == set(net.vessels) - {"v"}
+    for vid, r in resistances.items():
+        assert r == pytest.approx(hand(vid), rel=1e-12)
 
 
 def test_effective_resistance_requires_resistance_leaves():
@@ -105,19 +113,20 @@ def test_effective_resistance_requires_resistance_leaves():
         bc for bc in net.boundary_conditions if bc.vessel_id != "v2"
     ]
     with pytest.raises(UnsupportedConfigurationError, match="v2"):
-        effective_resistance(net, "v0")
+        estimate_flow_splits(net)
 
 
 def test_effective_resistance_monotone_in_leaf_bc():
     base = generate_symmetric_tree(depth=3)
-    r0 = effective_resistance(base, "v")
+    r0 = estimate_flow_splits(base).resistances
     for leaf in base.leaf_vessels():
         data = network_to_dict(base)
         for bc in data["boundary_conditions"]:
             if bc["kind"] == "RESISTANCE" and bc["vessel_id"] == leaf:
                 bc["value"]["R"] *= 3.0
-        bumped = network_from_dict(data)
-        assert effective_resistance(bumped, "v") >= r0
+        bumped = estimate_flow_splits(network_from_dict(data)).resistances
+        assert all(bumped[vid] >= r for vid, r in r0.items())
+        assert bumped[leaf] > r0[leaf]
 
 
 # -- split estimation ------------------------------------------------------

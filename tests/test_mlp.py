@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vascrom.network import Fluid, generate_symmetric_tree, length_correction
+from vascrom.network import Fluid, generate_symmetric_tree
 from vascrom.nondim import ZNormStats, characteristic_scales
 from vascrom.flowsplit import estimate_flow_splits
 from vascrom.mlp import (
@@ -20,7 +20,7 @@ from vascrom.mlp import (
     load_models,
     loss_and_grads,
     mlp_forward,
-    predict_junction_coeffs,
+    outlet_features,
     predict_network,
     save_dataset,
     save_models,
@@ -306,7 +306,7 @@ def test_predict_requires_flow_splits(trained_bundle):
     bundle, _ = trained_bundle
     net = generate_symmetric_tree(depth=1)
     with pytest.raises(ModelError, match="flow split"):
-        predict_junction_coeffs(bundle, net, net.junctions[0])
+        predict_network(bundle, net)
 
 
 def test_predict_populates_all_junctions(trained_bundle):
@@ -343,15 +343,15 @@ def test_predict_out_of_range_lambda_gets_length_correction(trained_bundle):
     net_at_max = tree_with_ratio(ratio_hi)
     net_beyond = tree_with_ratio(ratio_hi + 10.0)
 
-    c_at, _ = predict_junction_coeffs(bundle, net_at_max, net_at_max.junctions[0])
-    c_beyond, rep = predict_junction_coeffs(
-        bundle, net_beyond, net_beyond.junctions[0]
-    )
+    predict_network(bundle, net_at_max)
+    predict_network(bundle, net_beyond)
+    c_at, c_beyond = ([o.coefficients for o in net.junctions[0].outlets]
+                      for net in (net_at_max, net_beyond))
     fluid = Fluid()
     inlet_r = net_beyond.vessels["v"].radius
     outlet = net_beyond.junctions[0].outlets[0]
     lam_actual = outlet.attributed_length / inlet_r
-    dr, dl = length_correction(
+    dr, dl = _length_correction(
         lam_actual, lam_lo, lam_hi, inlet_r,
         net_beyond.vessels[outlet.vessel_id].area, fluid,
     )
@@ -377,7 +377,8 @@ def test_predict_scale_invariance_before_redimensionalization(trained_bundle):
         nets[s] = net
     stars = {}
     for s, net in nets.items():
-        coeffs, _ = predict_junction_coeffs(bundle, net, net.junctions[0])
+        predict_network(bundle, net)
+        coeffs = [o.coefficients for o in net.junctions[0].outlets]
         scales = characteristic_scales(net.vessels["v"].radius, Fluid(),
                                        bundle.re_c)
         stars[s] = nondimensionalize_coeffs(coeffs[0], scales)
@@ -391,12 +392,21 @@ def test_predict_flags_clamped_features(trained_bundle):
     # a very asymmetric tree: huge alpha ratio falls outside the cohort range
     net = generate_symmetric_tree(depth=1, murray_exponent=0.5)
     estimate_flow_splits(net)
-    _, reports = predict_junction_coeffs(bundle, net, net.junctions[0])
+    reports = predict_network(bundle, net)
     clamped = [c for r in reports for c in r["clamped_features"]]
     assert clamped  # at least one feature was clamped and flagged
 
 
 # -- batched prediction against the outlet-by-outlet algorithm -------------
+
+
+def _length_correction(lam, lam_min, lam_max, l_c, outlet_area, fluid):
+    """Poiseuille correction (delta_R, delta_L) for an outlet length outside
+    the trained range; both are negative when lam < lam_min."""
+    l_add = min(0.0, lam - lam_min) * l_c + max(0.0, lam - lam_max) * l_c
+    delta_r = l_add * 8.0 * math.pi * fluid.mu / outlet_area**2
+    delta_l = l_add * fluid.rho / outlet_area
+    return delta_r, delta_l
 
 
 def _reference_predict_junction(bundle, network, junction, kind="RRI"):
@@ -468,7 +478,7 @@ def _reference_predict_junction(bundle, network, junction, kind="RRI"):
             star = CoefficientSet(kind="RI", r_lin=preds["ri_rlin"], l=preds["ri_l"],
                                   dimensionless=True)
         dim = redimensionalize_coeffs(star, scales)
-        dr, dl = length_correction(lam, lam_lo, lam_hi, scales.l_c, vessel.area, fluid)
+        dr, dl = _length_correction(lam, lam_lo, lam_hi, scales.l_c, vessel.area, fluid)
         if outlet.residual_length and outlet.residual_length > 0:
             rr, rl = poiseuille_elements(outlet.residual_length, vessel.area, fluid)
             dr += rr
@@ -618,6 +628,40 @@ def test_batched_prediction_row_by_row_on_many_trees(monkeypatch, trained_bundle
         assert predict_network(bundle, net, kind) == ref
         coeffs = [o.coefficients for j in net.junctions for o in j.outlets]
         assert coeffs == [o.coefficients for j in ref_net.junctions for o in j.outlets]
+
+
+def test_outlet_features_are_the_acceptance_descriptors_on_many_trees():
+    """The scalar nondimensionalize_geometry of the acceptance criteria and
+    the outlet_features that prediction reads agree bit for bit, on every
+    outlet of the trees of the row-by-row test."""
+    from tests.conftest import random_shape_tree
+    from vascrom.nondim import nondimensionalize_geometry
+
+    names = ("alpha_self", "alpha_other", "lam_self", "theta_self", "theta_other", "phi_self")
+    n_outlets = 0
+    for seed in range(300):
+        net = random_shape_tree(seed)
+        estimate_flow_splits(net)
+        outlets, features, missing = outlet_features(net)
+        assert missing is None
+        assert [o for _, o in outlets] == [o for j in net.junctions for o in j.outlets]
+        for k, (junction, outlet) in enumerate(outlets):
+            pair = junction.outlets
+            inlet = net.vessels[junction.inlet_vessel]
+            g = nondimensionalize_geometry(
+                inlet_area=inlet.area,
+                outlet_areas=tuple(net.vessels[o.vessel_id].area for o in pair),
+                outlet_lengths=tuple(o.attributed_length for o in pair),
+                outlet_angles=tuple(o.angle for o in pair),
+                phi=tuple(o.flow_split for o in pair),
+                outlet=pair.index(outlet),
+            )
+            assert [getattr(features, f)[k] for f in names] == [getattr(g, f) for f in names]
+            assert features.l_c[k] == inlet.radius
+            assert features.area[k] == net.vessels[outlet.vessel_id].area
+            assert features.residual[k] == outlet.residual_length
+        n_outlets += len(outlets)
+    assert n_outlets > 3000
 
 
 def test_predict_network_without_junctions(trained_bundle):

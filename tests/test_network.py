@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -19,7 +20,6 @@ from vascrom.network import (
     Vessel,
     apply_bifurcation_definition,
     generate_symmetric_tree,
-    length_correction,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -87,21 +87,54 @@ def test_stenosis_rejects_bad_areas():
 # -- length correction -----------------------------------------------------
 
 
-def test_length_correction_in_range_is_zero():
-    assert length_correction(20.0, 15.0, 41.0, 1.0, 1.0, FLUID) == (0.0, 0.0)
+def _length_correction(trained_bundle, lam, l_c):
+    """predict_network's length-correction report for an outlet of unit area
+    and attributed length lam * l_c behind an inlet of radius l_c, with the
+    trained lambda range set to [15, 41]."""
+    from vascrom.flowsplit import estimate_flow_splits
+    from vascrom.mlp import predict_network
+
+    bundle = copy.deepcopy(trained_bundle[0])
+    bundle.feature_ranges["lam_self"] = (15.0, 41.0)
+    vessels = {
+        "v0": Vessel(id="v0", length=1.0, area=math.pi * l_c**2),
+        "v1": Vessel(id="v1", length=lam * l_c, area=1.0),
+        "v2": Vessel(id="v2", length=lam * l_c, area=1.0),
+    }
+    junction = Junction(id="j0", inlet_vessel="v0", outlets=[
+        JunctionOutlet(vessel_id="v1", angle=0.5), JunctionOutlet(vessel_id="v2", angle=0.5),
+    ])
+    bcs = [
+        BoundaryCondition(vessel_id="v0", kind="FLOW", value=1.0),
+        BoundaryCondition(vessel_id="v1", kind="RESISTANCE", r=100.0),
+        BoundaryCondition(vessel_id="v2", kind="RESISTANCE", r=100.0),
+    ]
+    # full_branch: the whole outlet is attributed, so no residual segment
+    net = apply_bifurcation_definition(VascularNetwork(
+        fluid=FLUID, vessels=vessels, junctions=[junction], boundary_conditions=bcs,
+        bifurcation_definition="full_branch",
+    ))
+    estimate_flow_splits(net)
+    report = predict_network(bundle, net)[0]
+    assert report["lambda"] == lam
+    return report["length_correction"]
 
 
-def test_length_correction_above_max():
-    dr, dl = length_correction(42.0, 15.0, 41.0, 1.0, 1.0, FLUID)
-    assert dr == pytest.approx(1.0053096491487339, rel=1e-12)
-    assert dl == pytest.approx(1.06, rel=1e-12)
+def test_length_correction_in_range_is_zero(trained_bundle):
+    assert _length_correction(trained_bundle, 20.0, 1.0) == {"delta_r": 0.0, "delta_l": 0.0}
 
 
-def test_length_correction_below_min_is_negative():
-    dr, dl = length_correction(14.5, 15.0, 41.0, 2.0, 1.0, FLUID)
+def test_length_correction_above_max(trained_bundle):
+    c = _length_correction(trained_bundle, 42.0, 1.0)
+    assert c["delta_r"] == pytest.approx(1.0053096491487339, rel=1e-12)
+    assert c["delta_l"] == pytest.approx(1.06, rel=1e-12)
+
+
+def test_length_correction_below_min_is_negative(trained_bundle):
+    c = _length_correction(trained_bundle, 14.5, 2.0)
     # l_add = -0.5 * 2 = -1
-    assert dr == pytest.approx(-1.0053096491487339, rel=1e-12)
-    assert dl == pytest.approx(-1.06, rel=1e-12)
+    assert c["delta_r"] == pytest.approx(-1.0053096491487339, rel=1e-12)
+    assert c["delta_l"] == pytest.approx(-1.06, rel=1e-12)
 
 
 # -- symmetric tree generator ----------------------------------------------
