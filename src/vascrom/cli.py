@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import NetworkError, generate_symmetric_tree, load_network, save_network
+from .network import (BIFURCATION_DEFINITIONS, NetworkError, generate_symmetric_tree,
+                      load_network, save_network)
 from .nondim import NondimError
 from .datagen import (
     DatagenError,
@@ -265,11 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--murray-exponent", type=float, default=3.0)
     p.add_argument("--inflow", type=float, default=100.0, help="steady inflow [cm^3/s]")
     p.add_argument("--leaf-resistance", type=float, default=1e5, help="[Ba s/cm^3]")
-    p.add_argument(
-        "--bif-def",
-        default="partial_branch",
-        choices=["no_branch", "partial_branch", "full_branch"],
-    )
+    p.add_argument("--bif-def", default="partial_branch", choices=BIFURCATION_DEFINITIONS)
     p.add_argument("--out", required=True, help="output network JSON path")
     p.set_defaults(func=cmd_make_tree)
 

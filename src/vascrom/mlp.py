@@ -3,10 +3,12 @@ geometry -> dimensional-coefficient prediction pipeline."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
@@ -53,9 +55,6 @@ class MlpModel:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ModelError(f"model {self.tag}: weight/bias layer mismatch")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -341,82 +340,58 @@ class TrainingDataset:
 
 
 def save_dataset(dataset: TrainingDataset, outdir) -> None:
-    from pathlib import Path
-
+    """Write `dataset.csv` (inputs, one target column per tag, split) and
+    `stats.json` (the normalization block) into outdir."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    tags = list(dataset.target_stats)
     split = np.full(dataset.inputs.shape[0], "train", dtype=object)
     split[dataset.val_idx] = "val"
-    header = [f"f{i}" for i in range(dataset.inputs.shape[1])] + ["target", "split"]
-    # CSV lines as csv.writer makes them; no cell needs quoting (floats in
-    # repr form, the split names), and the inputs are formatted once
-    inputs = [",".join([repr(float(v)) for v in row]) for row in dataset.inputs]
-    for tag, y in dataset.targets.items():
-        with open(outdir / f"{tag}.csv", "w", newline="") as f:
-            f.write(",".join(header) + "\r\n")
-            f.writelines(f"{x},{float(t)!r},{s}\r\n" for x, t, s in zip(inputs, y, split))
-    stats = {
-        "re_c": dataset.re_c,
-        "input_mean": list(dataset.input_stats.mean),
-        "input_std": list(dataset.input_stats.std),
-        "target_stats": {
-            tag: {"mean": list(st.mean), "std": list(st.std)}
-            for tag, st in dataset.target_stats.items()
-        },
-        "feature_ranges": {k: list(v) for k, v in dataset.feature_ranges.items()},
-    }
+    values = np.column_stack([dataset.inputs] + [dataset.targets[tag] for tag in tags])
+    # CSV lines as csv.writer makes them; no cell needs quoting
+    with open(outdir / "dataset.csv", "w", newline="") as f:
+        f.write(",".join(_dataset_header(dataset.inputs.shape[1], tags)) + "\r\n")
+        f.writelines(f"{','.join(map(repr, r))},{s}\r\n" for r, s in zip(values.tolist(), split))
     with open(outdir / "stats.json", "w") as f:
-        f.write(json.dumps(stats, indent=1))
+        f.write(json.dumps(_norm_block(dataset), indent=1))
 
 
 def load_dataset(outdir) -> TrainingDataset:
-    import csv
-    from pathlib import Path
-
+    """Read what save_dataset wrote; a header that does not match stats.json or
+    a malformed row raises a ModelError naming file:line."""
     outdir = Path(outdir)
-    with open(outdir / "stats.json") as f:
-        stats = json.load(f)
-    targets = {}
-    first = inputs = split = keys = None
-    for tag in stats["target_stats"]:
-        path = outdir / f"{tag}.csv"
-        y, row_keys, x = [], [], []
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, [])
-            for r in reader:
-                if len(r) != len(header):
-                    raise ModelError(f"{path}:{reader.line_num}: {len(r)} cells, header has {len(header)}")
-                y.append(float(r[-2]))
-                row_keys.append((",".join(r[:-2]), r[-1]))
-                if first is None:
-                    x.append([float(v) for v in r[:-2]])
-        targets[tag] = np.array(y)
-        # every tag file must carry the first file's input and split cells
-        if first is None:
-            first, keys = path, row_keys
-            inputs = np.array(x)
-            split = np.array([s for _, s in row_keys])
-        elif row_keys != keys:
-            if len(row_keys) != len(keys):
-                raise ModelError(f"{path}: {len(row_keys)} data rows, {first.name} has {len(keys)}")
-            row = next(i for i, (a, b) in enumerate(zip(row_keys, keys)) if a != b)
-            raise ModelError(f"{path}:{row + 2}: inputs or split differ from {first.name}")
-    train_idx = np.flatnonzero(split == "train")
-    val_idx = np.flatnonzero(split == "val")
+    _, norm = _read_norm_block(outdir / "stats.json")
+    n_inputs, tags = norm["input_stats"].mean.size, list(norm["target_stats"])
+    header = _dataset_header(n_inputs, tags)
+    path, rows, split = outdir / "dataset.csv", [], []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        if (got := next(reader, [])) != header:
+            raise ModelError(f"{path}:1: header {','.join(got)!r}, stats.json needs "
+                             f"{','.join(header)!r}")
+        for r in reader:
+            try:
+                row = [float(v) for v in r[:-1]]
+            except ValueError:
+                row = [math.nan]
+            if (len(r) != len(header) or r[-1] not in ("train", "val")
+                    or not all(map(math.isfinite, row))):
+                raise ModelError(f"{path}:{reader.line_num}: need {len(header) - 1} finite "
+                                 f"numbers and a split of train or val, got {','.join(r)!r}")
+            rows.append(row)
+            split.append(r[-1])
+    values, split = np.array(rows).reshape(-1, len(header) - 1), np.array(split)
     return TrainingDataset(
-        inputs=inputs,
-        targets=targets,
-        input_stats=ZNormStats(np.array(stats["input_mean"]), np.array(stats["input_std"])),
-        target_stats={
-            tag: ZNormStats(np.array(s["mean"]), np.array(s["std"]))
-            for tag, s in stats["target_stats"].items()
-        },
-        train_idx=train_idx,
-        val_idx=val_idx,
-        feature_ranges={k: tuple(v) for k, v in stats["feature_ranges"].items()},
-        re_c=float(stats["re_c"]),
+        inputs=values[:, :n_inputs],
+        targets={tag: values[:, n_inputs + k] for k, tag in enumerate(tags)},
+        train_idx=np.flatnonzero(split == "train"),
+        val_idx=np.flatnonzero(split == "val"),
+        **norm,
     )
+
+
+def _dataset_header(n_inputs: int, tags: list[str]) -> list[str]:
+    return [f"f{i}" for i in range(n_inputs)] + tags + ["split"]
 
 
 # -- training -------------------------------------------------------------
@@ -558,7 +533,6 @@ def train_models(
 
 @dataclass
 class ModelBundle:
-    version: int
     re_c: float
     input_stats: ZNormStats
     target_stats: dict[str, ZNormStats]
@@ -568,7 +542,6 @@ class ModelBundle:
     @classmethod
     def from_training(cls, dataset: TrainingDataset, models: dict[str, MlpModel]):
         return cls(
-            version=BUNDLE_VERSION,
             re_c=dataset.re_c,
             input_stats=dataset.input_stats,
             target_stats=dataset.target_stats,
@@ -579,17 +552,8 @@ class ModelBundle:
 
 def save_models(bundle: ModelBundle, path) -> None:
     out = {
-        "version": bundle.version,
-        "scales_policy": {"re_c": bundle.re_c, "l_c": "junction inlet radius"},
-        "znorm_in": {
-            "mean": list(bundle.input_stats.mean),
-            "std": list(bundle.input_stats.std),
-        },
-        "znorm_out": {
-            tag: {"mean": list(st.mean), "std": list(st.std)}
-            for tag, st in bundle.target_stats.items()
-        },
-        "ranges": {k: list(v) for k, v in bundle.feature_ranges.items()},
+        "version": BUNDLE_VERSION,
+        **_norm_block(bundle),
         "models": [
             {
                 "tag": m.tag,
@@ -605,36 +569,71 @@ def save_models(bundle: ModelBundle, path) -> None:
 
 
 def load_models(path) -> ModelBundle:
+    data, norm = _read_norm_block(path)
+    if data.get("version") != BUNDLE_VERSION:
+        raise ModelError(f"{path}: bundle version {data.get('version')} != {BUNDLE_VERSION}")
+    models = {
+        m["tag"]: MlpModel(m["tag"], [np.array(w, float) for w in m["weights"]],
+                           [np.array(b, float) for b in m["biases"]])
+        for m in data["models"]
+    }
+    return ModelBundle(models=models, **norm)
+
+
+def _norm_block(src) -> dict:
+    """The normalization block of stats.json and models.json."""
+
+    def znorm(st):
+        return {"mean": list(st.mean), "std": list(st.std)}
+
+    return {
+        "scales_policy": {"re_c": src.re_c, "l_c": "junction inlet radius"},
+        "znorm_in": znorm(src.input_stats),
+        "znorm_out": {tag: znorm(st) for tag, st in src.target_stats.items()},
+        "ranges": {k: list(v) for k, v in src.feature_ranges.items()},
+    }
+
+
+def _read_norm_block(path) -> tuple[dict, dict]:
+    """The JSON document in path, a stats.json or models.json, and the re_c,
+    input_stats, target_stats and feature_ranges fields of a TrainingDataset
+    or ModelBundle, read from its normalization block.  Invalid JSON or a
+    missing or malformed field raises a ModelError naming the file and field."""
     with open(path) as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as e:
             raise ModelError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}") from e
-    if data.get("version") != BUNDLE_VERSION:
-        raise ModelError(
-            f"{path}: bundle version {data.get('version')} != {BUNDLE_VERSION}"
-        )
-    models = {}
-    for m in data["models"]:
-        model = MlpModel(
-            tag=m["tag"],
-            weights=[np.array(w, float) for w in m["weights"]],
-            biases=[np.array(b, float) for b in m["biases"]],
-        )
-        models[m["tag"]] = model
-    return ModelBundle(
-        version=data["version"],
-        re_c=float(data["scales_policy"]["re_c"]),
-        input_stats=ZNormStats(
-            np.array(data["znorm_in"]["mean"]), np.array(data["znorm_in"]["std"])
-        ),
-        target_stats={
-            tag: ZNormStats(np.array(s["mean"]), np.array(s["std"]))
-            for tag, s in data["znorm_out"].items()
-        },
-        feature_ranges={k: tuple(v) for k, v in data["ranges"].items()},
-        models=models,
-    )
+
+    def get(*keys):
+        value = data
+        for i, key in enumerate(keys):
+            if not isinstance(value, dict) or key not in value:
+                raise ModelError(f"{path}: missing field {'.'.join(map(str, keys[: i + 1]))}")
+            value = value[key]
+        return value
+
+    def numbers(*keys, size=None, low=-math.inf):
+        value = get(*keys)
+        if not (isinstance(value, list) and value and len(value) == (size or len(value))
+                and all(type(v) in (int, float) and low < v < math.inf for v in value)):
+            raise ModelError(f"{path}: {'.'.join(keys)} must be a list of {size or 'one or more'} "
+                             f"numbers in ({low}, inf), got {value!r}")
+        return np.array(value, float)
+
+    def znorm(*keys):
+        mean = numbers(*keys, "mean")
+        return ZNormStats(mean, numbers(*keys, "std", size=mean.size, low=0.0))
+
+    re_c = get("scales_policy", "re_c")
+    if not (type(re_c) in (int, float) and 0 < re_c < math.inf):
+        raise ModelError(f"{path}: scales_policy.re_c must be a number in (0, inf), got {re_c!r}")
+    return data, {
+        "re_c": float(re_c),
+        "input_stats": znorm("znorm_in"),
+        "target_stats": {tag: znorm("znorm_out", tag) for tag in get("znorm_out")},
+        "feature_ranges": {k: tuple(numbers("ranges", k, size=2).tolist()) for k in get("ranges")},
+    }
 
 
 # -- prediction pipeline --------------------------------------------------

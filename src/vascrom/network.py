@@ -96,12 +96,11 @@ class Vessel:
     area: float
     stenosis_area: Optional[float] = None
     kt: Optional[float] = None
-    tangent: tuple[float, float, float] = (1.0, 0.0, 0.0)
     capacitance: float = DEFAULT_CAPACITANCE
 
     def __post_init__(self):
         optional = [v for v in (self.stenosis_area, self.kt) if v is not None]
-        if not all(map(math.isfinite, [self.capacitance, *self.tangent, *optional])):
+        if not all(map(math.isfinite, [self.capacitance, *optional])):
             raise InvalidGeometryError(f"vessel {self.id}: values must be finite")
         if not (0 < self.length < math.inf and 0 < self.area < math.inf):
             raise InvalidGeometryError(
@@ -113,11 +112,6 @@ class Vessel:
             )
         if self.capacitance < 0:
             raise InvalidGeometryError(f"vessel {self.id}: capacitance must be >= 0")
-        norm = math.sqrt(sum(c * c for c in self.tangent))
-        if not math.isclose(norm, 1.0, rel_tol=1e-6):
-            object.__setattr__(
-                self, "tangent", tuple(c / norm for c in self.tangent)
-            )
 
     @property
     def radius(self) -> float:
@@ -288,9 +282,9 @@ class VascularNetwork:
             raise SchemaError(
                 f"unknown bifurcation definition {self.bifurcation_definition!r}"
             )
-        ids = list(self.vessels)
-        if len(set(ids)) != len(ids):
-            raise SchemaError("duplicate vessel ids")
+        for key, v in self.vessels.items():
+            if key != v.id:
+                raise SchemaError(f"vessel {v.id!r} is stored under the key {key!r}")
         jids = [j.id for j in self.junctions]
         if len(set(jids)) != len(jids):
             raise SchemaError("duplicate junction ids")
@@ -304,6 +298,13 @@ class VascularNetwork:
                     f"vessel {v.id}: Poiseuille resistance and inductance must be "
                     f"finite, got l={v.length}, A={v.area}"
                 )
+            try:
+                finite = math.isfinite(v.stenosis_r(self.fluid))
+            except OverflowError:  # (A/A_s - 1)**2 overflows
+                finite = False
+            if not finite:
+                raise InvalidGeometryError(f"vessel {v.id}: stenosis resistance must be finite, "
+                                           f"got A={v.area}, A_stenosis={v.stenosis_area}")
 
         for j in self.junctions:
             for vid in [j.inlet_vessel] + [o.vessel_id for o in j.outlets]:

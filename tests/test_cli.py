@@ -13,6 +13,7 @@ import pytest
 from tests.conftest import make_single_junction, make_single_vessel, random_shape_tree, rri_coeffs
 import vascrom
 from vascrom.cli import build_parser, main
+from vascrom.mlp import ModelError, load_dataset
 from vascrom.network import generate_symmetric_tree, load_network, network_to_dict, save_network
 
 
@@ -144,6 +145,19 @@ def test_vessel_with_non_finite_poiseuille_elements_exits_1(tmp_path, capsys, co
     assert main([command, "--network", str(net_path), *out]) == 1
     err = capsys.readouterr().err
     assert "vessel v0: Poiseuille resistance and inductance must be finite" in err
+
+
+@pytest.mark.parametrize("stenosis_area", [1e-200, 1e-320])
+def test_vessel_with_non_finite_stenosis_resistance_exits_1(tmp_path, capsys, stenosis_area):
+    """A stenosis far narrower than its vessel overflows (A/A_s - 1)**2: this
+    ended in an OverflowError traceback (1e-200) or a singular Jacobian, exit
+    2 (1e-320)."""
+    data = network_to_dict(generate_symmetric_tree(depth=2))
+    data["vessels"][1]["stenosis_area"] = stenosis_area
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(data))
+    assert main(["solve", "--network", str(net_path), "--out", str(tmp_path / "o")]) == 1
+    assert "vessel v0: stenosis resistance must be finite" in capsys.readouterr().err
 
 
 def test_solve_rri_writes_kkt_report(tmp_path):
@@ -321,7 +335,9 @@ def test_generate_data_reproducible(tmp_path):
         rc = main(["generate-data", "--n", "4", "--seed", "11", "--out", str(outdir)])
         assert rc == 0
         dirs.append(outdir)
-    for fname in ("rri_rlin.csv", "rri_rquad.csv", "rri_l.csv", "stats.json"):
+    assert sorted(p.name for p in dirs[0].iterdir()) == [
+        "cohort_manifest.json", "dataset.csv", "manifest.json", "stats.json"]
+    for fname in ("dataset.csv", "stats.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
     manifest = json.loads((dirs[0] / "cohort_manifest.json").read_text())
     assert manifest["n_rows"] == 4 * 14
@@ -430,31 +446,44 @@ def test_train_rejects_invalid_options(tmp_path, capsys, option, message):
 
 
 @pytest.mark.parametrize(
-    "damage, message",
+    "line, damage, message",
     [
-        ("truncate", r"ri_l\.csv: 53 data rows, rri_rlin\.csv has 56"),
-        ("reorder", r"ri_l\.csv:2: inputs or split differ from rri_rlin\.csv"),
-        ("blank line", r"ri_l\.csv:5: 0 cells, header has 12"),
+        (1, "bad header", "header 'f0,.*,ri_l,split', stats.json needs 'f0,.*,ri_l,split'"),
+        (5, "short row", "need 15 finite numbers and a split of train or val"),
+        (5, "non-numeric cell", "need 15 finite numbers and a split of train or val"),
+        (5, "inf cell", "need 15 finite numbers and a split of train or val"),
+        (5, "split test", "need 15 finite numbers and a split of train or val, got '.*,test'"),
     ],
+    ids=["bad-header", "short-row", "non-numeric-cell", "inf-cell", "split-test"],
 )
-def test_train_rejects_mismatched_tag_file(tmp_path, capsys, damage, message):
+def test_train_rejects_malformed_dataset(tmp_path, capsys, line, damage, message):
     data = tmp_path / "data"
     assert main(["generate-data", "--n", "4", "--seed", "1", "--out", str(data)]) == 0
-    path = data / "ri_l.csv"
+    path = data / "dataset.csv"
     lines = path.read_text().splitlines(keepends=True)
-    if damage == "truncate":
-        lines = lines[:-3]
-    elif damage == "reorder":
-        lines[1:] = lines[:0:-1]
+    cells = lines[line - 1].rstrip("\r\n").split(",")
+    if damage == "bad header":
+        cells[12] = "rri_lin"
+    elif damage == "short row":
+        cells = cells[:-2] + cells[-1:]
+    elif damage == "non-numeric cell":
+        cells[3] = "1.0e"
+    elif damage == "inf cell":
+        cells[11] = "inf"
     else:
-        lines[4] = "\n"
-    path.write_text("".join(lines))
+        cells[-1] = "test"
+    lines[line - 1] = ",".join(cells) + "\r\n"
+    path.write_text("".join(lines), newline="")
     capsys.readouterr()
     rc = main(["train", "--data", str(data), "--epochs", "1",
                "--out", str(tmp_path / "models.json")])
     assert rc == 1
-    assert re.search(message, capsys.readouterr().err)
+    assert re.fullmatch(rf"error: {re.escape(str(path))}:{line}: {message}.*\n",
+                        capsys.readouterr().err)
     assert not (tmp_path / "models.json").exists()
+    # the reader's own error, not a KeyError or ValueError the CLI maps to exit 1
+    with pytest.raises(ModelError, match=rf"dataset\.csv:{line}: "):
+        load_dataset(data)
 
 
 # -- run manifests ---------------------------------------------------------

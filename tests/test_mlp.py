@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,12 +266,60 @@ def test_load_wrong_version_rejected(tmp_path, trained_bundle):
 def test_dataset_save_load_roundtrip(tmp_path, small_cohort):
     dataset, _ = small_cohort
     save_dataset(dataset, tmp_path / "data")
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["dataset.csv", "stats.json"]
     back = load_dataset(tmp_path / "data")
     assert np.array_equal(back.inputs, dataset.inputs)
+    assert list(back.targets) == list(dataset.targets)
     for tag in dataset.targets:
         assert np.array_equal(back.targets[tag], dataset.targets[tag])
-    assert np.array_equal(np.sort(back.val_idx), dataset.val_idx)
+        assert np.array_equal(back.target_stats[tag].mean, dataset.target_stats[tag].mean)
+        assert np.array_equal(back.target_stats[tag].std, dataset.target_stats[tag].std)
+    assert np.array_equal(back.train_idx, dataset.train_idx)
+    assert np.array_equal(back.val_idx, dataset.val_idx)
+    assert np.array_equal(back.input_stats.mean, dataset.input_stats.mean)
+    assert np.array_equal(back.input_stats.std, dataset.input_stats.std)
+    assert back.feature_ranges == dataset.feature_ranges
     assert back.re_c == dataset.re_c
+
+
+@pytest.mark.parametrize("fname", ["models.json", "stats.json"])
+@pytest.mark.parametrize("re_c", [-1, 0, math.nan])
+def test_load_rejects_bad_re_c(tmp_path, trained_bundle, small_cohort, fname, re_c):
+    """Both files carry re_c in their normalization block; a value that is
+    not finite and > 0 is rejected by name, not later as a geometry error."""
+    path = tmp_path / fname
+    if fname == "models.json":
+        save_models(trained_bundle[0], path)
+    else:
+        save_dataset(small_cohort[0], tmp_path)
+    data = json.loads(path.read_text())
+    data["scales_policy"]["re_c"] = re_c
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match=rf"^{re.escape(str(path))}: scales_policy\.re_c must"):
+        load_models(path) if fname == "models.json" else load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["znorm_in"].pop("std"), r"missing field znorm_in\.std"),
+        (lambda d: d.pop("ranges"), r"missing field ranges"),
+        (lambda d: d["znorm_out"]["ri_l"].update(std=[0.0]),
+         r"znorm_out\.ri_l\.std must be a list of 1 numbers in \(0\.0, inf\)"),
+        (lambda d: d["znorm_in"].update(mean=["0.5"] * 10), r"znorm_in\.mean must be a list"),
+        (lambda d: d["ranges"].update(lam_self=[1.0]), r"ranges\.lam_self must be a list of 2"),
+        (lambda d: d["scales_policy"].update(re_c=True), r"scales_policy\.re_c must be"),
+    ],
+    ids=["missing-std", "missing-ranges", "zero-std", "string-mean", "short-range", "bool-re_c"],
+)
+def test_load_models_rejects_malformed_norm_block(tmp_path, trained_bundle, edit, message):
+    path = tmp_path / "models.json"
+    save_models(trained_bundle[0], path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match=rf"^{re.escape(str(path))}: {message}"):
+        load_models(path)
 
 
 # -- prediction pipeline ---------------------------------------------------
@@ -1023,34 +1072,14 @@ def test_save_dataset_bytes_match_row_writer(tmp_path, small_cohort):
 
     dataset, _ = small_cohort
     save_dataset(dataset, tmp_path / "data")
-    header = [f"f{i}" for i in range(dataset.inputs.shape[1])] + ["target", "split"]
+    tags = list(dataset.target_stats)
+    header = [f"f{i}" for i in range(dataset.inputs.shape[1])] + tags + ["split"]
     val = set(dataset.val_idx.tolist())
-    for tag, y in dataset.targets.items():
-        ref = tmp_path / f"ref_{tag}.csv"
-        with open(ref, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            for i, (row, t) in enumerate(zip(dataset.inputs, y)):
-                split = "val" if i in val else "train"
-                w.writerow([repr(float(v)) for v in row] + [repr(float(t)), split])
-        assert (tmp_path / "data" / f"{tag}.csv").read_bytes() == ref.read_bytes(), tag
-
-
-def test_load_dataset_rejects_mismatched_tag_files(tmp_path, small_cohort):
-    dataset, _ = small_cohort
-    data = tmp_path / "data"
-    save_dataset(dataset, data)
-    lines = (data / "rri_l.csv").read_text().splitlines(keepends=True)
-    (data / "rri_l.csv").write_text("".join(lines[:-1]))
-    with pytest.raises(ModelError, match=r"rri_l\.csv: .* data rows"):
-        load_dataset(data)
-    lines[3], lines[4] = lines[4], lines[3]
-    (data / "rri_l.csv").write_text("".join(lines))
-    with pytest.raises(ModelError, match=r"rri_l\.csv:4: inputs or split differ"):
-        load_dataset(data)
-    lines[3], lines[4] = lines[4], lines[3]
-    row = 1 + int(dataset.train_idx[5])
-    lines[row] = lines[row].replace(",train", ",val")
-    (data / "rri_l.csv").write_text("".join(lines))
-    with pytest.raises(ModelError, match=rf"rri_l\.csv:{row + 1}: inputs or split differ"):
-        load_dataset(data)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for i, row in enumerate(dataset.inputs):
+            targets = [repr(float(dataset.targets[tag][i])) for tag in tags]
+            w.writerow([repr(float(v)) for v in row] + targets + ["val" if i in val else "train"])
+    assert (tmp_path / "data" / "dataset.csv").read_bytes() == ref.read_bytes()

@@ -259,6 +259,21 @@ def test_duplicate_vessel_ids_rejected():
         network_from_dict(data)
 
 
+def test_vessel_stored_under_another_id_rejected():
+    """network_to_dict writes each Vessel.id, so a key that differs from it
+    would save a file that network_from_dict rejects."""
+    with pytest.raises(SchemaError, match="vessel 'b' is stored under the key 'a'"):
+        VascularNetwork(
+            fluid=FLUID,
+            vessels={"a": Vessel(id="b", length=1.0, area=1.0)},
+            junctions=[],
+            boundary_conditions=[
+                BoundaryCondition(vessel_id="a", kind="FLOW", value=1.0),
+                BoundaryCondition(vessel_id="a", kind="RESISTANCE", r=100.0),
+            ],
+        )
+
+
 def test_dangling_vessel_rejected():
     data = _net_dict_single()
     data["vessels"].append({"id": "v9", "length": 1.0, "area": 1.0})
