@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -225,22 +226,39 @@ def cmd_impedance(args) -> None:
 
 
 def _read_solution_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of a solution.csv; a row that is not one finite
+    number per column raises an AnalysisError naming file:line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise AnalysisError(f"{path}: empty solution file")
-        rows = np.array([[float(v) for v in row] for row in reader])
-    return header, rows
+        rows = []
+        for row in reader:
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = [math.nan]
+            if len(values) != len(header) or not all(map(math.isfinite, values)):
+                raise AnalysisError(f"{path}:{reader.line_num}: need {len(header)} finite "
+                                    f"numbers, got {','.join(row)!r}")
+            rows.append(values)
+    if not rows:
+        raise AnalysisError(f"{path}: no solution rows")
+    return header, np.array(rows)
 
 
 def cmd_compare(args) -> None:
-    h1, sol = _read_solution_csv(Path(args.solution) / "solution.csv")
+    path = Path(args.solution) / "solution.csv"
+    h1, sol = _read_solution_csv(path)
     h2, ref = _read_solution_csv(Path(args.reference) / "solution.csv")
     if h1 != h2 or sol.shape != ref.shape:
         raise AnalysisError("solution and reference layouts do not match")
     net = load_network(args.network)
-    col = h1.index(f"P_{net.inflow_bc.vessel_id}_in")
+    name = f"P_{net.inflow_bc.vessel_id}_in"
+    if name not in h1:
+        raise AnalysisError(f"{path}: no column {name}, the inlet pressure of {args.network}")
+    col = h1.index(name)
     error = series_pressure_error(sol[:, col], ref[:, col])
     _write_json({k: error[k] for k in ("absolute_mmhg", "relative")}, args.out)
     print(

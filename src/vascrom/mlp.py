@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import Fluid, VascularNetwork
+from .network import Fluid, VascularNetwork, _FieldError, _get, _number, _numbers, _typed
 from .nondim import (
     ZNormStats,
     apply_znorm,
@@ -569,15 +569,52 @@ def save_models(bundle: ModelBundle, path) -> None:
 
 
 def load_models(path) -> ModelBundle:
+    """Read what save_models wrote; a missing or malformed field raises a
+    ModelError naming the file, the model entry and the field."""
     data, norm = _read_norm_block(path)
     if data.get("version") != BUNDLE_VERSION:
         raise ModelError(f"{path}: bundle version {data.get('version')} != {BUNDLE_VERSION}")
-    models = {
-        m["tag"]: MlpModel(m["tag"], [np.array(w, float) for w in m["weights"]],
-                           [np.array(b, float) for b in m["biases"]])
-        for m in data["models"]
-    }
+    try:
+        entries = _typed(_get(data, "models"), "models", list)
+    except _FieldError as e:
+        raise ModelError(f"{path}: {e}") from None
+    models = {}
+    for i, entry in enumerate(entries):
+        try:
+            model = _read_model(entry)
+        except _FieldError as e:
+            raise ModelError(f"{path}: models[{i}]: {e}") from None
+        models[model.tag] = model
     return ModelBundle(models=models, **norm)
+
+
+def _read_model(entry) -> MlpModel:
+    """One entry of a bundle's models list: a tag, and per layer its width, a
+    width x fan-in weight matrix and width biases.  The first layer's fan-in
+    is its first row's length, every later one the width before it, and the
+    last width is 1."""
+    entry = _typed(entry, "entry", dict)
+    tag = _typed(_get(entry, "tag"), "tag", str)
+    widths = _numbers(_get(entry, "widths"), "widths", low=0)
+    weights = _typed(_get(entry, "weights"), "weights", list)
+    biases = _typed(_get(entry, "biases"), "biases", list)
+    if not (widths == [int(w) for w in widths] and widths[-1] == 1
+            and len(weights) == len(biases) == len(widths)):
+        raise _FieldError(f"widths must be whole numbers ending in 1, one per layer of weights "
+                          f"and biases, got {widths!r} for {len(weights)} weight and "
+                          f"{len(biases)} bias layers")
+    fan_in, layers = None, []
+    for k, (width, w, b) in enumerate(zip(widths, weights, biases)):
+        if len(_typed(w, f"weights[{k}]", list)) != width:
+            raise _FieldError(f"weights[{k}] must have {int(width)} rows, got {len(w)}")
+        rows = []
+        for r, row in enumerate(w):
+            rows.append(_numbers(row, f"weights[{k}][{r}]", size=fan_in))
+            fan_in = fan_in or len(row)
+        bias = _numbers(b, f"biases[{k}]", size=int(width))
+        layers.append((np.array(rows, float), np.array(bias, float)))
+        fan_in = int(width)
+    return MlpModel(tag, [w for w, _ in layers], [b for _, b in layers])
 
 
 def _norm_block(src) -> dict:
@@ -605,35 +642,27 @@ def _read_norm_block(path) -> tuple[dict, dict]:
         except json.JSONDecodeError as e:
             raise ModelError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}") from e
 
-    def get(*keys):
-        value = data
-        for i, key in enumerate(keys):
-            if not isinstance(value, dict) or key not in value:
-                raise ModelError(f"{path}: missing field {'.'.join(map(str, keys[: i + 1]))}")
-            value = value[key]
-        return value
-
     def numbers(*keys, size=None, low=-math.inf):
-        value = get(*keys)
-        if not (isinstance(value, list) and value and len(value) == (size or len(value))
-                and all(type(v) in (int, float) and low < v < math.inf for v in value)):
-            raise ModelError(f"{path}: {'.'.join(keys)} must be a list of {size or 'one or more'} "
-                             f"numbers in ({low}, inf), got {value!r}")
-        return np.array(value, float)
+        return np.array(_numbers(_get(data, *keys), ".".join(keys), size, low), float)
 
     def znorm(*keys):
         mean = numbers(*keys, "mean")
         return ZNormStats(mean, numbers(*keys, "std", size=mean.size, low=0.0))
 
-    re_c = get("scales_policy", "re_c")
-    if not (type(re_c) in (int, float) and 0 < re_c < math.inf):
-        raise ModelError(f"{path}: scales_policy.re_c must be a number in (0, inf), got {re_c!r}")
-    return data, {
-        "re_c": float(re_c),
-        "input_stats": znorm("znorm_in"),
-        "target_stats": {tag: znorm("znorm_out", tag) for tag in get("znorm_out")},
-        "feature_ranges": {k: tuple(numbers("ranges", k, size=2).tolist()) for k in get("ranges")},
-    }
+    try:
+        norm = {
+            "re_c": _number(_get(data, "scales_policy", "re_c"), "scales_policy.re_c", low=0),
+            "input_stats": znorm("znorm_in"),
+            "target_stats": {tag: znorm("znorm_out", tag) for tag in _get(data, "znorm_out")},
+        }
+        for feat in _RANGED_FEATURES:  # prediction clamps each of these
+            _get(data, "ranges", feat)
+        norm["feature_ranges"] = {
+            k: tuple(numbers("ranges", k, size=2).tolist()) for k in _get(data, "ranges")
+        }
+    except _FieldError as e:
+        raise ModelError(f"{path}: {e}") from None
+    return data, norm
 
 
 # -- prediction pipeline --------------------------------------------------
@@ -641,6 +670,7 @@ def _read_norm_block(path) -> tuple[dict, dict]:
 # features clamped into the trained range and flagged in the report; an
 # out-of-range lam_self is clamped silently and gets the length correction
 _CLAMPED_FEATURES = ("alpha_self", "alpha_other", "theta_self", "theta_other", "phi_self")
+_RANGED_FEATURES = (*_CLAMPED_FEATURES, "lam_self")
 
 
 def outlet_features(network: VascularNetwork):

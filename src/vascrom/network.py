@@ -99,8 +99,9 @@ class Vessel:
     capacitance: float = DEFAULT_CAPACITANCE
 
     def __post_init__(self):
-        optional = [v for v in (self.stenosis_area, self.kt) if v is not None]
-        if not all(map(math.isfinite, [self.capacitance, *optional])):
+        if not (math.isfinite(self.capacitance)
+                and (self.stenosis_area is None or math.isfinite(self.stenosis_area))
+                and (self.kt is None or math.isfinite(self.kt))):
             raise InvalidGeometryError(f"vessel {self.id}: values must be finite")
         if not (0 < self.length < math.inf and 0 < self.area < math.inf):
             raise InvalidGeometryError(
@@ -516,100 +517,190 @@ def save_network(network: VascularNetwork, path) -> None:
         f.write(json.dumps(network_to_dict(network), indent=1))
 
 
+# Typed reads of JSON fields, shared by every reader of a JSON input.  A
+# failed check raises _FieldError naming the field; the reader raises it again
+# as its own error type, naming the file or the entry.
+
+
+class _FieldError(Exception):
+    pass
+
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _get(obj, *keys):
+    """The value at the path keys under a JSON object."""
+    for i, key in enumerate(keys):
+        if not isinstance(obj, dict) or key not in obj:
+            raise _FieldError(f"missing field {'.'.join(map(str, keys[: i + 1]))}")
+        obj = obj[key]
+    return obj
+
+
+def _typed(value, name: str, kind: type):
+    """value, when it is a dict, list or str as kind says."""
+    if isinstance(value, kind):
+        return value
+    raise _FieldError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _strings(value, name: str, size: int) -> list:
+    """value, a list of size strings."""
+    if isinstance(value, list) and len(value) == size and set(map(type, value)) == {str}:
+        return value
+    raise _FieldError(f"{name} must be a list of {size} strings, got {value!r}")
+
+
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _is_number(value) -> bool:
+    """An int or a float; a bool is no number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name: str, low=None) -> float:
+    """value as a float; with low, it must also be finite and above low."""
+    if type(value) is float and low is None:  # most values, and the cheapest test
+        return value
+    if _is_number(value) and (low is None or low < value < math.inf):
+        return float(value)
+    where = "" if low is None else f" in ({low}, inf)"
+    raise _FieldError(f"{name} must be a number{where}, got {value!r}")
+
+
+def _numbers(value, name: str, size=None, low=-math.inf) -> list:
+    """value, a non-empty list of finite numbers above low, size of them if
+    given."""
+    if (isinstance(value, list) and value and len(value) == (size or len(value))
+            # the exact types first, as JSON lists hold ints and floats
+            and (_NUMBER_TYPES.issuperset(map(type, value)) or all(map(_is_number, value)))
+            and all(map(math.isfinite, value)) and (low == -math.inf or min(value) > low)):
+        return value
+    raise _FieldError(f"{name} must be a list of {size or 'one or more'} "
+                      f"numbers in ({low}, inf), got {value!r}")
+
+
+_ENTRY_NAMES = {  # list key: how a message names an entry, and its id field
+    "vessels": ("vessel", "id"),
+    "junctions": ("junction", "id"),
+    "boundary_conditions": ("boundary condition on", "vessel_id"),
+}
+
+
+def _entries(data: dict, key: str) -> list:
+    """The list data[key] (empty when a junctions list is absent), each of
+    whose entries must be an object."""
+    try:
+        entries = _typed(data.get(key, []) if key == "junctions" else _get(data, key), key, list)
+    except _FieldError as e:
+        raise SchemaError(str(e)) from None
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{key}[{i}] must be an object, got {entry!r}")
+    return entries
+
+
+def _entry_error(key: str, i: int, entry: dict, error: _FieldError) -> SchemaError:
+    """A SchemaError for entry i of the list data[key], named by its id where
+    it has one, else by its place in the list."""
+    noun, id_key = _ENTRY_NAMES[key]
+    ident = entry.get(id_key)
+    name = f"{noun} {ident}" if isinstance(ident, str) else f"{key}[{i}]"
+    return SchemaError(f"{name}: {error}")
+
+
 def network_from_dict(data: dict) -> VascularNetwork:
-    from .nondim import CoefficientSet  # deferred, avoids import cycle
+    """A network from its JSON form.  The JSON type of every field is checked
+    before anything is built: a SchemaError names the entry and the field."""
+    from .nondim import CoefficientSet, NondimError  # deferred, avoids import cycle
 
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
-    for key in ("vessels", "boundary_conditions"):
-        if key not in data:
-            raise SchemaError(f"missing top-level key {key!r}")
-
-    fluid_spec = data.get("fluid", {})
-    fluid = Fluid(
-        mu=float(fluid_spec.get("mu", DEFAULT_MU)),
-        rho=float(fluid_spec.get("rho", DEFAULT_RHO)),
-    )
+    try:
+        fluid_spec = _typed(data.get("fluid", {}), "fluid", dict)
+        mu = _number(fluid_spec.get("mu", DEFAULT_MU), "fluid.mu")
+        rho = _number(fluid_spec.get("rho", DEFAULT_RHO), "fluid.rho")
+    except _FieldError as e:
+        raise SchemaError(str(e)) from None
+    fluid = Fluid(mu=mu, rho=rho)
 
     vessels: dict[str, Vessel] = {}
-    for v in data["vessels"]:
+    for i, v in enumerate(_entries(data, "vessels")):
+        # an optional field given as null is not given
+        stenosis_area, kt, c = v.get("stenosis_area"), v.get("kt"), v.get("capacitance")
         try:
             vessel = Vessel(
-                id=str(v["id"]),
-                length=float(v["length"]),
-                area=float(v["area"]),
-                stenosis_area=(
-                    float(v["stenosis_area"]) if "stenosis_area" in v else None
-                ),
-                kt=float(v["kt"]) if "kt" in v else None,
-                capacitance=float(v.get("capacitance", DEFAULT_CAPACITANCE)),
+                id=_typed(v.get("id"), "id", str),
+                length=_number(v.get("length"), "length"),
+                area=_number(v.get("area"), "area"),
+                stenosis_area=(None if stenosis_area is None
+                               else _number(stenosis_area, "stenosis_area")),
+                kt=None if kt is None else _number(kt, "kt"),
+                capacitance=DEFAULT_CAPACITANCE if c is None else _number(c, "capacitance"),
             )
-        except KeyError as e:
-            raise SchemaError(f"vessel entry missing key {e}") from e
+        except _FieldError as e:
+            raise _entry_error("vessels", i, v, e) from None
         if vessel.id in vessels:
             raise SchemaError(f"duplicate vessel id {vessel.id!r}")
         vessels[vessel.id] = vessel
 
     junctions: list[Junction] = []
-    for j in data.get("junctions", []):
+    for i, j in enumerate(_entries(data, "junctions")):
         try:
-            outlet_ids = j["outlet_vessels"]
-            angles = j["angles"]
-        except KeyError as e:
-            raise SchemaError(f"junction entry missing key {e}") from e
-        if len(outlet_ids) != 2 or len(angles) != 2:
-            raise SchemaError(
-                f"junction {j.get('id')!r}: need exactly two outlet vessels and angles"
-            )
-        outlets = [
-            JunctionOutlet(vessel_id=str(vid), angle=float(a))
-            for vid, a in zip(outlet_ids, angles)
-        ]
-        if "flow_splits" in j:
-            for o, phi in zip(outlets, j["flow_splits"]):
-                o.flow_split = float(phi)
-        if "coefficients" in j:
-            for o, c in zip(outlets, j["coefficients"]):
-                o.coefficients = CoefficientSet(
-                    kind=c["kind"],
-                    r_lin=float(c["r_lin"]),
-                    r_quad=None if c.get("r_quad") is None else float(c["r_quad"]),
-                    l=float(c["l"]),
-                    dimensionless=False,
+            outlets = [
+                JunctionOutlet(vessel_id=vid, angle=float(a)) for vid, a in zip(
+                    _strings(j.get("outlet_vessels"), "outlet_vessels", 2),
+                    _numbers(j.get("angles"), "angles", 2),
                 )
-        junctions.append(
-            Junction(id=str(j["id"]), inlet_vessel=str(j["inlet_vessel"]), outlets=outlets)
-        )
+            ]
+            if "flow_splits" in j:
+                for o, phi in zip(outlets, _numbers(j["flow_splits"], "flow_splits", 2)):
+                    o.flow_split = float(phi)
+            if "coefficients" in j:
+                coeffs = _typed(j["coefficients"], "coefficients", list)
+                if len(coeffs) != 2:
+                    raise _FieldError(f"coefficients must be a list of 2 objects, got {coeffs!r}")
+                for k, (o, c) in enumerate(zip(outlets, coeffs)):
+                    try:
+                        r_quad = _typed(c, "the entry", dict).get("r_quad")
+                        o.coefficients = CoefficientSet(
+                            kind=_typed(c.get("kind"), "kind", str),
+                            r_lin=_number(c.get("r_lin"), "r_lin"),
+                            r_quad=None if r_quad is None else _number(r_quad, "r_quad"),
+                            l=_number(c.get("l"), "l"),
+                            dimensionless=False,
+                        )
+                    except (_FieldError, NondimError) as e:
+                        raise _FieldError(f"coefficients[{k}]: {e}") from None
+            junction = Junction(id=_typed(j.get("id"), "id", str),
+                                inlet_vessel=_typed(j.get("inlet_vessel"), "inlet_vessel", str),
+                                outlets=outlets)
+        except _FieldError as e:
+            raise _entry_error("junctions", i, j, e) from None
+        junctions.append(junction)
 
     bcs: list[BoundaryCondition] = []
-    for b in data["boundary_conditions"]:
+    for i, b in enumerate(_entries(data, "boundary_conditions")):
         try:
-            kind = b["kind"]
-            vid = str(b["vessel_id"])
-        except KeyError as e:
-            raise SchemaError(f"boundary condition missing key {e}") from e
-        if kind == "FLOW":
-            val = b.get("value")
-            if isinstance(val, dict):
-                bcs.append(
-                    BoundaryCondition(
-                        vessel_id=vid, kind="FLOW", value=(val["t"], val["q"])
-                    )
-                )
+            vid = _typed(b.get("vessel_id"), "vessel_id", str)
+            kind, val = b.get("kind"), b.get("value")
+            if kind == "FLOW" and isinstance(val, dict):
+                series = _numbers(val.get("t"), "value.t"), _numbers(val.get("q"), "value.q")
+                bc = BoundaryCondition(vessel_id=vid, kind=kind, value=series)
+            elif kind == "FLOW":
+                bc = BoundaryCondition(vessel_id=vid, kind=kind, value=_number(val, "value"))
+            elif kind == "RESISTANCE":
+                val = _typed(val, "value", dict)
+                pd = val.get("Pd")
+                bc = BoundaryCondition(vessel_id=vid, kind=kind, r=_number(val.get("R"), "value.R"),
+                                       pd=0.0 if pd is None else _number(pd, "value.Pd"))
             else:
-                bcs.append(BoundaryCondition(vessel_id=vid, kind="FLOW", value=float(val)))
-        elif kind == "RESISTANCE":
-            val = b.get("value", {})
-            bcs.append(
-                BoundaryCondition(
-                    vessel_id=vid,
-                    kind="RESISTANCE",
-                    r=float(val["R"]),
-                    pd=float(val.get("Pd", 0.0)),
-                )
-            )
-        else:
-            raise SchemaError(f"unknown boundary condition kind {kind!r}")
+                raise _FieldError(f"kind must be FLOW or RESISTANCE, got {kind!r}")
+        except _FieldError as e:
+            raise _entry_error("boundary_conditions", i, b, e) from None
+        bcs.append(bc)
 
     net = VascularNetwork(
         fluid=fluid,
@@ -622,9 +713,13 @@ def network_from_dict(data: dict) -> VascularNetwork:
 
 
 def load_network(path) -> VascularNetwork:
+    """The network in a JSON file; every error names the file."""
     with open(path) as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}") from e
-    return network_from_dict(data)
+    try:
+        return network_from_dict(data)
+    except NetworkError as e:
+        raise type(e)(f"{path}: {e}") from e

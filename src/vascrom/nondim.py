@@ -195,8 +195,8 @@ class CoefficientSet:
 
     def __post_init__(self):
         _check_kind(self.kind, self.r_quad is not None)
-        vals = [self.r_lin, self.l] + ([self.r_quad] if self.r_quad is not None else [])
-        if not all(math.isfinite(v) for v in vals):
+        if not (math.isfinite(self.r_lin) and math.isfinite(self.l)
+                and (self.r_quad is None or math.isfinite(self.r_quad))):
             raise NondimError(_NOT_FINITE)
 
     def quad(self) -> float:

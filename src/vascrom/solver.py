@@ -14,16 +14,19 @@ Two engines:
     tree; no matrix factorization is needed.  Each flow unknown is scaled by
     its junction's share of the inflow.
 
-Both engines, ``kkt_report`` and the mass check read one linear-constraint
-assembly, ``_LinearConstraints``.  Every solver and ``kkt_report`` take their
-times and inflows from one time grid, ``_time_grid``, and walk it with one
-step loop, ``_march``: a steady step 0, then one backward-Euler step per later
-time; ``kkt_report`` so recomputes each step at the solve's own inflow.  Each
-engine builds its Jacobian's structure once per solve, in array code from the
-topology's index arrays: the standard engine's CSC pattern, and the rri/ri
-engines' fixed sparse CSR pattern, whose flow-split rows are constant.  Newton
-and Levenberg-Marquardt iterations refill only the values that depend on the
-state.  The rri/ri Jacobian stays sparse in the diagnostics and
+The linear constraints of both engines are the rows of one sparse matrix,
+``_LinearConstraints``: the standard residual, the rri/ri diagnostics,
+``kkt_report`` and the mass check each read their rows of ``A @ x - b``.
+Every solver and ``kkt_report`` take their times and inflows from one time
+grid, ``_time_grid``, and walk it with one step loop, ``_march``: a steady
+step 0, then one backward-Euler step per later time; ``kkt_report`` so
+recomputes each step at the solve's own inflow.  One builder,
+``_fixed_pattern``, lays out every fixed sparse pattern from index arrays:
+that matrix, the standard engine's CSC Jacobian (the vessel blocks over the
+linear rows) and the rri/ri engines' CSR Jacobian, whose flow-split rows are
+constant.  Each engine builds its Jacobian's structure once per solve;
+Newton and Levenberg-Marquardt iterations refill only the values that depend
+on the state.  The rri/ri Jacobian stays sparse in the diagnostics and
 ``kkt_report``; only MINPACK's Levenberg-Marquardt gets a dense copy.
 """
 
@@ -34,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -151,33 +155,39 @@ def _march(step, x0, times, inflows, dt):
     return np.array(states), diags
 
 
-class _Rows:
-    """Linear rows ``sum_k coef_k * x[cols_k]`` of flat states x (..., n),
-    one row per entry of the column arrays; the terms give values and Jacobian."""
-
-    def __init__(self, *terms):
-        self.terms = [(np.asarray(c), np.broadcast_to(v, np.shape(c))) for c, v in terms]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return sum(v * x[..., c] for c, v in self.terms)
-
-    def entries(self):
-        """The (row, column, value) arrays of every term, term by term."""
-        m = len(self.terms[0][0])
-        cols, vals = (np.concatenate(a) for a in zip(*self.terms))
-        return np.tile(np.arange(m), len(self.terms)), cols, vals
+def _fixed_pattern(rows, cols, shape, fmt="csr"):
+    """A zero sparse matrix of the given shape in ``fmt`` ("csr" or "csc")
+    with one stored entry per (row, column) pair, and the data slot of each
+    pair.  The pairs must be distinct.  Entries go by row (csr) or by column
+    (csc) and keep their given order within one: the order in which a CSR
+    product sums a row's terms."""
+    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
+    order = np.argsort(major, kind="stable")
+    slots = np.empty_like(order)
+    slots[order] = np.arange(order.size)
+    indptr = np.searchsorted(major[order], np.arange(shape[fmt == "csc"] + 1))
+    # the index type scipy would pick, given up front: it then checks no contents
+    index = np.int32 if max(*shape, order.size) < 2**31 else np.int64
+    kind = scipy.sparse.csr_matrix if fmt == "csr" else scipy.sparse.csc_matrix
+    matrix = kind((np.zeros(order.size), minor[order].astype(index), indptr.astype(index)),
+                  shape=shape)
+    return matrix, slots
 
 
 class _LinearConstraints:
-    """Linear constraints on a state: flow and pressure continuity along each
-    vessel, junction mass balance, the inflow and the leaf BCs
-    ``p_out - R*q_out - Pd`` (read when this is built)."""
+    """The linear equations on a state x, as the rows of ``A @ x - b``, one
+    block after another: pressure and flow continuity along each vessel,
+    junction mass balance, equal pressure across each junction, the inflow
+    and the leaf BCs ``p_out - R*q_out - Pd`` (read when this is built).  The
+    rri/ri engines impose every block but the junction pressures, the
+    standard engine the last four.  Each row sums its terms in the order
+    they are listed here."""
 
     def __init__(self, network: VascularNetwork):
         pos = network.topology.position
         self.inlet = np.array([pos[j.inlet_vessel] for j in network.junctions], dtype=int)
         self.outlets = np.array(
-            [[pos[o.vessel_id] for o in j.outlets] for j in network.junctions], dtype=int
+            [pos[o.vessel_id] for j in network.junctions for o in j.outlets], dtype=int
         ).reshape(-1, 2)
         leaves = [b for b in network.boundary_conditions if b.kind == "RESISTANCE"]
         self.leaf = np.array([pos[b.vessel_id] for b in leaves], dtype=int)
@@ -187,25 +197,38 @@ class _LinearConstraints:
         v, inlet, outlets, leaf = (
             4 * a for a in (np.arange(len(pos)), self.inlet, self.outlets, self.leaf)
         )
-        self.flow = _Rows((v + Q_IN, 1.0), (v + Q_OUT, -1.0))
-        self.pressure = _Rows((v + P_IN, 1.0), (v + P_OUT, -1.0))
-        self.junction_mass = _Rows(
-            (inlet + Q_OUT, 1.0), (outlets[:, 0] + Q_IN, -1.0), (outlets[:, 1] + Q_IN, -1.0)
+        blocks = (  # the (columns, coefficient) terms of the rows of each block
+            ((v + P_IN, 1.0), (v + P_OUT, -1.0)),
+            ((v + Q_IN, 1.0), (v + Q_OUT, -1.0)),
+            ((inlet + Q_OUT, 1.0), (outlets[:, 0] + Q_IN, -1.0), (outlets[:, 1] + Q_IN, -1.0)),
+            ((np.repeat(inlet, 2) + P_OUT, 1.0), (outlets.ravel() + P_IN, -1.0)),
+            ((np.array([4 * pos[network.inflow_bc.vessel_id] + Q_IN]), 1.0),),
+            ((leaf + P_OUT, 1.0), (leaf + Q_OUT, -self.leaf_r)),
         )
-        self.inflow = _Rows(([4 * pos[network.inflow_bc.vessel_id] + Q_IN], 1.0))
-        self.leaf_bc = _Rows((leaf + P_OUT, 1.0), (leaf + Q_OUT, -self.leaf_r))
+        start = list(accumulate((terms[0][0].size for terms in blocks), initial=0))
+        row = np.arange(start[-1])
+        terms = [(row[a:b], c, k) for ts, a, b in zip(blocks, start, start[1:]) for c, k in ts]
+        self.A, slots = _fixed_pattern(
+            np.concatenate([r for r, _, _ in terms]), np.concatenate([c for _, c, _ in terms]),
+            (start[-1], 4 * len(pos)),
+        )
+        self.A.data[slots] = np.concatenate([np.full(r.size, k) for r, _, k in terms])
+        self.b = np.zeros(start[-1])
+        self.b[start[5]:] = self.leaf_pd
+        self.inflow_row = start[4]
+        self.mass_rows = slice(start[1], start[3])  # flow continuity, junction mass
+        self.standard_rows = slice(start[2], start[6])
+        self.opt_rows = np.concatenate([np.arange(start[3]), np.arange(start[4], start[6])])
+
+    def residual(self, x: np.ndarray, inflow: float = 0.0) -> np.ndarray:
+        """``A @ x - b`` of flat states x (..., n) at one inflow."""
+        r = (self.A @ x.T).T - self.b
+        r[..., self.inflow_row] -= inflow
+        return r
 
     def mass(self, x: np.ndarray) -> np.ndarray:
         """Vessel flow continuity, then junction mass balance, of x (..., n)."""
-        return np.concatenate([self.flow(x), self.junction_mass(x)], axis=-1)
-
-    def boundary(self, x: np.ndarray, inflow: float) -> np.ndarray:
-        """The inflow row, then the leaf rows, of one state x."""
-        return np.concatenate([self.inflow(x) - inflow, self.leaf_bc(x) - self.leaf_pd])
-
-    def residual(self, x: np.ndarray, inflow: float) -> np.ndarray:
-        """All constraint residuals of one state x."""
-        return np.concatenate([self.mass(x), self.pressure(x), self.boundary(x, inflow)])
+        return self.residual(x)[..., self.mass_rows]
 
 
 def mass_conservation_error(solution: Solution) -> float:
@@ -218,11 +241,11 @@ def mass_conservation_error(solution: Solution) -> float:
 
 class _StandardSystem:
     """The standard engine's equations on one network: the two vessel
-    equations, then junction mass balance, equal pressure across each
-    junction, the inflow and the leaf BCs.  Vessel elements are computed
-    once, and the Jacobian's sparsity pattern with the linear rows' values
-    on the first ``jacobian()``; each call then writes only the vessel
-    blocks."""
+    equations, then its rows of the linear constraints: junction mass
+    balance, equal pressure across each junction, the inflow and the leaf
+    BCs.  Vessel elements are computed once, and the Jacobian's sparsity
+    pattern with the linear rows' values on the first ``jacobian()``; each
+    call then writes only the vessel blocks."""
 
     def __init__(self, network: VascularNetwork):
         fluid = network.fluid
@@ -230,9 +253,7 @@ class _StandardSystem:
         self.R, self.L = np.array([v.elements(fluid) for v in vessels]).T
         self.Rs = np.array([v.stenosis_r(fluid) for v in vessels])
         self.C = np.array([v.capacitance for v in vessels])
-        c = self.constraints = _LinearConstraints(network)
-        inlet, outlets = 4 * np.repeat(c.inlet, 2), 4 * c.outlets.ravel()
-        self.junction_pressure = _Rows((inlet + P_OUT, 1.0), (outlets + P_IN, -1.0))
+        self.constraints = _LinearConstraints(network)
 
     @cached_property
     def _jac_pattern(self):
@@ -241,21 +262,15 @@ class _StandardSystem:
         ascending within each column.  Returns the matrix with the linear
         values in place and the data slot of each ``block.ravel()`` entry."""
         n_v, c = self.R.size, self.constraints
-        n = 4 * n_v
+        linear = c.A[c.standard_rows].tocoo()
         v, eq, k = np.indices((n_v, 2, 4)).reshape(3, -1)
-        rows, cols, vals = [2 * v + eq], [4 * v + k], [np.zeros(v.size)]
-        first = 2 * n_v  # the first row of each linear block
-        for block in (c.junction_mass, self.junction_pressure, c.inflow, c.leaf_bc):
-            r, col, val = block.entries()
-            rows.append(first + r)
-            cols.append(col)
-            vals.append(val)
-            first += len(block.terms[0][0])
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        order = np.lexsort((rows, cols))
-        indptr = np.searchsorted(cols[order], np.arange(n + 1))
-        template = scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
-        return template, np.argsort(order)[: v.size]
+        template, slots = _fixed_pattern(
+            np.concatenate([2 * v + eq, 2 * n_v + linear.row]),
+            np.concatenate([4 * v + k, linear.col]),
+            (4 * n_v, 4 * n_v), "csc",
+        )
+        template.data[slots[v.size:]] = linear.data
+        return template, slots[: v.size]
 
     @staticmethod
     def _rates(x, x_prev, dt):
@@ -274,9 +289,7 @@ class _StandardSystem:
             - self.L * ds[:, Q_OUT],
         ], axis=1)
         c = self.constraints
-        return np.concatenate([
-            vessel.ravel(), c.junction_mass(x), self.junction_pressure(x), c.boundary(x, inflow)
-        ])
+        return np.concatenate([vessel.ravel(), c.residual(x, inflow)[c.standard_rows]])
 
     def jacobian(self, x, x_prev, dt) -> scipy.sparse.csc_matrix:
         q, qdot = x.reshape(-1, 4)[:, Q_IN], self._rates(x, x_prev, dt)[:, Q_IN]
@@ -351,23 +364,6 @@ def solve_transient_standard(
 
 
 # -- RRI / RI optimization engine -----------------------------------------
-
-
-def _row_entries(m: scipy.sparse.csr_matrix, rows: np.ndarray):
-    """The entries of rows ``rows`` of a CSR matrix, as the keys ``k *
-    columns + column`` of a matrix whose row k is m's row rows[k], and their
-    values."""
-    start, count = m.indptr[rows], np.diff(m.indptr)[rows]
-    at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-    return np.repeat(np.arange(rows.size), count) * max(m.shape[1], 1) + m.indices[at], m.data[at]
-
-
-def _values_at(keys: np.ndarray, entries) -> np.ndarray:
-    """Entry values on the sorted keys, which hold all of their keys; zero
-    where there is no entry."""
-    out = np.zeros(keys.size)
-    out[np.searchsorted(keys, entries[0])] = entries[1]
-    return out
 
 
 class _OptProblem:
@@ -474,30 +470,29 @@ class _OptProblem:
         q_scale also normalizes the residuals."""
         self.q_scale = q_scale
         self.scale = np.concatenate([q_scale * self.share, np.full(self.share.size, p_var)])
-        # the Jacobian's fixed CSR pattern: the pressure-drop rows on the union
-        # of the entries of their basis rows b_pj, b_po and b_q, then the
-        # constant flow-split rows on the union of b_qj's and b_q's
+        # the Jacobian's fixed CSR pattern: each outlet's pressure-drop row on
+        # the union of the entries of its basis rows b_pj, b_po and b_q, then
+        # its constant flow-split row on the union of b_qj's and b_q's
         n_out, n = self.i_q.size, self.scale.size
-        b_pj, b_po, b_q, b_qj = (
-            _row_entries(self.basis, i) for i in (self.i_pj, self.i_po, self.i_q, self.i_qj)
-        )
-        pressure = np.unique(np.concatenate([b_pj[0], b_po[0], b_q[0]]))
-        flow = np.union1d(b_qj[0], b_q[0])
-        self._dp = _values_at(pressure, b_pj)
-        self._dp[np.searchsorted(pressure, b_po[0])] -= b_po[1]  # b_pj - b_po
-        self._bq = _values_at(pressure, b_q)
-        self._rows, self._cols = np.divmod(pressure, max(n, 1))
-        rows, cols = np.divmod(flow, max(n, 1))
-        flow_data = (
-            (self.phi[rows] * _values_at(flow, b_qj) - _values_at(flow, b_q))
-            / q_scale * self.scale[cols]
-        )
-        rows = np.concatenate([self._rows, n_out + rows])
-        self._jac = scipy.sparse.csr_matrix(
-            (np.concatenate([np.zeros(pressure.size), flow_data]),
-             np.concatenate([self._cols, cols]), np.searchsorted(rows, np.arange(2 * n_out + 1))),
-            shape=(2 * n_out, n),
-        )
+        b = self.basis[np.concatenate([self.i_pj, self.i_po, self.i_q, self.i_qj])].tocoo()
+        part, k = np.divmod(b.row, max(n_out, 1))  # b_pj, b_po, b_q or b_qj; the outlet
+        pj, po, q, qj = (part == i for i in range(4))
+        # a b_q entry sits on both rows of its outlet
+        rows = np.concatenate([k + n_out * qj, n_out + k[q]])
+        cols = np.concatenate([b.col, b.col[q]])
+        union, entry = np.unique(rows * n + cols, return_inverse=True)
+        self._jac, slots = _fixed_pattern(*np.divmod(union, max(n, 1)), (2 * n_out, n))
+        at, flow_q = slots[entry[: b.nnz]], slots[entry[b.nnz:]]
+        const, bq = np.zeros((2, union.size))
+        const[at[pj]] = b.data[pj]
+        const[at[po]] -= b.data[po]  # b_pj - b_po
+        bq[at[q]] = b.data[q]
+        const[at[qj]] = self.phi[k[qj]] * b.data[qj]
+        const[flow_q] -= b.data[q]  # phi * b_qj - b_q
+        n_p = self._jac.indptr[n_out]
+        self._rows, self._cols = np.divmod(union[:n_p], max(n, 1))
+        self._dp, self._bq = const[:n_p], bq[:n_p]
+        self._jac.data[n_p:] = const[n_p:] / q_scale * self.scale[self._jac.indices[n_p:]]
 
     def state(self, inflow: float, z: np.ndarray) -> np.ndarray:
         """The feasible state with scaled free unknowns z."""
@@ -532,11 +527,11 @@ class _OptProblem:
     def diagnostics(self, x, inflow, x_prev, dt) -> dict:
         """Objective, constraint violation and stationarity (inf-norm of the
         objective gradient w.r.t. the scaled free unknowns) at state x."""
-        r = self.residuals(x, x_prev, dt)
+        r, c = self.residuals(x, x_prev, dt), self.constraints
         grad = 2.0 * (self.jacobian(x, dt).T @ r)
         return {
             "objective": float(np.sum(r**2)),
-            "constraint_violation": float(np.max(np.abs(self.constraints.residual(x, inflow)))),
+            "constraint_violation": float(np.max(np.abs(c.residual(x, inflow)[c.opt_rows]))),
             "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
 

@@ -614,3 +614,135 @@ def test_json_files_equal_json_dump_output(tmp_path, small_cohort, trained_bundl
         "models.json": {}, "sol/diagnostics.json": indent, "out/obj.json": indent,
     }.items():
         assert (tmp_path / name).read_bytes() == _json_dump_of(tmp_path / name, **kwargs), name
+
+
+# -- malformed input files ---------------------------------------------------
+
+
+def _flow_bc(data):
+    return next(b for b in data["boundary_conditions"] if b["kind"] == "FLOW")
+
+
+def _resistance_bc(data):
+    return next(b for b in data["boundary_conditions"] if b["kind"] == "RESISTANCE")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["vessels"][1].update(area=None),
+         "vessel v0: area must be a number, got None"),
+        (lambda d: d["vessels"][1].update(area=[1.0]),
+         r"vessel v0: area must be a number, got \[1\.0\]"),
+        (lambda d: d["vessels"].__setitem__(1, ["v0", 1.0, 1.0]),
+         r"vessels\[1\] must be an object"),
+        (lambda d: d["junctions"][0].update(outlet_vessels=3),
+         "junction jv: outlet_vessels must be a list of 2 strings, got 3"),
+        (lambda d: _resistance_bc(d).update(value=5.0),
+         "boundary condition on v00: value must be an object, got 5.0"),
+        (lambda d: d.update(fluid="water"), "fluid must be an object, got 'water'"),
+        (lambda d: _flow_bc(d).update(value={"q": [1.0, 2.0]}),
+         r"boundary condition on v: value\.t must be a list of one or more numbers"),
+        (lambda d: d["junctions"][0].update(angles=["a", 0.6]),
+         r"junction jv: angles must be a list of 2 numbers in \(-inf, inf\), got \['a', 0\.6\]"),
+        (lambda d: d["vessels"][1].update(length=True),
+         "vessel v0: length must be a number, got True"),
+        (lambda d: d["vessels"][1].update(length="2.0"),
+         "vessel v0: length must be a number, got '2.0'"),
+        (lambda d: d.update(vessels={}), "vessels must be a list, got {}"),
+        (lambda d: _resistance_bc(d).update(kind=5),
+         "boundary condition on v00: kind must be FLOW or RESISTANCE, got 5"),
+        (lambda d: d["junctions"][0].update(
+            coefficients=[{"kind": "XYZ", "r_lin": 1.0, "r_quad": 0.0, "l": 0.0}] * 2),
+         "junction jv: coefficients\\[0\\]: unknown coefficient kind 'XYZ'"),
+        (lambda d: d["junctions"][0].update(coefficients=[{"kind": "RI", "l": 0.0}] * 2),
+         "junction jv: coefficients\\[0\\]: r_lin must be a number, got None"),
+    ],
+    ids=["area-null", "area-list", "vessel-list", "outlet-vessels-number",
+         "resistance-value-number", "fluid-string", "flow-series-without-t", "angle-string",
+         "length-bool", "length-string", "vessels-object", "kind-number",
+         "coefficient-kind-unknown", "coefficient-r_lin-missing"],
+)
+def test_malformed_network_json_exits_1_naming_file_entry_and_field(tmp_path, capsys, edit,
+                                                                    message):
+    """Each of these ended in a traceback, exited 1 with a bare KeyError or
+    Python's float message, or (a bool or numeric-string length) was accepted."""
+    assert main(["make-tree", "--depth", "2", "--out", str(tmp_path / "tree.json")]) == 0
+    data = json.loads((tmp_path / "tree.json").read_text())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["solve", "--network", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: {message}.*\n", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["models"][0].pop("weights"), r"models\[0\]: missing field weights"),
+        (lambda d: d["models"][0]["weights"][0][2].pop(),
+         r"models\[0\]: weights\[0\]\[2\] must be a list of \d+ numbers"),
+        (lambda d: d["ranges"].pop("lam_self"), r"missing field ranges\.lam_self"),
+    ],
+    ids=["weights-deleted", "ragged-weights", "lam_self-range-missing"],
+)
+def test_predict_with_malformed_bundle_exits_1_naming_file_and_field(tmp_path, capsys,
+                                                                    cli_inputs, edit, message):
+    """A deleted key and a range that prediction needs exited 1 with a bare
+    KeyError ("error: 'weights'"); ragged weights with numpy's message."""
+    data = json.loads((cli_inputs / "models.json").read_text())
+    edit(data)
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps(data))
+    rc = main(["predict", "--network", str(cli_inputs / "tree.json"), "--models", str(models),
+               "--out", str(tmp_path / "tree_rri.json")])
+    assert rc == 1
+    assert re.fullmatch(rf"error: {re.escape(str(models))}: {message}.*\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "tree_rri.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["nan", "x.0", "short", "long"])
+def test_compare_rejects_malformed_solution_rows(tmp_path, capsys, cli_inputs, damage):
+    """A nan cell was compared and exited 0; a non-numeric cell exited 1 with
+    Python's float message, which names no file."""
+    for name in ("s1", "s2"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "solution.csv").write_bytes(
+            (cli_inputs / name / "solution.csv").read_bytes())
+    path = tmp_path / "s2" / "solution.csv"
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    if damage in ("nan", "x.0"):
+        cells[2] = damage
+    elif damage == "short":
+        cells.pop()
+    else:
+        cells.append("1.0")
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--solution", str(tmp_path / "s1"), "--reference", str(tmp_path / "s2"),
+               "--network", str(cli_inputs / "net.json"), "--out", str(out)])
+    assert rc == 1
+    n = len(header.split(","))
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: need {n} finite numbers, got {','.join(cells)!r}\n")
+    assert not out.exists()
+
+
+def test_compare_rejects_a_network_without_the_solution_inlet(tmp_path, capsys, cli_inputs):
+    """The inlet pressure column was looked up with list.index, whose
+    ValueError ("'P_v_in' is not in list") named no file."""
+    other = tmp_path / "single.json"
+    _write_single_vessel(other)
+    other.write_text(other.read_text().replace('"v0"', '"w0"'))  # a vessel the tree lacks
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--solution", str(cli_inputs / "s1"), "--reference",
+               str(cli_inputs / "s2"), "--network", str(other), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cli_inputs / 's1' / 'solution.csv'}: no column P_w0_in, "
+        f"the inlet pressure of {other}\n")
+    assert not out.exists()

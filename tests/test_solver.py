@@ -45,8 +45,10 @@ from vascrom.solver import (
     solve_opt,
     solve_steady_standard,
     solve_transient_standard,
+    _LinearConstraints,
     _OptProblem,
     _StandardSystem,
+    _fixed_pattern,
 )
 
 FLUID = Fluid()
@@ -158,15 +160,38 @@ def _stenosed_random_tree(seed):
     return network_from_dict(data)
 
 
-def _rows_matrix(rows, n):
-    """Linear rows as a sparse (rows, n) CSR matrix, read off their terms."""
-    m = len(rows.terms[0][0])
-    cols, vals = (np.concatenate(a) for a in zip(*rows.terms))
-    r = np.tile(np.arange(m), len(rows.terms))
-    return scipy.sparse.csr_matrix((vals, (r, cols)), shape=(m, n))
+def _standard_linear_terms(net):
+    """The standard engine's linear rows read off the network, one list of
+    (columns, coefficient) terms per block: junction mass balance, equal
+    pressure across each junction, the inflow and the leaf BCs."""
+    idx = VarIndex(net)
+
+    def cols(vessel_ids, quantity):
+        return np.array([idx(vid, quantity) for vid in vessel_ids], dtype=int)
+
+    inlets = [j.inlet_vessel for j in net.junctions]
+    first, second = ([j.outlets[k].vessel_id for j in net.junctions] for k in (0, 1))
+    leaves = [b for b in net.boundary_conditions if b.kind == "RESISTANCE"]
+    leaf_ids, leaf_r = [b.vessel_id for b in leaves], np.array([b.r for b in leaves])
+    return [
+        [(cols(inlets, "q_out"), 1.0), (cols(first, "q_in"), -1.0), (cols(second, "q_in"), -1.0)],
+        [(cols([v for v in inlets for _ in range(2)], "p_out"), 1.0),
+         (cols([v for pair in zip(first, second) for v in pair], "p_in"), -1.0)],
+        [(cols([net.inflow_bc.vessel_id], "q_in"), 1.0)],
+        [(cols(leaf_ids, "p_out"), 1.0), (cols(leaf_ids, "q_out"), -leaf_r)],
+    ]
 
 
-def _bsr_vstack_jacobian(system, x, x_prev, dt):
+def _rows_matrix(terms, n):
+    """Linear rows ``sum_k coef_k * x[cols_k]``, one per entry of the column
+    arrays, as a sparse (rows, n) CSR matrix."""
+    m = len(terms[0][0])
+    cols = np.concatenate([c for c, _ in terms])
+    vals = np.concatenate([np.broadcast_to(v, np.shape(c)) for c, v in terms])
+    return scipy.sparse.csr_matrix((vals, (np.tile(np.arange(m), len(terms)), cols)), shape=(m, n))
+
+
+def _bsr_vstack_jacobian(system, net, x, x_prev, dt):
     """The standard Jacobian assembled independently: per-vessel 2x4 BSR
     blocks stacked on the linear rows with ``scipy.sparse.vstack``."""
     q = x.reshape(-1, 4)[:, Q_IN]
@@ -180,10 +205,9 @@ def _bsr_vstack_jacobian(system, x, x_prev, dt):
     block[:, 1, P_IN], block[:, 1, P_OUT] = 1.0, -1.0
     block[:, 1, Q_IN] = -R - 2 * Rs * np.abs(q)
     block[:, 1, Q_OUT] = -system.L * ddx
-    c = system.constraints
-    linear = (c.junction_mass, system.junction_pressure, c.inflow, c.leaf_bc)
+    linear = [_rows_matrix(t, x.size) for t in _standard_linear_terms(net)]
     vessel = scipy.sparse.bsr_matrix((block, np.arange(q.size), np.arange(q.size + 1)))
-    return scipy.sparse.vstack([vessel] + [_rows_matrix(r, x.size) for r in linear], format="csc")
+    return scipy.sparse.vstack([vessel] + linear, format="csc")
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3])
@@ -199,16 +223,17 @@ def test_standard_jacobian_pattern_matches_bsr_vstack_assembly(dt):
         x_prev = x + rng.normal(scale=5.0, size=n)
         jac = system.jacobian(x, x_prev, dt)
         assert jac.format == "csc"
-        assert np.array_equal(jac.toarray(), _bsr_vstack_jacobian(system, x, x_prev, dt).toarray())
+        assert np.array_equal(
+            jac.toarray(), _bsr_vstack_jacobian(system, net, x, x_prev, dt).toarray()
+        )
 
 
-def _vstack_jac_pattern(system):
+def _vstack_jac_pattern(net):
     """The standard Jacobian's CSC template and data slots, built from one
     CSR matrix per linear block stacked with ``scipy.sparse.vstack``."""
-    n_v, c = system.R.size, system.constraints
+    n_v = len(net.vessels)
     n = 4 * n_v
-    linear = (c.junction_mass, system.junction_pressure, c.inflow, c.leaf_bc)
-    linear = scipy.sparse.vstack([_rows_matrix(r, n) for r in linear]).tocoo()
+    linear = scipy.sparse.vstack([_rows_matrix(t, n) for t in _standard_linear_terms(net)]).tocoo()
     v, eq, k = np.indices((n_v, 2, 4)).reshape(3, -1)
     rows = np.concatenate([2 * v + eq, 2 * n_v + linear.row])
     cols = np.concatenate([4 * v + k, linear.col])
@@ -227,7 +252,7 @@ def _same_bytes(a, b):
 def test_standard_jac_pattern_matches_vstack_reference(seed):
     net = _stenosed_random_tree(seed)
     template, slots = _StandardSystem(net)._jac_pattern
-    ref, ref_slots = _vstack_jac_pattern(_StandardSystem(net))
+    ref, ref_slots = _vstack_jac_pattern(net)
     assert _same_bytes(slots, ref_slots)
     for key in ("data", "indices", "indptr"):
         assert _same_bytes(getattr(template, key), getattr(ref, key))
@@ -789,6 +814,65 @@ def _perturbed(sol, seed=0):
     rng = np.random.default_rng(seed)
     sol.states = sol.states + rng.normal(size=sol.states.shape)
     return sol
+
+
+def _loop_linear_residual(net, x, inflow):
+    """Every linear-constraint row of one state, one row at a time, each
+    row's terms summed left to right: pressure and flow continuity per
+    vessel, junction mass balance, equal pressure across each junction
+    outlet, the inflow and the leaf BCs.  Returns the rows by block."""
+    idx, x = VarIndex(net), x.tolist()
+
+    def row(*terms, b=0.0):
+        return sum(k * x[idx(vid, q)] for vid, q, k in terms) - b
+
+    leaves = [bc for bc in net.boundary_conditions if bc.kind == "RESISTANCE"]
+    return [
+        [row((v, "p_in", 1.0), (v, "p_out", -1.0)) for v in idx.vessel_ids],
+        [row((v, "q_in", 1.0), (v, "q_out", -1.0)) for v in idx.vessel_ids],
+        [row((j.inlet_vessel, "q_out", 1.0), *((o.vessel_id, "q_in", -1.0) for o in j.outlets))
+         for j in net.junctions],
+        [row((j.inlet_vessel, "p_out", 1.0), (o.vessel_id, "p_in", -1.0))
+         for j in net.junctions for o in j.outlets],
+        [row((net.inflow_bc.vessel_id, "q_in", 1.0), b=inflow)],
+        [row((bc.vessel_id, "p_out", 1.0), (bc.vessel_id, "q_out", -bc.r), b=bc.pd)
+         for bc in leaves],
+    ]
+
+
+@pytest.mark.parametrize("inflow", [80.0, -80.0])
+def test_linear_constraint_rows_match_loop_reference(inflow):
+    data = network_to_dict(_stenosed_random_tree(9))
+    for bc in data["boundary_conditions"]:
+        if bc["kind"] == "RESISTANCE":
+            bc["value"]["Pd"] = 1333.0
+        else:
+            bc["value"] = inflow
+    net = network_from_dict(data)
+    con = _LinearConstraints(net)
+    rng = np.random.default_rng(10)
+    n_v = len(net.vessels)
+    states = rng.normal(size=(3, 4 * n_v)) * np.tile([1e4, 1e4, inflow, inflow], n_v)
+    for x in states:
+        blocks = _loop_linear_residual(net, x, inflow)
+        assert _same_bytes(con.residual(x, inflow), np.concatenate(blocks))
+    mass = [np.concatenate(_loop_linear_residual(net, x, 0.0)[1:3]) for x in states]
+    assert _same_bytes(con.mass(states), np.array(mass))
+    assert _same_bytes(con.mass(states[1]), mass[1])
+
+
+def test_fixed_pattern_keeps_the_given_order_within_a_row_or_column():
+    rows, cols = np.array([1, 0, 1, 0, 1]), np.array([3, 2, 0, 1, 2])
+    csr, slots = _fixed_pattern(rows, cols, (2, 4))
+    assert csr.format == "csr" and not csr.data.any()
+    assert csr.indptr.tolist() == [0, 2, 5]
+    assert csr.indices.tolist() == [2, 1, 3, 0, 2]
+    assert slots.tolist() == [2, 0, 3, 1, 4]
+    csc, slots = _fixed_pattern(rows, cols, (2, 4), "csc")
+    assert csc.format == "csc" and not csc.data.any()
+    assert csc.indptr.tolist() == [0, 1, 2, 4, 5]
+    assert csc.indices.tolist() == [1, 0, 0, 1, 1]
+    assert slots.tolist() == [4, 2, 0, 1, 3]
 
 
 def test_mass_conservation_error_matches_loop_reference():
