@@ -34,16 +34,10 @@ class ImpedanceSpectrum:
         return np.angle(self.z)
 
 
-def impedance(
-    q: np.ndarray,
-    dp: np.ndarray,
-    period: float,
-    dt: float,
-    floor: float = 1e-10,
-) -> ImpedanceSpectrum:
+def impedance(q: np.ndarray, dp: np.ndarray, period: float, dt: float) -> ImpedanceSpectrum:
     """Z(w_k) = F(dP)_k / F(Q)_k at harmonics of 2*pi/period.
 
-    Harmonics where |F(Q)| falls below floor*max|F(Q)| are dropped to avoid
+    Harmonics where |F(Q)| falls below 1e-10*max|F(Q)| are dropped to avoid
     noise amplification.
     """
     if not (math.isfinite(period) and period > 0):
@@ -65,7 +59,7 @@ def impedance(
         raise AnalysisError("all-zero flow signal")
     # harmonics of the fundamental are every n_periods-th rfft bin
     bins = np.arange(0, qh.size, n_periods)
-    keep = np.abs(qh[bins]) > floor * np.max(np.abs(qh))
+    keep = np.abs(qh[bins]) > 1e-10 * np.max(np.abs(qh))
     bins = bins[keep]
     if bins.size == 0:
         raise AnalysisError("no harmonics above the magnitude floor")
@@ -89,32 +83,24 @@ def write_impedance_csv(spectrum: ImpedanceSpectrum, path) -> None:
             )
 
 
-def pressure_error(
-    solution: Solution,
-    reference: Solution,
-    datum_pressure: float = 0.0,
-) -> dict:
+def pressure_error(solution: Solution, reference: Solution) -> dict:
     """Max-over-time inlet pressure error vs a reference solution, as
     ``series_pressure_error`` of the two inlet-pressure series."""
     if solution.times.size != reference.times.size or not np.allclose(
         solution.times, reference.times
     ):
         raise AnalysisError("solution and reference time grids do not match")
-    return series_pressure_error(
-        solution.inlet_pressure, reference.inlet_pressure, datum_pressure
-    )
+    return series_pressure_error(solution.inlet_pressure, reference.inlet_pressure)
 
 
-def series_pressure_error(
-    p: np.ndarray, p_ref: np.ndarray, datum_pressure: float = 0.0
-) -> dict:
+def series_pressure_error(p: np.ndarray, p_ref: np.ndarray) -> dict:
     """Max-over-time error of a pressure series against a reference series
     on the same time grid.
 
-    absolute is in mmHg; relative divides by the reference pressure range
-    above the (distal) datum.  Mean-over-time values are also reported.
+    absolute is in mmHg; relative divides by the largest reference pressure
+    above the zero datum.  Mean-over-time values are also reported.
     """
-    denom = float(np.max(np.abs(p_ref - datum_pressure)))
+    denom = float(np.max(np.abs(p_ref)))
     if denom == 0:
         raise AnalysisError("reference pressure range is zero; relative error undefined")
     diff = np.abs(p - p_ref)
@@ -130,12 +116,11 @@ def depth_statistics(
     network: VascularNetwork,
     solution: Solution,
     reference: Optional[Solution] = None,
-    step: int = -1,
 ) -> list[dict]:
     """Per-junction flow/Reynolds statistics (normalized by tree-inlet values)
-    grouped by depth = number of upstream bifurcations."""
+    at the last time, grouped by depth = number of upstream bifurcations."""
     fluid = network.fluid
-    x = solution.states[step]
+    x = solution.states[-1]
     idx = solution.index
     root = network.inflow_bc.vessel_id
     q0 = x[idx(root, "q_in")]
@@ -159,7 +144,7 @@ def depth_statistics(
             q_out = x[idx(o.vessel_id, "q_in")]
             rec["outlet_resistances"][o.vessel_id] = dp / q_out if q_out else float("nan")
         if reference is not None:
-            xr = reference.states[step]
+            xr = reference.states[-1]
             ir = reference.index
             rec["pressure_error_mmhg"] = (
                 abs(x[idx(j.inlet_vessel, "p_in")] - xr[ir(j.inlet_vessel, "p_in")])

@@ -2,9 +2,9 @@
 
 Each ``cmd_*`` handler holds only its pipeline calls.  ``main`` runs every
 command the same way: it times the handler, maps its exceptions to the exit
-code (0 success, 1 validation/input error, 2 numerical failure) and, only
-once the handler has returned, writes the run manifest: command, config
-hash, seed, input and output paths, tool version and wall time.  A command
+code (0 success, 1 usage or validation/input error, 2 numerical failure)
+and, only once the handler has returned, writes the run manifest: command,
+config hash, seed, input and output paths, tool version and wall time.  A command
 writing a directory gets ``<dir>/manifest.json``; one writing a file
 ``<name>.<ext>`` gets ``<name>.manifest.json`` beside it.
 """
@@ -29,7 +29,6 @@ from .network import (BIFURCATION_DEFINITIONS, NetworkError, generate_symmetric_
 from .nondim import NondimError
 from .datagen import (
     DatagenError,
-    SamplingRanges,
     WaveformConfig,
     build_cohort,
     fit_ri,
@@ -120,7 +119,6 @@ def cmd_generate_data(args) -> None:
     outdir = Path(args.out)
     dataset, manifest = build_cohort(
         n=args.n,
-        ranges=SamplingRanges(),
         waveform=WaveformConfig(n_steps=args.waveform_steps, period=args.period),
         seed=args.seed,
         noise_sigma=args.noise_sigma,
@@ -198,8 +196,7 @@ def cmd_fit_coeffs(args) -> None:
 def cmd_fit_tree(args) -> None:
     net = load_network(args.network)
     ensure_flow_splits(net)
-    re_values = [float(v) for v in args.re.split(",")]
-    inflows = [plug_flow(r, net.inlet_vessel.radius, net.fluid) for r in re_values]
+    inflows = [plug_flow(r, net.inlet_vessel.radius, net.fluid) for r in args.re]
     solutions = []
     for q in inflows:
         with net.steady_inflow(q):
@@ -211,10 +208,10 @@ def cmd_fit_tree(args) -> None:
         for (jid, vid), c in fits.items()
     ]
     _write_json(
-        {"mode": args.kind, "re_sweep": re_values, "fits": rows, "resolve_errors": errors},
+        {"mode": args.kind, "re_sweep": args.re, "fits": rows, "resolve_errors": errors},
         args.out,
     )
-    print(f"fitted {len(fits)} junction outlets over Re sweep {re_values}")
+    print(f"fitted {len(fits)} junction outlets over Re sweep {args.re}")
 
 
 def cmd_impedance(args) -> None:
@@ -265,6 +262,17 @@ def cmd_compare(args) -> None:
         f"inlet pressure error: {error['absolute_mmhg']:.4f} mmHg "
         f"({100 * error['relative']:.2f}%)"
     )
+
+
+def _numbers_option(text: str) -> list[float]:
+    """A comma-separated list of finite numbers, as an argparse type."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"need comma-separated finite numbers, got {text!r}")
+    return values
 
 
 @functools.cache
@@ -335,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-tree", help="fit in-tree junction coefficients over a Re sweep")
     p.add_argument("--network", required=True, help="network with junction coefficients")
-    p.add_argument("--re", default="600,1300,2700,5500", help="comma-separated Re sweep")
+    p.add_argument("--re", type=_numbers_option, default="600,1300,2700,5500",
+                   help="comma-separated Re sweep")
     p.add_argument("--kind", default="RRI", choices=["RRI", "RI"])
     p.add_argument("--out", required=True, help="output JSON report")
     p.set_defaults(func=cmd_fit_tree)
@@ -384,7 +393,10 @@ def _write_manifest(args, wall_time_s: float) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if e.code else 0
     t0 = time.monotonic()
     try:
         args.func(args)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .network import Fluid, circle_radius
 from .nondim import (
+    DEFAULT_RE_C,
     CoefficientSet,
     DimensionlessGeometry,
     NondimError,
@@ -104,26 +105,16 @@ def plug_flow(re: float, radius: float, fluid: Fluid) -> float:
 # -- sampling -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplingRanges:
-    """Min/max of the base dimensionless descriptors (phi_2 = 1 - phi_1)."""
-
-    alpha1: tuple[float, float] = (0.40, 1.2)
-    alpha2: tuple[float, float] = (0.37, 1.2)
-    lam1: tuple[float, float] = (15.0, 41.0)
-    lam2: tuple[float, float] = (16.0, 42.0)
-    theta1: tuple[float, float] = (0.05, 1.41)
-    theta2: tuple[float, float] = (0.33, 1.51)
-    phi1: tuple[float, float] = (0.15, 0.89)
-    phi2: tuple[float, float] = (0.10, 0.85)
-
-    SAMPLED = ("alpha1", "alpha2", "lam1", "lam2", "theta1", "theta2", "phi1")
-
-    def __post_init__(self):
-        for name in self.SAMPLED + ("phi2",):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise DatagenError(f"range {name}: need min < max")
+# min/max of the sampled base dimensionless descriptors (phi_2 = 1 - phi_1)
+SAMPLING_RANGES = {
+    "alpha1": (0.40, 1.2),
+    "alpha2": (0.37, 1.2),
+    "lam1": (15.0, 41.0),
+    "lam2": (16.0, 42.0),
+    "theta1": (0.05, 1.41),
+    "theta2": (0.33, 1.51),
+    "phi1": (0.15, 0.89),
+}
 
 
 @dataclass(frozen=True)
@@ -166,18 +157,15 @@ def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sample_geometries(
-    n: int, ranges: SamplingRanges = SamplingRanges(), seed: int = 0
-) -> list[SampledJunction]:
+def sample_geometries(n: int, seed: int = 0) -> list[SampledJunction]:
     if n < 1:
         raise DatagenError("need n >= 1")
     rng = np.random.default_rng(seed)
-    unit = latin_hypercube(n, len(SamplingRanges.SAMPLED), rng)
+    unit = latin_hypercube(n, len(SAMPLING_RANGES), rng)
     out = []
     for row in unit:
         vals = {}
-        for j, name in enumerate(SamplingRanges.SAMPLED):
-            lo, hi = getattr(ranges, name)
+        for j, (name, (lo, hi)) in enumerate(SAMPLING_RANGES.items()):
             vals[name] = lo + (hi - lo) * row[j]
         out.append(SampledJunction(**vals))
     return out
@@ -351,36 +339,34 @@ def ingest_timeseries_csv(path) -> TimeSeries:
 # -- cohort building ------------------------------------------------------
 
 
+RE_MAX = 5500.0  # peak Reynolds number of the systolic inlet waveform
+
+
 @dataclass(frozen=True)
 class WaveformConfig:
-    re_max: float = 5500.0
     period: float = 0.4
     n_steps: int = 200
 
 
 def build_cohort(
     n: int,
-    ranges: SamplingRanges = SamplingRanges(),
     waveform: WaveformConfig = WaveformConfig(),
     seed: int = 0,
-    fluid: Fluid = Fluid(),
     noise_sigma: float = 0.0,
-    re_c: Optional[float] = None,
 ):
     """Sample n junctions and extract 14 training rows each (2 outlets x 7
-    outlet-length fractions).  Returns (TrainingDataset, manifest dict).
+    outlet-length fractions), in blood (the default Fluid) at the reference
+    Reynolds number DEFAULT_RE_C.  Returns (TrainingDataset, manifest dict).
     """
     from .mlp import TrainingDataset  # deferred, avoids import cycle
-    from .nondim import DEFAULT_RE_C
 
-    if re_c is None:
-        re_c = DEFAULT_RE_C
-    junctions = sample_geometries(n, ranges, seed)
+    if not 0.0 <= noise_sigma < math.inf:
+        raise DatagenError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    fluid, re_c = Fluid(), DEFAULT_RE_C
+    junctions = sample_geometries(n, seed)
     l_c = circle_radius(INLET_AREA_COHORT)
     scales = characteristic_scales(l_c, fluid, re_c)
-    t, q_inlet = systolic_waveform(
-        waveform.re_max, l_c, fluid, waveform.period, waveform.n_steps
-    )
+    t, q_inlet = systolic_waveform(RE_MAX, l_c, fluid, waveform.period, waveform.n_steps)
     TimeSeries(t=t, q=q_inlet, dp=q_inlet)  # checks the shared time grid once
     noise_seeds = np.random.SeedSequence(seed).spawn(len(junctions))
 
@@ -449,8 +435,8 @@ def build_cohort(
         "seed": seed,
         "oracle": ORACLE_ID,
         "re_c": re_c,
-        "ranges": {name: list(getattr(ranges, name)) for name in SamplingRanges.SAMPLED},
-        "waveform": asdict(waveform),
+        "ranges": {name: list(r) for name, r in SAMPLING_RANGES.items()},
+        "waveform": {"re_max": RE_MAX, **asdict(waveform)},
         "noise_sigma": noise_sigma,
         "lambda_fractions": list(LAMBDA_FRACTIONS),
     }

@@ -16,11 +16,11 @@ import numpy as np
 
 from .network import Fluid, VascularNetwork, _FieldError, _get, _number, _numbers, _typed
 from .nondim import (
+    CoefficientSet,
     ZNormStats,
     apply_znorm,
     base_descriptors,
     characteristic_scales,
-    coefficient_sets,
     feature_matrix,
     float_pow,
     invalid_geometry,
@@ -777,7 +777,10 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
 
     # a non-finite value at any stage stays non-finite, so the CoefficientSet
     # checks raise where the outlet-by-outlet stages would
-    coeffs = coefficient_sets("RI" if r_quad is None else "RRI", r_lin, l, r_quad)
+    kind = "RI" if r_quad is None else "RRI"
+    quads = [None] * len(outlets) if r_quad is None else r_quad.tolist()
+    coeffs = [CoefficientSet(kind=kind, r_lin=c_lin, l=c_l, r_quad=c_quad)
+              for c_lin, c_l, c_quad in zip(r_lin.tolist(), l.tolist(), quads)]
     any_clamped = np.logical_or.reduce(list(clamped.values())).tolist()
     values = zip(outlets, lam.tolist(), delta_r.tolist(), delta_l.tolist())
     reports = []

@@ -25,6 +25,7 @@ DEFAULT_RHO = 1.06  # g/cm^3
 DEFAULT_KT = 1.52  # stenosis loss coefficient when none is given
 DEFAULT_CAPACITANCE = 1e-8  # cm^3/Ba, numerical-stability value
 NO_BRANCH_FRACTION = 0.1  # attributed fraction of branch length for "no_branch"
+TREE_OUTLET_ANGLE = 0.6  # rad, every outlet of generate_symmetric_tree
 
 BIFURCATION_DEFINITIONS = ("no_branch", "partial_branch", "full_branch")
 
@@ -242,12 +243,6 @@ class VascularNetwork:
 
     # -- topology helpers -------------------------------------------------
 
-    def bc_of(self, vessel_id: str, kind: str) -> Optional[BoundaryCondition]:
-        for bc in self.boundary_conditions:
-            if bc.vessel_id == vessel_id and bc.kind == kind:
-                return bc
-        return None
-
     @property
     def inlet_vessel(self) -> Vessel:
         return self.vessels[self.inflow_bc.vessel_id]
@@ -268,9 +263,6 @@ class VascularNetwork:
             yield self
         finally:
             self.boundary_conditions = original
-
-    def leaf_vessels(self) -> list[str]:
-        return [v for v in self.vessels if v not in self.topology.feeds]
 
     def junction_depth(self, junction: Junction) -> int:
         """Number of junctions upstream of this one."""
@@ -370,17 +362,15 @@ class VascularNetwork:
         self.topology = Topology(order, position, feeds, parent, tuple(preorder), depth)
 
 
-def apply_bifurcation_definition(
-    network: VascularNetwork, no_branch_fraction: float = NO_BRANCH_FRACTION
-) -> VascularNetwork:
+def apply_bifurcation_definition(network: VascularNetwork) -> VascularNetwork:
     """Partition each junction outlet branch into attributed + residual length.
 
-    no_branch attributes a small configurable fraction (the mesh-based
+    no_branch attributes the small fraction NO_BRANCH_FRACTION (the mesh-based
     intersection rule is unavailable here), partial_branch attributes 90%,
     full_branch the entire branch.
     """
     frac = {
-        "no_branch": no_branch_fraction,
+        "no_branch": NO_BRANCH_FRACTION,
         "partial_branch": 0.9,
         "full_branch": 1.0,
     }[network.bifurcation_definition]
@@ -397,17 +387,20 @@ def generate_symmetric_tree(
     inlet_radius: float = 0.5,
     length_over_radius: float = 20.0,
     murray_exponent: float = 3.0,
-    fluid: Fluid = Fluid(),
     inflow: float = 100.0,
     leaf_resistance: float = 1e5,
-    distal_pressure: float = 0.0,
-    outlet_angle: float = 0.6,
     bifurcation_definition: str = "partial_branch",
     capacitance: float = DEFAULT_CAPACITANCE,
 ) -> VascularNetwork:
-    """Full binary tree with Murray-law daughter radii and resistance BC leaves."""
-    if depth < 0 or inlet_radius <= 0:
-        raise InvalidGeometryError("depth must be >= 0 and inlet_radius > 0")
+    """Full binary tree of blood vessels with Murray-law daughter radii, every
+    outlet at the angle TREE_OUTLET_ANGLE, and resistance BC leaves at zero
+    distal pressure."""
+    if depth < 0:
+        raise InvalidGeometryError(f"depth must be >= 0, got {depth}")
+    for name, value in (("inlet_radius", inlet_radius), ("length_over_radius", length_over_radius),
+                        ("murray_exponent", murray_exponent)):
+        if not 0 < value < math.inf:
+            raise InvalidGeometryError(f"{name} must be finite and > 0, got {value}")
     vessels: dict[str, Vessel] = {}
     junctions: list[Junction] = []
     bcs: list[BoundaryCondition] = []
@@ -423,9 +416,7 @@ def generate_symmetric_tree(
         )
         if level == depth:
             bcs.append(
-                BoundaryCondition(
-                    vessel_id=vid, kind="RESISTANCE", r=leaf_resistance, pd=distal_pressure
-                )
+                BoundaryCondition(vessel_id=vid, kind="RESISTANCE", r=leaf_resistance)
             )
             return
         child_r = radius * ratio
@@ -435,8 +426,8 @@ def generate_symmetric_tree(
                 id="j" + vid,
                 inlet_vessel=vid,
                 outlets=[
-                    JunctionOutlet(vessel_id=left, angle=outlet_angle),
-                    JunctionOutlet(vessel_id=right, angle=outlet_angle),
+                    JunctionOutlet(vessel_id=left, angle=TREE_OUTLET_ANGLE),
+                    JunctionOutlet(vessel_id=right, angle=TREE_OUTLET_ANGLE),
                 ],
             )
         )
@@ -446,7 +437,7 @@ def generate_symmetric_tree(
     build("v", inlet_radius, 0)
     bcs.append(BoundaryCondition(vessel_id="v", kind="FLOW", value=inflow))
     net = VascularNetwork(
-        fluid=fluid,
+        fluid=Fluid(),
         vessels=vessels,
         junctions=junctions,
         boundary_conditions=bcs,

@@ -194,47 +194,16 @@ class CoefficientSet:
     dimensionless: bool = False
 
     def __post_init__(self):
-        _check_kind(self.kind, self.r_quad is not None)
+        if self.kind not in ("RRI", "RI"):
+            raise NondimError(f"unknown coefficient kind {self.kind!r}")
+        if self.kind == "RRI" and self.r_quad is None:
+            raise NondimError("RRI coefficients require r_quad")
         if not (math.isfinite(self.r_lin) and math.isfinite(self.l)
                 and (self.r_quad is None or math.isfinite(self.r_quad))):
-            raise NondimError(_NOT_FINITE)
+            raise NondimError("coefficients must be finite")
 
     def quad(self) -> float:
         return self.r_quad if self.r_quad is not None else 0.0
-
-
-_NOT_FINITE = "coefficients must be finite"
-
-
-def _check_kind(kind: str, has_quad: bool) -> None:
-    if kind not in ("RRI", "RI"):
-        raise NondimError(f"unknown coefficient kind {kind!r}")
-    if kind == "RRI" and not has_quad:
-        raise NondimError("RRI coefficients require r_quad")
-
-
-def coefficient_sets(kind: str, r_lin: np.ndarray, l: np.ndarray,
-                     r_quad: Optional[np.ndarray] = None) -> list[CoefficientSet]:
-    """One dimensional CoefficientSet per entry of the value arrays (r_quad
-    None for RI).  CoefficientSet's checks run once, on the arrays, with its
-    errors; the sets are then built without checking each one again."""
-    _check_kind(kind, r_quad is not None)
-    finite = np.isfinite(r_lin) & np.isfinite(l)
-    if r_quad is not None:
-        finite &= np.isfinite(r_quad)
-    if not np.all(finite):
-        raise NondimError(_NOT_FINITE)
-    quads = [None] * len(r_lin) if r_quad is None else r_quad.tolist()
-    sets = []
-    for c_lin, c_l, c_quad in zip(r_lin.tolist(), l.tolist(), quads):
-        c = object.__new__(CoefficientSet)
-        # field by field, as the frozen dataclass's __init__ does: filling
-        # vars(c) instead would give every set its own dict, twice the memory
-        for name, value in (("kind", kind), ("r_lin", c_lin), ("l", c_l),
-                            ("r_quad", c_quad), ("dimensionless", False)):
-            object.__setattr__(c, name, value)
-        sets.append(c)
-    return sets
 
 
 def nondimensionalize_values(r_lin, r_quad, l, scales):

@@ -62,7 +62,6 @@ class SolverConfig:
     dt: float = 1e-3
     n_steps: int = 100
     newton_tol: float = 1e-10  # residual inf-norm
-    max_iterations: int = 50
     constraint_tol: float = 1e-8
     stationarity_tol: float = 1e-6
 
@@ -316,22 +315,25 @@ def _scaled_norm(res, jac, x):
     return float(np.max(np.abs(res) / scale))
 
 
+MAX_NEWTON_ITERATIONS = 50
+
+
 def _newton(system, x0, x_prev, dt, inflow, config):
     x = x0.copy()
-    for it in range(config.max_iterations + 1):
+    for it in range(MAX_NEWTON_ITERATIONS + 1):
         res = system.residual(x, x_prev, dt, inflow)
         jac = system.jacobian(x, x_prev, dt)
         norm = _scaled_norm(res, jac, x)
         if norm <= config.newton_tol:
             return x, {"iterations": it, "residual_norm": norm}
-        if it == config.max_iterations:
+        if it == MAX_NEWTON_ITERATIONS:
             break
         try:
             x = x + scipy.sparse.linalg.splu(jac).solve(-res)
         except RuntimeError as e:  # splu: "Factor is exactly singular"
             raise ConvergenceError(f"singular Jacobian at iteration {it}") from e
     raise ConvergenceError(
-        f"Newton did not converge in {config.max_iterations} iterations "
+        f"Newton did not converge in {MAX_NEWTON_ITERATIONS} iterations "
         f"(scaled residual inf-norm {norm:.3e})"
     )
 

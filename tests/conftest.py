@@ -61,6 +61,13 @@ def make_single_junction(coeffs1, coeffs2=None, phi=0.5, bc_r1=100.0,
                            boundary_conditions=bcs)
 
 
+def leaf_bcs(network):
+    """The resistance BC of every leaf vessel (one that feeds no junction),
+    by vessel id, in the network's vessel order."""
+    bcs = {b.vessel_id: b for b in network.boundary_conditions if b.kind == "RESISTANCE"}
+    return {vid: bcs[vid] for vid in network.vessels if vid not in network.topology.feeds}
+
+
 def rri_coeffs(r_lin, r_quad, l):
     return CoefficientSet(kind="RRI", r_lin=r_lin, r_quad=r_quad, l=l)
 

@@ -65,6 +65,22 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["make-tree", "--depth", "abc", "--out", "t.json"],
+                                  ["solve", "--out", "sol"], []])
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv):
+    """A usage error is an input error (exit 1), not a numerical failure
+    (exit 2), and it writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_through_main_exits_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--network" in capsys.readouterr().out
+
+
 # -- solve -----------------------------------------------------------------
 
 
@@ -218,6 +234,17 @@ def test_make_tree_and_estimate_splits(tmp_path):
     )
 
 
+@pytest.mark.parametrize("option", ["--murray-exponent", "--inlet-radius",
+                                    "--length-over-radius"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_make_tree_rejects_bad_shape_option(tmp_path, capsys, option, value):
+    tree = tmp_path / "tree.json"
+    assert main(["make-tree", "--depth", "2", option, value, "--out", str(tree)]) == 1
+    name = option[2:].replace("-", "_")
+    assert f"error: {name} must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 MAKE_TREE_DEPTH_2_HASH = "eeefd25b566628c8eadca7f1100a7ad48eae0e450516463dfd2b2987464ea49c"
 
 
@@ -341,6 +368,15 @@ def test_generate_data_reproducible(tmp_path):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
     manifest = json.loads((dirs[0] / "cohort_manifest.json").read_text())
     assert manifest["n_rows"] == 4 * 14
+    assert manifest["waveform"] == {"re_max": 5500.0, "period": 0.4, "n_steps": 200}
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_generate_data_rejects_bad_noise_sigma(tmp_path, capsys, sigma):
+    outdir = tmp_path / "cohort"
+    assert main(["generate-data", "--n", "2", "--noise-sigma", sigma, "--out", str(outdir)]) == 1
+    assert "error: noise_sigma must be finite and >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- fit-tree and compare --------------------------------------------------
@@ -369,6 +405,17 @@ def test_fit_tree_command(tmp_path):
         assert fit["r_quad"] == pytest.approx(4.0, rel=1e-6)
     for row in report["resolve_errors"]:
         assert row["relative"] <= 1e-6
+
+
+@pytest.mark.parametrize("re_sweep", ["abc", "600,nan", "600,,1300"])
+def test_fit_tree_rejects_bad_re_sweep(tmp_path, capsys, re_sweep):
+    net_path = tmp_path / "net.json"
+    save_network(generate_symmetric_tree(depth=1), net_path)
+    out = tmp_path / "fits.json"
+    assert main(["fit-tree", "--network", str(net_path), "--re", re_sweep,
+                 "--out", str(out)]) == 1
+    assert "argument --re: need comma-separated finite numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_identical_solutions(tmp_path, capsys):

@@ -25,7 +25,7 @@ from vascrom.network import (
     network_to_dict,
 )
 from vascrom.solver import solve_steady_standard
-from tests.conftest import random_shape_tree
+from tests.conftest import leaf_bcs, random_shape_tree
 
 FLUID = Fluid()
 # l such that a unit-area vessel has Poiseuille resistance exactly R
@@ -94,7 +94,7 @@ def test_depth_two_matches_hand_ladder_reduction():
         r_v, _ = net.vessels[vid].elements(net.fluid)
         j = net.topology.feeds.get(vid)
         if j is None:
-            return r_v + net.bc_of(vid, "RESISTANCE").r
+            return r_v + leaf_bcs(net)[vid].r
         r1 = hand(j.outlets[0].vessel_id)
         r2 = hand(j.outlets[1].vessel_id)
         return r_v + r1 * r2 / (r1 + r2)
@@ -119,7 +119,7 @@ def test_effective_resistance_requires_resistance_leaves():
 def test_effective_resistance_monotone_in_leaf_bc():
     base = generate_symmetric_tree(depth=3)
     r0 = estimate_flow_splits(base).resistances
-    for leaf in base.leaf_vessels():
+    for leaf in leaf_bcs(base):
         data = network_to_dict(base)
         for bc in data["boundary_conditions"]:
             if bc["kind"] == "RESISTANCE" and bc["vessel_id"] == leaf:

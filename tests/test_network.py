@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import leaf_bcs
 from vascrom.network import (
     BoundaryCondition,
     ConnectivityError,
@@ -157,7 +158,7 @@ def test_tree_depth_one_murray_radius():
 def test_tree_depth_five_counts():
     net = generate_symmetric_tree(depth=5)
     assert len(net.junctions) == 31
-    assert len(net.leaf_vessels()) == 32
+    assert len(leaf_bcs(net)) == 32
     assert len(net.vessels) == 63
 
 
@@ -378,7 +379,7 @@ def test_topology_of_random_shape_trees(seed):
 
     for j in net.junctions:
         assert net.junction_depth(j) == ancestors(j.inlet_vessel)
-    assert len({ancestors(v) for v in net.leaf_vessels()}) > 1
+    assert len({ancestors(v) for v in leaf_bcs(net)}) > 1
     assert list(topo.preorder) != sorted(net.vessels)
     assert list(topo.vessel_ids) == sorted(net.vessels) == sorted(topo.preorder)
     assert topo.preorder[0] == net.inflow_bc.vessel_id
@@ -393,7 +394,7 @@ def test_topology_of_random_shape_trees(seed):
 def test_generated_trees_always_validate(depth, exponent):
     net = generate_symmetric_tree(depth=depth, murray_exponent=exponent)
     net.validate()  # would raise on any inconsistency
-    assert len(net.leaf_vessels()) == 2**depth
+    assert len(leaf_bcs(net)) == 2**depth
 
 
 def test_steady_inflow_restores_boundary_conditions_on_error():

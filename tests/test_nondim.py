@@ -15,7 +15,6 @@ from vascrom.nondim import (
     ZNormStats,
     apply_znorm,
     characteristic_scales,
-    coefficient_sets,
     feature_matrix,
     fit_znorm,
     float_pow,
@@ -291,61 +290,12 @@ def test_coefficients_must_be_finite():
         CoefficientSet(kind="RI", r_lin=float("nan"), l=1.0)
 
 
-@pytest.mark.parametrize("kind", ["RRI", "RI"])
-def test_coefficient_sets_equal_one_set_per_entry(kind):
-    rng = np.random.default_rng(3)
-    r_lin, l, r_quad = rng.normal(size=(3, 7))
-    r_quad = r_quad if kind == "RRI" else None
-    sets = coefficient_sets(kind, r_lin, l, r_quad)
-    ref = [
-        CoefficientSet(kind=kind, r_lin=float(r_lin[i]), l=float(l[i]),
-                       r_quad=None if r_quad is None else float(r_quad[i]))
-        for i in range(7)
-    ]
-    assert sets == ref
-    assert [repr(c) for c in sets] == [repr(c) for c in ref]
-    assert all(type(c.r_lin) is float and hash(c) == hash(r) for c, r in zip(sets, ref))
-
-
-def test_coefficient_sets_take_the_memory_of_one_set_per_entry():
-    import tracemalloc
-
-    values = np.arange(1000.0)
-
-    def traced(make):
-        tracemalloc.start()
-        try:
-            kept = make()  # noqa: F841, held while measured
-            return tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-
-    batched = traced(lambda: coefficient_sets("RRI", values, values, values))
-    single = traced(lambda: [
-        CoefficientSet(kind="RRI", r_lin=float(v), l=float(v), r_quad=float(v)) for v in values
-    ])
-    assert batched <= 1.1 * single
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["r_lin", "l", "r_quad"])
-def test_coefficient_sets_raise_the_error_of_one_set(field, bad):
-    values = {f: np.ones(4) for f in ("r_lin", "l", "r_quad")}
-    values[field][2] = bad
+def test_coefficient_set_rejects_non_finite_values(field, bad):
+    values = {"r_lin": 1.0, "l": 1.0, "r_quad": 1.0, field: bad}
     with pytest.raises(NondimError, match="^coefficients must be finite$"):
-        CoefficientSet(kind="RRI", **{f: float(v[2]) for f, v in values.items()})
-    with pytest.raises(NondimError, match="^coefficients must be finite$"):
-        coefficient_sets("RRI", **values)
-
-
-def test_coefficient_sets_check_the_kind():
-    with pytest.raises(NondimError, match="require r_quad"):
-        coefficient_sets("RRI", np.ones(2), np.ones(2))
-    with pytest.raises(NondimError, match="unknown coefficient kind"):
-        coefficient_sets("XX", np.ones(2), np.ones(2))
-    assert coefficient_sets("RI", np.ones(1), np.ones(1)) == [
-        CoefficientSet(kind="RI", r_lin=1.0, l=1.0)
-    ]
+        CoefficientSet(kind="RRI", **values)
 
 
 # -- z-normalization -------------------------------------------------------

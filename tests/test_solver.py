@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse
 
 from tests.conftest import (
+    leaf_bcs,
     make_single_junction,
     make_single_vessel,
     newton_rri_reference,
@@ -291,7 +292,7 @@ def test_steady_single_vessel_with_stenosis():
 def test_steady_symmetric_tree_splits_evenly():
     net = generate_symmetric_tree(depth=3, inflow=80.0)
     sol = solve_steady_standard(net)
-    for leaf in net.leaf_vessels():
+    for leaf in leaf_bcs(net):
         assert sol.q(leaf)[0] == pytest.approx(10.0, rel=1e-9)
     assert mass_conservation_error(sol) < 1e-10
 
@@ -903,8 +904,7 @@ def test_kkt_constraint_violation_matches_loop_reference():
         for j in net.junctions:
             res.append(x[idx(j.inlet_vessel, "q_out")]
                        - sum(x[idx(o.vessel_id, "q_in")] for o in j.outlets))
-        for leaf in net.leaf_vessels():
-            bc = net.bc_of(leaf, "RESISTANCE")
+        for leaf, bc in leaf_bcs(net).items():
             res.append(x[idx(leaf, "p_out")] - bc.r * x[idx(leaf, "q_out")] - bc.pd)
         assert rec["constraint_violation"] == pytest.approx(max(map(abs, res)), rel=1e-12)
 
