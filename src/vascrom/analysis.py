@@ -3,7 +3,6 @@ and in-tree coefficient fitting."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -11,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .flowsplit import ensure_flow_splits
+from .formats import write_csv
 from .network import MMHG_TO_BA, VascularNetwork
 from .nondim import CoefficientSet
 from .solver import Solution, SolverConfig, solve_opt
@@ -68,19 +68,9 @@ def impedance(q: np.ndarray, dp: np.ndarray, period: float, dt: float) -> Impeda
 
 
 def write_impedance_csv(spectrum: ImpedanceSpectrum, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["omega", "re", "im", "mag", "phase"])
-        for om, z in zip(spectrum.omega, spectrum.z):
-            w.writerow(
-                [
-                    repr(float(om)),
-                    repr(float(z.real)),
-                    repr(float(z.imag)),
-                    repr(float(abs(z))),
-                    repr(float(np.angle(z))),
-                ]
-            )
+    z = spectrum.z  # |z| by np.hypot, rounded as abs() of one element; np.abs of all is not
+    write_csv(path, ["omega", "re", "im", "mag", "phase"], np.column_stack(
+        [spectrum.omega, z.real, z.imag, np.hypot(z.real, z.imag), np.angle(z)]), None)
 
 
 def pressure_error(solution: Solution, reference: Solution) -> dict:

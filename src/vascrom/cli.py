@@ -12,18 +12,15 @@ writing a directory gets ``<dir>/manifest.json``; one writing a file
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import json
 import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .formats import canonical_json, read_csv, write_json
 from .network import (BIFURCATION_DEFINITIONS, NetworkError, generate_symmetric_tree,
                       load_network, save_network)
 from .nondim import NondimError
@@ -82,22 +79,8 @@ VALIDATION_ERRORS = (
     FlowSplitError,
     AnalysisError,
     SolverError,
-    FileNotFoundError,
-    KeyError,
-    ValueError,
+    OSError,
 )
-
-
-def _writable(path) -> Path:
-    """path as a Path, with its parent directory created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_json(obj, path) -> None:
-    with open(_writable(path), "w") as f:
-        f.write(json.dumps(obj, indent=1))
 
 
 def cmd_make_tree(args) -> None:
@@ -110,9 +93,8 @@ def cmd_make_tree(args) -> None:
         leaf_resistance=args.leaf_resistance,
         bifurcation_definition=args.bif_def,
     )
-    out = _writable(args.out)
-    save_network(net, out)
-    print(f"wrote {out}: {len(net.vessels)} vessels, {len(net.junctions)} junctions")
+    save_network(net, args.out)
+    print(f"wrote {args.out}: {len(net.vessels)} vessels, {len(net.junctions)} junctions")
 
 
 def cmd_generate_data(args) -> None:
@@ -124,7 +106,7 @@ def cmd_generate_data(args) -> None:
         noise_sigma=args.noise_sigma,
     )
     save_dataset(dataset, outdir)
-    _write_json(manifest, outdir / "cohort_manifest.json")
+    write_json(manifest, outdir / "cohort_manifest.json")
     print(f"wrote {manifest['n_rows']} rows for {args.n} junctions to {outdir}")
 
 
@@ -134,9 +116,9 @@ def cmd_train(args) -> None:
     )
     dataset = load_dataset(args.data)
     models, report = train_models(dataset, config=config)
-    out = _writable(args.out)
+    out = Path(args.out)
     save_models(ModelBundle.from_training(dataset, models), out)
-    _write_json(report, out.with_suffix(".report.json"))
+    write_json(report, out.with_suffix(".report.json"))
     for tag, rep in report.items():
         print(f"{tag}: val MSE {rep['final_val_mse']:.4g} after {rep['epochs_run']} epochs")
 
@@ -144,9 +126,9 @@ def cmd_train(args) -> None:
 def cmd_estimate_splits(args) -> None:
     net = load_network(args.network)
     estimate = estimate_flow_splits(net)
-    write_split_report(estimate, _writable(args.out))
+    write_split_report(estimate, args.out)
     if args.network_out:
-        save_network(net, _writable(args.network_out))
+        save_network(net, args.network_out)
     print(f"estimated splits for {len(estimate.splits)} junctions")
 
 
@@ -155,9 +137,9 @@ def cmd_predict(args) -> None:
     bundle = load_models(args.models)
     ensure_flow_splits(net)
     reports = predict_network(bundle, net, kind=args.kind)
-    out = _writable(args.out)
+    out = Path(args.out)
     save_network(net, out)
-    _write_json(reports, out.with_suffix(".report.json"))
+    write_json(reports, out.with_suffix(".report.json"))
     print(f"predicted {args.kind} coefficients for {len(net.junctions)} junctions")
 
 
@@ -174,7 +156,7 @@ def cmd_solve(args) -> None:
         sol = solve_opt(net, config, engine=args.engine)
     export_solution(sol, args.out)
     if args.engine != "standard":
-        _write_json(kkt_report(sol), Path(args.out) / "kkt.json")
+        write_json(kkt_report(sol), Path(args.out) / "kkt.json")
     print(
         f"{args.engine}/{args.mode} solve done: "
         f"inlet pressure {sol.inlet_pressure[-1]:.4f} Ba"
@@ -185,7 +167,7 @@ def cmd_fit_coeffs(args) -> None:
     series = ingest_timeseries_csv(args.series)
     coeffs = fit_rri(series) if args.kind == "RRI" else fit_ri(series)
     r2 = r_squared(series, coeffs)
-    _write_json(
+    write_json(
         {"kind": coeffs.kind, "r_lin": coeffs.r_lin, "r_quad": coeffs.r_quad,
          "l": coeffs.l, "r_squared": r2},
         args.out,
@@ -207,7 +189,7 @@ def cmd_fit_tree(args) -> None:
         {"junction": jid, "outlet": vid, "r_lin": c.r_lin, "r_quad": c.r_quad, "l": c.l}
         for (jid, vid), c in fits.items()
     ]
-    _write_json(
+    write_json(
         {"mode": args.kind, "re_sweep": args.re, "fits": rows, "resolve_errors": errors},
         args.out,
     )
@@ -217,47 +199,23 @@ def cmd_fit_tree(args) -> None:
 def cmd_impedance(args) -> None:
     series = ingest_timeseries_csv(args.series)
     spectrum = impedance(series.q, series.dp, period=args.period, dt=series.dt)
-    out = _writable(args.out)
-    write_impedance_csv(spectrum, out)
-    print(f"wrote {spectrum.omega.size} harmonics to {out}")
-
-
-def _read_solution_csv(path) -> tuple[list[str], np.ndarray]:
-    """The header and the rows of a solution.csv; a row that is not one finite
-    number per column raises an AnalysisError naming file:line."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise AnalysisError(f"{path}: empty solution file")
-        rows = []
-        for row in reader:
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                values = [math.nan]
-            if len(values) != len(header) or not all(map(math.isfinite, values)):
-                raise AnalysisError(f"{path}:{reader.line_num}: need {len(header)} finite "
-                                    f"numbers, got {','.join(row)!r}")
-            rows.append(values)
-    if not rows:
-        raise AnalysisError(f"{path}: no solution rows")
-    return header, np.array(rows)
+    write_impedance_csv(spectrum, args.out)
+    print(f"wrote {spectrum.omega.size} harmonics to {args.out}")
 
 
 def cmd_compare(args) -> None:
-    path = Path(args.solution) / "solution.csv"
-    h1, sol = _read_solution_csv(path)
-    h2, ref = _read_solution_csv(Path(args.reference) / "solution.csv")
+    path, ref_path = Path(args.solution) / "solution.csv", Path(args.reference) / "solution.csv"
+    h1, sol, _ = read_csv(path, None, None, AnalysisError)
+    h2, ref, _ = read_csv(ref_path, None, None, AnalysisError)
     if h1 != h2 or sol.shape != ref.shape:
-        raise AnalysisError("solution and reference layouts do not match")
+        raise AnalysisError(f"{ref_path}: columns or rows differ from those of {path}")
     net = load_network(args.network)
     name = f"P_{net.inflow_bc.vessel_id}_in"
     if name not in h1:
         raise AnalysisError(f"{path}: no column {name}, the inlet pressure of {args.network}")
     col = h1.index(name)
     error = series_pressure_error(sol[:, col], ref[:, col])
-    _write_json({k: error[k] for k in ("absolute_mmhg", "relative")}, args.out)
+    write_json({k: error[k] for k in ("absolute_mmhg", "relative")}, args.out)
     print(
         f"inlet pressure error: {error['absolute_mmhg']:.4f} mmHg "
         f"({100 * error['relative']:.2f}%)"
@@ -376,12 +334,11 @@ def _write_manifest(args, wall_time_s: float) -> None:
     the output file as ``<name>.manifest.json``."""
     # the handler ("func") prints with its address, which changes per process
     settings = {k: v for k, v in vars(args).items() if k != "func"}
-    blob = json.dumps(settings, sort_keys=True, default=str).encode()
     out = Path(args.out)
-    _write_json(
+    write_json(
         {
             "command": args.command,
-            "config_hash": hashlib.sha256(blob).hexdigest(),
+            "config_hash": hashlib.sha256(canonical_json(settings)).hexdigest(),
             "seed": settings.get("seed"),
             "inputs": [str(v) for k, v in settings.items() if k in INPUT_OPTIONS],
             "outputs": [str(v) for k, v in settings.items() if k in OUTPUT_OPTIONS and v],

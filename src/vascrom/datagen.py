@@ -3,13 +3,13 @@ time-series synthesis, and RRI/RI coefficient extraction."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
+from .formats import read_csv
 from .network import Fluid, circle_radius
 from .nondim import (
     DEFAULT_RE_C,
@@ -314,26 +314,8 @@ def r_squared(series: TimeSeries, coeffs: CoefficientSet) -> float:
 
 
 def ingest_timeseries_csv(path) -> TimeSeries:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "Q", "dP"]:
-            raise DatagenError(f"{path}: expected header 't,Q,dP', got {header}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DatagenError(f"{path}:{i}: expected 3 columns")
-            try:
-                values = [float(x) for x in row]
-            except ValueError as e:
-                raise DatagenError(f"{path}:{i}: non-numeric cell") from e
-            if not all(map(math.isfinite, values)):
-                raise DatagenError(f"{path}:{i}: non-finite cell")
-            rows.append(values)
-    if not rows:
-        raise DatagenError(f"{path}: no data rows")
-    arr = np.array(rows)
-    return TimeSeries(t=arr[:, 0], q=arr[:, 1], dp=arr[:, 2])
+    _, values, _ = read_csv(path, ["t", "Q", "dP"], None, DatagenError)
+    return TimeSeries(t=values[:, 0], q=values[:, 1], dp=values[:, 2])
 
 
 # -- cohort building ------------------------------------------------------

@@ -6,9 +6,9 @@ stenosis and quadratic elements are ignored (a documented approximation).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .formats import write_json
 from .network import VascularNetwork
 
 
@@ -86,5 +86,4 @@ def write_split_report(estimate: SplitEstimate, path) -> None:
         ],
         "effective_resistances": estimate.resistances,
     }
-    with open(path, "w") as f:
-        f.write(json.dumps(out, indent=1))
+    write_json(out, path)

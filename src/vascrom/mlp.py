@@ -3,8 +3,6 @@ geometry -> dimensional-coefficient prediction pipeline."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import zlib
 from dataclasses import dataclass
@@ -14,9 +12,12 @@ from typing import Optional
 
 import numpy as np
 
-from .network import Fluid, VascularNetwork, _FieldError, _get, _number, _numbers, _typed
+from .formats import (_FieldError, _get, _number, _numbers, _typed, read_csv, read_json,
+                      write_csv, write_json)
+from .network import Fluid, VascularNetwork
 from .nondim import (
     CoefficientSet,
+    DimensionlessGeometry,
     ZNormStats,
     apply_znorm,
     base_descriptors,
@@ -343,17 +344,12 @@ def save_dataset(dataset: TrainingDataset, outdir) -> None:
     """Write `dataset.csv` (inputs, one target column per tag, split) and
     `stats.json` (the normalization block) into outdir."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     tags = list(dataset.target_stats)
     split = np.full(dataset.inputs.shape[0], "train", dtype=object)
     split[dataset.val_idx] = "val"
     values = np.column_stack([dataset.inputs] + [dataset.targets[tag] for tag in tags])
-    # CSV lines as csv.writer makes them; no cell needs quoting
-    with open(outdir / "dataset.csv", "w", newline="") as f:
-        f.write(",".join(_dataset_header(dataset.inputs.shape[1], tags)) + "\r\n")
-        f.writelines(f"{','.join(map(repr, r))},{s}\r\n" for r, s in zip(values.tolist(), split))
-    with open(outdir / "stats.json", "w") as f:
-        f.write(json.dumps(_norm_block(dataset), indent=1))
+    write_csv(outdir / "dataset.csv", _dataset_header(dataset.inputs.shape[1], tags), values, split)
+    write_json(_norm_block(dataset), outdir / "stats.json")
 
 
 def load_dataset(outdir) -> TrainingDataset:
@@ -362,25 +358,8 @@ def load_dataset(outdir) -> TrainingDataset:
     outdir = Path(outdir)
     _, norm = _read_norm_block(outdir / "stats.json")
     n_inputs, tags = norm["input_stats"].mean.size, list(norm["target_stats"])
-    header = _dataset_header(n_inputs, tags)
-    path, rows, split = outdir / "dataset.csv", [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        if (got := next(reader, [])) != header:
-            raise ModelError(f"{path}:1: header {','.join(got)!r}, stats.json needs "
-                             f"{','.join(header)!r}")
-        for r in reader:
-            try:
-                row = [float(v) for v in r[:-1]]
-            except ValueError:
-                row = [math.nan]
-            if (len(r) != len(header) or r[-1] not in ("train", "val")
-                    or not all(map(math.isfinite, row))):
-                raise ModelError(f"{path}:{reader.line_num}: need {len(header) - 1} finite "
-                                 f"numbers and a split of train or val, got {','.join(r)!r}")
-            rows.append(row)
-            split.append(r[-1])
-    values, split = np.array(rows).reshape(-1, len(header) - 1), np.array(split)
+    _, values, split = read_csv(outdir / "dataset.csv", _dataset_header(n_inputs, tags),
+                                ("train", "val"), ModelError)
     return TrainingDataset(
         inputs=values[:, :n_inputs],
         targets={tag: values[:, n_inputs + k] for k, tag in enumerate(tags)},
@@ -519,6 +498,9 @@ def train_models(
     report = {}
     for tag in tags:
         train_curve, val_curve = curves[tag]
+        bad = [k for k, mse in enumerate(val_curve) if not math.isfinite(mse)]
+        if bad:  # a huge validation target; the report is strict JSON
+            raise ModelError(f"model {tag}: validation MSE {val_curve[bad[0]]} at epoch {bad[0]}")
         report[tag] = {
             "train_loss": train_curve,
             "val_mse": val_curve,
@@ -564,8 +546,7 @@ def save_models(bundle: ModelBundle, path) -> None:
             for m in bundle.models.values()
         ],
     }
-    with open(path, "w") as f:
-        f.write(json.dumps(out))
+    write_json(out, path, indent=None)
 
 
 def load_models(path) -> ModelBundle:
@@ -581,20 +562,22 @@ def load_models(path) -> ModelBundle:
     models = {}
     for i, entry in enumerate(entries):
         try:
-            model = _read_model(entry)
+            model = _read_model(entry, norm["input_stats"].mean.size, norm["target_stats"])
         except _FieldError as e:
             raise ModelError(f"{path}: models[{i}]: {e}") from None
         models[model.tag] = model
     return ModelBundle(models=models, **norm)
 
 
-def _read_model(entry) -> MlpModel:
-    """One entry of a bundle's models list: a tag, and per layer its width, a
-    width x fan-in weight matrix and width biases.  The first layer's fan-in
-    is its first row's length, every later one the width before it, and the
+def _read_model(entry, n_inputs: int, tags) -> MlpModel:
+    """One entry of a bundle's models list: a tag, one of tags, and per layer
+    its width, a width x fan-in weight matrix and width biases.  The first
+    layer's fan-in is n_inputs, every later one the width before it, and the
     last width is 1."""
     entry = _typed(entry, "entry", dict)
     tag = _typed(_get(entry, "tag"), "tag", str)
+    if tag not in tags:
+        raise _FieldError(f"tag {tag!r} has no znorm_out entry")
     widths = _numbers(_get(entry, "widths"), "widths", low=0)
     weights = _typed(_get(entry, "weights"), "weights", list)
     biases = _typed(_get(entry, "biases"), "biases", list)
@@ -603,14 +586,13 @@ def _read_model(entry) -> MlpModel:
         raise _FieldError(f"widths must be whole numbers ending in 1, one per layer of weights "
                           f"and biases, got {widths!r} for {len(weights)} weight and "
                           f"{len(biases)} bias layers")
-    fan_in, layers = None, []
+    fan_in, layers = n_inputs, []
     for k, (width, w, b) in enumerate(zip(widths, weights, biases)):
         if len(_typed(w, f"weights[{k}]", list)) != width:
             raise _FieldError(f"weights[{k}] must have {int(width)} rows, got {len(w)}")
         rows = []
         for r, row in enumerate(w):
             rows.append(_numbers(row, f"weights[{k}][{r}]", size=fan_in))
-            fan_in = fan_in or len(row)
         bias = _numbers(b, f"biases[{k}]", size=int(width))
         layers.append((np.array(rows, float), np.array(bias, float)))
         fan_in = int(width)
@@ -636,24 +618,21 @@ def _read_norm_block(path) -> tuple[dict, dict]:
     input_stats, target_stats and feature_ranges fields of a TrainingDataset
     or ModelBundle, read from its normalization block.  Invalid JSON or a
     missing or malformed field raises a ModelError naming the file and field."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ModelError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}") from e
+    data = read_json(path, ModelError)
 
     def numbers(*keys, size=None, low=-math.inf):
         return np.array(_numbers(_get(data, *keys), ".".join(keys), size, low), float)
 
-    def znorm(*keys):
-        mean = numbers(*keys, "mean")
-        return ZNormStats(mean, numbers(*keys, "std", size=mean.size, low=0.0))
+    def znorm(*keys, size):
+        return ZNormStats(numbers(*keys, "mean", size=size),
+                          numbers(*keys, "std", size=size, low=0.0))
 
     try:
         norm = {
             "re_c": _number(_get(data, "scales_policy", "re_c"), "scales_policy.re_c", low=0),
-            "input_stats": znorm("znorm_in"),
-            "target_stats": {tag: znorm("znorm_out", tag) for tag in _get(data, "znorm_out")},
+            "input_stats": znorm("znorm_in", size=DimensionlessGeometry.N_FEATURES),
+            "target_stats": {tag: znorm("znorm_out", tag, size=1)
+                             for tag in _typed(_get(data, "znorm_out"), "znorm_out", dict)},
         }
         for feat in _RANGED_FEATURES:  # prediction clamps each of these
             _get(data, "ranges", feat)

@@ -12,13 +12,15 @@ from ``boundary_conditions``, so they may be swapped after construction.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
+
+from .formats import (_FieldError, _get, _number, _numbers, _strings, _typed, read_json,
+                      write_json)
 
 DEFAULT_MU = 0.04  # g/(cm s), standard blood viscosity
 DEFAULT_RHO = 1.06  # g/cm^3
@@ -408,10 +410,15 @@ def generate_symmetric_tree(
     ratio = 2.0 ** (-1.0 / murray_exponent)
 
     def build(vid: str, radius: float, level: int):
+        area = math.pi * radius**2
+        if area**2 == 0:  # so the Poiseuille resistance 8*pi*mu*l/A^2 overflows
+            raise InvalidGeometryError(
+                f"the depth-{level} vessels are too narrow: inlet_radius {inlet_radius} and "
+                f"murray_exponent {murray_exponent} give radius {radius}, area {area}")
         vessels[vid] = Vessel(
             id=vid,
             length=length_over_radius * radius,
-            area=math.pi * radius**2,
+            area=area,
             capacitance=capacitance,
         )
         if level == depth:
@@ -503,74 +510,7 @@ def network_to_dict(network: VascularNetwork) -> dict:
 
 
 def save_network(network: VascularNetwork, path) -> None:
-    with open(path, "w") as f:
-        # one write of the whole text; json.dump would make thousands of small ones
-        f.write(json.dumps(network_to_dict(network), indent=1))
-
-
-# Typed reads of JSON fields, shared by every reader of a JSON input.  A
-# failed check raises _FieldError naming the field; the reader raises it again
-# as its own error type, naming the file or the entry.
-
-
-class _FieldError(Exception):
-    pass
-
-
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _get(obj, *keys):
-    """The value at the path keys under a JSON object."""
-    for i, key in enumerate(keys):
-        if not isinstance(obj, dict) or key not in obj:
-            raise _FieldError(f"missing field {'.'.join(map(str, keys[: i + 1]))}")
-        obj = obj[key]
-    return obj
-
-
-def _typed(value, name: str, kind: type):
-    """value, when it is a dict, list or str as kind says."""
-    if isinstance(value, kind):
-        return value
-    raise _FieldError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-
-
-def _strings(value, name: str, size: int) -> list:
-    """value, a list of size strings."""
-    if isinstance(value, list) and len(value) == size and set(map(type, value)) == {str}:
-        return value
-    raise _FieldError(f"{name} must be a list of {size} strings, got {value!r}")
-
-
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def _is_number(value) -> bool:
-    """An int or a float; a bool is no number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(value, name: str, low=None) -> float:
-    """value as a float; with low, it must also be finite and above low."""
-    if type(value) is float and low is None:  # most values, and the cheapest test
-        return value
-    if _is_number(value) and (low is None or low < value < math.inf):
-        return float(value)
-    where = "" if low is None else f" in ({low}, inf)"
-    raise _FieldError(f"{name} must be a number{where}, got {value!r}")
-
-
-def _numbers(value, name: str, size=None, low=-math.inf) -> list:
-    """value, a non-empty list of finite numbers above low, size of them if
-    given."""
-    if (isinstance(value, list) and value and len(value) == (size or len(value))
-            # the exact types first, as JSON lists hold ints and floats
-            and (_NUMBER_TYPES.issuperset(map(type, value)) or all(map(_is_number, value)))
-            and all(map(math.isfinite, value)) and (low == -math.inf or min(value) > low)):
-        return value
-    raise _FieldError(f"{name} must be a list of {size or 'one or more'} "
-                      f"numbers in ({low}, inf), got {value!r}")
+    write_json(network_to_dict(network), path)
 
 
 _ENTRY_NAMES = {  # list key: how a message names an entry, and its id field
@@ -705,11 +645,7 @@ def network_from_dict(data: dict) -> VascularNetwork:
 
 def load_network(path) -> VascularNetwork:
     """The network in a JSON file; every error names the file."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}") from e
+    data = read_json(path, SchemaError)
     try:
         return network_from_dict(data)
     except NetworkError as e:

@@ -32,8 +32,6 @@ on the state.  The rri/ri Jacobian stays sparse in the diagnostics and
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,6 +43,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .formats import write_csv, write_json
 from .network import VascularNetwork
 
 
@@ -629,23 +628,18 @@ def kkt_report(solution: Solution) -> list[dict]:
 
 def export_solution(solution: Solution, outdir) -> None:
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "solution.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["t"]
-        for vid in solution.index.vessel_ids:
-            header += [f"P_{vid}_in", f"P_{vid}_out", f"Q_{vid}_in", f"Q_{vid}_out"]
-        w.writerow(header)
-        # a state already lists each vessel's p_in, p_out, q_in, q_out in order
-        for t, x in zip(solution.times, solution.states):
-            w.writerow([repr(float(v)) for v in (t, *x)])
-    with open(outdir / "diagnostics.json", "w") as f:
-        f.write(json.dumps(
-            {
-                "engine": solution.engine,
-                "mode": solution.config.mode,
-                "meta": solution.meta,
-                "steps": solution.diagnostics,
-            },
-            indent=1,
-        ))
+    header = ["t"]
+    for vid in solution.index.vessel_ids:
+        header += [f"P_{vid}_in", f"P_{vid}_out", f"Q_{vid}_in", f"Q_{vid}_out"]
+    # a state already lists each vessel's p_in, p_out, q_in, q_out in order
+    write_csv(outdir / "solution.csv", header,
+              np.column_stack([solution.times, solution.states]), None)
+    write_json(
+        {
+            "engine": solution.engine,
+            "mode": solution.config.mode,
+            "meta": solution.meta,
+            "steps": solution.diagnostics,
+        },
+        outdir / "diagnostics.json",
+    )

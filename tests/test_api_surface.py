@@ -19,6 +19,9 @@ in the program, its scripts, the benchmark or the tests: by keyword, by
 position, through ``**`` or through ``dataclasses.replace``.  Calls are
 matched to definitions by name; a ``**`` or ``*`` whose keys or length the
 syntax tree does not show passes every parameter it could reach.
+
+Every file format is decided in one module: no module of the package but
+``formats.py`` imports ``json`` or ``csv`` or opens a file.
 """
 
 import ast
@@ -292,6 +295,40 @@ def test_surface_check_sees_methods_and_defaults():
     assert passed["f"] == {("a", None), ("b", ("f", "b")), ("c", None), ("b", None)}
     assert passed["g"] == {("a", None), ("b", None)}
     assert passed["replace"] == {("e", None)}
+
+
+# what only formats.py may do: open a file, or read or write JSON or CSV text
+FILE_MODULES = {"json", "csv"}
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_access(tree: ast.Module) -> list[str]:
+    """Every import of json or csv in the tree, and every call of open or of a
+    pathlib read or write, as 'line: what'."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            names = [func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name in (FILE_CALLS if isinstance(node, ast.Call) else FILE_MODULES)]
+    return found
+
+
+def test_only_formats_reads_and_writes_files():
+    """Every file format is written and read in formats.py, so it is decided once."""
+    found = {path.name: _file_access(tree) for path, tree in _trees([PACKAGE]).items()
+             if path.name != "formats.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    tree = ast.parse("import json\nfrom csv import writer\nopen(p)\np.write_text(t)\nf(p)\n")
+    assert _file_access(tree) == ["1: json", "2: csv", "3: open", "4: write_text"]
+    assert _file_access(_tree(PACKAGE / "formats.py"))
 
 
 def test_solver_scaling_script_runs():

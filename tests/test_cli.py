@@ -1,18 +1,26 @@
+import contextlib
+import copy
 import csv
 import io
 import json
+import math
 import os
+import pkgutil
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import make_single_junction, make_single_vessel, random_shape_tree, rri_coeffs
 import vascrom
-from vascrom.cli import build_parser, main
+from vascrom.cli import VALIDATION_ERRORS, build_parser, main
 from vascrom.mlp import ModelError, load_dataset
 from vascrom.network import generate_symmetric_tree, load_network, network_to_dict, save_network
 
@@ -81,6 +89,21 @@ def test_help_through_main_exits_zero(capsys):
     assert "--network" in capsys.readouterr().out
 
 
+def test_only_the_package_errors_and_oserror_exit_1():
+    """Every reader raises the package's own errors, so a KeyError, ValueError
+    or TypeError is a fault of the program: it must end in a traceback that a
+    test sees, not in exit 1."""
+    roots = set()
+    for info in pkgutil.iter_modules(vascrom.__path__):
+        module = __import__(f"vascrom.{info.name}", fromlist=["_"])
+        roots |= {cls for name, cls in vars(module).items()
+                  if isinstance(cls, type) and cls.__module__ == module.__name__
+                  and cls.__bases__ == (Exception,) and not name.startswith("_")}
+    assert {"NetworkError", "SolverError", "ModelError"} <= {cls.__name__ for cls in roots}
+    assert set(VALIDATION_ERRORS) == roots | {OSError}
+    assert len(VALIDATION_ERRORS) == len(roots) + 1
+
+
 # -- solve -----------------------------------------------------------------
 
 
@@ -102,6 +125,39 @@ def test_solve_missing_network_reports_path(tmp_path, capsys):
     )
     assert rc == 1
     assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [("solve", "--network"), ("fit-coeffs", "--series")])
+def test_a_directory_given_as_input_exits_1_naming_it(tmp_path, capsys, command, option):
+    """A directory in place of an input file ended in an IsADirectoryError
+    traceback."""
+    out = tmp_path / "out" / "result"
+    assert main([command, option, str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(tmp_path)) in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command, option, content, where", [
+    ("solve", "--network", b'{"vessels": "\xff"}',
+     ": invalid JSON: 'utf-8' codec can't decode byte 0xff in position 13"),
+    ("solve", "--network", b"[" * 100_000 + b"]" * 100_000,
+     ": invalid JSON: maximum recursion depth exceeded"),
+    ("solve", "--network", '{"fluid": {"note": "\u00e9\u00e9\u00e9"}, x}'.encode(),
+     ": invalid JSON at byte 30: Expecting property name"),
+    ("fit-coeffs", "--series", b"t,Q,dP\r\n0,1,2\r\n0.1,\xff,3\r\n", ":3: need 3 finite numbers"),
+], ids=["json-not-utf8", "json-nested-too-deep", "json-error-after-non-ascii", "csv-not-utf8"])
+def test_an_undecodable_file_exits_1_naming_it(tmp_path, capsys, command, option, content, where):
+    """Python's decoding error named no file, a RecursionError ended in a
+    traceback, and the byte of a JSON error after non-ASCII text was the
+    character index."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out = tmp_path / "out" / "result"
+    assert main([command, option, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}{where}")
+    assert not out.parent.exists()
 
 
 def test_solve_rri_without_coefficients_names_junction(tmp_path, capsys):
@@ -245,6 +301,20 @@ def test_make_tree_rejects_bad_shape_option(tmp_path, capsys, option, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("exponent, depth", [("0.001", 1), ("0.005", 2)])
+def test_make_tree_rejects_a_murray_exponent_that_shrinks_vessels_to_nothing(
+        tmp_path, capsys, exponent, depth):
+    """A finite exponent > 0 so small that a daughter's area underflows to 0
+    (0.001), or its square does (0.005), was blamed on vessel v0 or v00."""
+    tree = tmp_path / "tree.json"
+    assert main(["make-tree", "--depth", "2", "--murray-exponent", exponent,
+                 "--out", str(tree)]) == 1
+    assert re.fullmatch(rf"error: the depth-{depth} vessels are too narrow: inlet_radius 0\.5 "
+                        rf"and murray_exponent {exponent} give radius \S+, area \S+\n",
+                        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 MAKE_TREE_DEPTH_2_HASH = "eeefd25b566628c8eadca7f1100a7ad48eae0e450516463dfd2b2987464ea49c"
 
 
@@ -329,7 +399,8 @@ def test_series_commands_reject_non_finite_cells(tmp_path, capsys, command, colu
     extra = ["--period", "1.0"] if command == "impedance" else []
     rc = main([command, "--series", str(path), *extra, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {path}:5: non-finite cell\n"
+    assert capsys.readouterr().err == (
+        f"error: {path}:5: need 3 finite numbers, got {lines[4].rstrip()!r}\n")
     assert not out.parent.exists()
 
 
@@ -443,7 +514,7 @@ def test_compare_rejects_empty_solution_file(tmp_path, capsys):
     rc = main(["compare", "--solution", str(tmp_path / "s1"), "--reference",
                str(tmp_path / "s2"), "--network", net_path, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {empty}: empty solution file\n"
+    assert capsys.readouterr().err == f"error: {empty}: empty file\n"
     assert not out.exists()
 
 
@@ -492,10 +563,32 @@ def test_train_rejects_invalid_options(tmp_path, capsys, option, message):
     assert not models.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_rejects_a_validation_target_that_overflows_the_error(tmp_path, capsys):
+    """A finite but huge validation target makes the validation MSE inf; the
+    report was written with an Infinity that is not JSON, and then the strict
+    writer ended in a ValueError traceback."""
+    data = tmp_path / "data"
+    assert main(["generate-data", "--n", "4", "--seed", "1", "--out", str(data)]) == 0
+    path = data / "dataset.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.endswith(",val\n"))
+    cells = lines[k].rstrip("\n").split(",")
+    cells[11] = "1e200"  # rri_rquad
+    lines[k] = ",".join(cells) + "\r\n"
+    path.write_text("".join(lines), newline="")
+    capsys.readouterr()
+    models = tmp_path / "out" / "models.json"
+    assert main(["train", "--data", str(data), "--epochs", "2", "--out", str(models)]) == 1
+    assert capsys.readouterr().err == "error: model rri_rquad: validation MSE inf at epoch 0\n"
+    assert not models.parent.exists()
+
+
 @pytest.mark.parametrize(
     "line, damage, message",
     [
-        (1, "bad header", "header 'f0,.*,ri_l,split', stats.json needs 'f0,.*,ri_l,split'"),
+        (1, "bad header",
+         "header 'f0,.*,rri_lin,ri_rlin,ri_l,split', need 'f0,.*,rri_l,ri_rlin,ri_l,split'"),
         (5, "short row", "need 15 finite numbers and a split of train or val"),
         (5, "non-numeric cell", "need 15 finite numbers and a split of train or val"),
         (5, "inf cell", "need 15 finite numbers and a split of train or val"),
@@ -639,9 +732,9 @@ def _json_dump_of(path, **kwargs) -> bytes:
 
 
 def test_json_files_equal_json_dump_output(tmp_path, small_cohort, trained_bundle):
-    from vascrom.cli import _write_json
     from vascrom.flowsplit import estimate_flow_splits, write_split_report
     from vascrom.mlp import predict_network, save_dataset, save_models
+    from vascrom.formats import write_json
     from vascrom.solver import SolverConfig, export_solution, solve_opt
 
     (dataset, _), (bundle, _) = small_cohort, trained_bundle
@@ -653,14 +746,18 @@ def test_json_files_equal_json_dump_output(tmp_path, small_cohort, trained_bundl
     save_dataset(dataset, tmp_path / "data")
     save_models(bundle, tmp_path / "models.json")
     export_solution(solve_opt(net, SolverConfig(), engine="rri"), tmp_path / "sol")
-    _write_json({"x": [0.1, -2.5e-300, float("nan")], "n": 3, "s": "\u00e9"},
-                tmp_path / "out" / "obj.json")
+    write_json({"x": [0.1, -2.5e-300], "n": 3, "s": "\u00e9"}, tmp_path / "out" / "obj.json")
     indent = {"indent": 1}
     for name, kwargs in {
         "net.json": indent, "splits.json": indent, "data/stats.json": indent,
         "models.json": {}, "sol/diagnostics.json": indent, "out/obj.json": indent,
     }.items():
         assert (tmp_path / name).read_bytes() == _json_dump_of(tmp_path / name, **kwargs), name
+    # the writer is strict JSON: it writes no NaN or infinity, and no file at all
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json({"x": [0.1, bad]}, tmp_path / "bad" / "obj.json")
+    assert not (tmp_path / "bad" / "obj.json").exists()
 
 
 # -- malformed input files ---------------------------------------------------
@@ -732,13 +829,24 @@ def test_malformed_network_json_exits_1_naming_file_entry_and_field(tmp_path, ca
         (lambda d: d["models"][0]["weights"][0][2].pop(),
          r"models\[0\]: weights\[0\]\[2\] must be a list of \d+ numbers"),
         (lambda d: d["ranges"].pop("lam_self"), r"missing field ranges\.lam_self"),
+        (lambda d: d.update(znorm_out=5), "znorm_out must be an object, got 5"),
+        (lambda d: d["znorm_out"].pop("rri_l"),
+         r"models\[\d\]: tag 'rri_l' has no znorm_out entry"),
+        (lambda d: d["znorm_in"].update(mean=[0.0] * 3, std=[1.0] * 3),
+         r"znorm_in\.mean must be a list of 10 numbers"),
+        (lambda d: [row.pop() for row in d["models"][0]["weights"][0]],
+         r"models\[0\]: weights\[0\]\[0\] must be a list of 10 numbers"),
     ],
-    ids=["weights-deleted", "ragged-weights", "lam_self-range-missing"],
+    ids=["weights-deleted", "ragged-weights", "lam_self-range-missing", "znorm_out-number",
+         "znorm_out-tag-missing", "three-inputs", "nine-inputs"],
 )
 def test_predict_with_malformed_bundle_exits_1_naming_file_and_field(tmp_path, capsys,
                                                                     cli_inputs, edit, message):
     """A deleted key and a range that prediction needs exited 1 with a bare
-    KeyError ("error: 'weights'"); ragged weights with numpy's message."""
+    KeyError ("error: 'weights'"); ragged weights with numpy's message.  A
+    znorm_out number ended in a TypeError traceback, a model without its
+    znorm_out entry in a bare KeyError, and a bundle for other than 10 inputs
+    in numpy's broadcasting message."""
     data = json.loads((cli_inputs / "models.json").read_text())
     edit(data)
     models = tmp_path / "models.json"
@@ -793,3 +901,183 @@ def test_compare_rejects_a_network_without_the_solution_inlet(tmp_path, capsys, 
         f"error: {cli_inputs / 's1' / 'solution.csv'}: no column P_w0_in, "
         f"the inlet pressure of {other}\n")
     assert not out.exists()
+
+
+# -- damaged input files, as properties ----------------------------------------
+
+
+def _run(argv) -> tuple[int, str]:
+    """The exit code and the standard error of one command run in-process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+# a value of each JSON type but null, which an optional field may hold
+_WRONG_TYPES = ("x", 1.5, True, [1.0], {"k": 1.0})
+
+
+@st.composite
+def _broken_network(draw, doc):
+    """doc with one schema-breaking edit: a value of the wrong JSON type, NaN or
+    +-inf, a non-positive length or area, a negative R, a missing required
+    key, a duplicate id, a dangling reference or a cycle."""
+    doc = copy.deepcopy(doc)
+    vessels, junctions, bcs = doc["vessels"], doc["junctions"], doc["boundary_conditions"]
+    resistance = [b["value"] for b in bcs if b["kind"] == "RESISTANCE"]
+    kind = draw(st.sampled_from(["type", "non-finite", "non-positive", "negative R", "missing",
+                                 "duplicate", "dangling", "cycle"]))
+    if kind in ("type", "non-finite"):
+        paths = [p for p in _paths(doc)
+                 if kind == "type" or _json_type(_at(doc, p)) == "number"]
+        path = draw(st.sampled_from(paths))
+        old = _at(doc, path)
+        new = draw(st.sampled_from([math.nan, math.inf, -math.inf] if kind == "non-finite" else
+                                   [v for v in _WRONG_TYPES if _json_type(v) != _json_type(old)]))
+        if not path:
+            return new
+        _at(doc, path[:-1])[path[-1]] = new
+    elif kind == "non-positive":
+        vessel = draw(st.sampled_from(vessels))
+        vessel[draw(st.sampled_from(["length", "area"]))] = draw(
+            st.sampled_from([0.0, -0.0, -1e-300, -1.0]))
+    elif kind == "negative R":
+        draw(st.sampled_from(resistance))["R"] = draw(st.sampled_from([-1e-300, -1.0]))
+    elif kind == "missing":
+        entry, keys = draw(st.sampled_from(
+            [(doc, ["vessels", "boundary_conditions"])]
+            + [(v, ["id", "length", "area"]) for v in vessels]
+            + [(j, ["id", "inlet_vessel", "outlet_vessels", "angles"]) for j in junctions]
+            + [(b, ["vessel_id", "kind", "value"]) for b in bcs]
+            + [(r, ["R"]) for r in resistance]
+            + [(c, ["kind", "r_lin", "r_quad", "l"])
+               for j in junctions for c in j["coefficients"]]))
+        del entry[draw(st.sampled_from(keys))]
+    elif kind == "duplicate":
+        entries = draw(st.sampled_from([vessels, junctions]))
+        i, k = draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2,
+                             unique=True))
+        entries[k]["id"] = entries[i]["id"]
+    elif kind == "dangling":
+        entry, key = draw(st.sampled_from([(j, "inlet_vessel") for j in junctions]
+                                          + [(j["outlet_vessels"], k) for j in junctions
+                                             for k in (0, 1)]
+                                          + [(b, "vessel_id") for b in bcs]))
+        entry[key] = "nowhere"
+    else:  # an outlet that is its own junction's inlet, or the root
+        junction = draw(st.sampled_from(junctions))
+        junction["outlet_vessels"][draw(st.sampled_from([0, 1]))] = draw(
+            st.sampled_from([junction["inlet_vessel"], "v"]))
+    return doc
+
+
+def _network_commands(d, net, out):
+    """Every command that reads a network, on net, writing under out."""
+    return [
+        ["estimate-splits", "--network", net, "--out", out / "splits.json"],
+        ["predict", "--network", net, "--models", d / "models.json", "--out", out / "p.json"],
+        ["solve", "--network", net, "--out", out / "standard"],
+        ["solve", "--network", net, "--engine", "rri", "--out", out / "rri"],
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_broken_network_file_exits_1_in_every_command(cli_inputs, data):
+    """A depth-2 tree with junction coefficients and one schema-breaking edit:
+    each command that reads it exits 1 with one error line naming the file."""
+    doc = data.draw(_broken_network(json.loads((cli_inputs / "net.json").read_text())))
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp) / "net.json"
+        net.write_text(json.dumps(doc))  # NaN and +-inf as JSON's NaN and Infinity
+        for argv in _network_commands(cli_inputs, net, Path(tmp) / "out"):
+            code, err = _run(argv)
+            assert (code, err.count("\n")) == (1, 1), (argv, err)
+            assert err.startswith(f"error: {net}: "), err
+        assert not (Path(tmp) / "out").exists()
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_an_unknown_key_in_a_network_file_is_ignored(cli_inputs, data):
+    doc = json.loads((cli_inputs / "net.json").read_text())
+    path = data.draw(st.sampled_from([p for p in _paths(doc) if isinstance(_at(doc, p), dict)]))
+    _at(doc, path)["note"] = data.draw(st.sampled_from(_WRONG_TYPES + (None,)))
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp) / "net.json"
+        net.write_text(json.dumps(doc))
+        for argv in _network_commands(cli_inputs, net, Path(tmp) / "out"):
+            assert _run(argv) == (0, ""), argv
+
+
+_BAD_CELLS = ("nan", "NaN", "inf", "-Infinity", "1e999", "x", "", "1.0.0", "0x10")
+
+
+@st.composite
+def _damaged_csv(draw, text):
+    """The CSV text with one damaged cell, row or header."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+    kind = draw(st.sampled_from(["cell", "short row", "long row", "blank row", "no rows",
+                                 "header renamed", "short header", "long header", "empty"]))
+    if kind == "cell":
+        rows[row][column] = draw(st.sampled_from(_BAD_CELLS))
+    elif kind == "short row":
+        del rows[row][column]
+    elif kind == "long row":
+        rows[row].insert(column, "1.0")
+    elif kind == "blank row":
+        rows.insert(row, [])
+    elif kind == "no rows":
+        rows = []
+    elif kind == "header renamed":
+        header[column] += "_x"
+    elif kind == "short header":
+        del header[column]
+    elif kind == "long header":
+        header.insert(column, "extra")
+    else:
+        return ""
+    return "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["solution.csv", "dataset.csv"]))
+def test_a_damaged_csv_file_exits_1(cli_inputs, data, target):
+    """solution.csv through compare, dataset.csv through train: exit 1, one
+    error line naming the file, and no output.  A reference whose header
+    differed from the solution's was named by neither file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        source = cli_inputs / ("s2" if target == "solution.csv" else "data")
+        shutil.copytree(source, tmp / "in")
+        path = tmp / "in" / target
+        path.write_text(data.draw(_damaged_csv(path.read_text())), newline="")
+        out = tmp / "out" / "result.json"
+        if target == "solution.csv":
+            argv = ["compare", "--solution", cli_inputs / "s1", "--reference", tmp / "in",
+                    "--network", cli_inputs / "net.json", "--out", out]
+        else:
+            argv = ["train", "--data", tmp / "in", "--epochs", "1", "--out", out]
+        code, err = _run(argv)
+        assert (code, err.count("\n")) == (1, 1) and err.startswith(f"error: {path}"), err
+        assert not out.parent.exists()

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,7 +295,8 @@ def test_csv_bad_header_rejected(tmp_path):
 def test_csv_non_numeric_cell_rejected(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,Q,dP\n0.0,1.0,2.0\n0.1,x,2.5\n")
-    with pytest.raises(DatagenError, match="non-numeric"):
+    message = f"{path}:3: need 3 finite numbers, got '0.1,x,2.5'"
+    with pytest.raises(DatagenError, match=f"^{re.escape(message)}$"):
         ingest_timeseries_csv(path)
 
 
