@@ -3,8 +3,10 @@
 
 Each line holds the vessel count, the seconds of a steady standard solve, of
 a steady rri solve and of its kkt_report (best of --repeat calls each), the
-rri solve's least-squares evaluation count, the tracemalloc peak of one
-kkt_report call, and the peak RSS of the process so far.  The trees are
+standard solve's work counters (the Jacobian's stored entries and the L and U
+entries of its factor), the rri solve's least-squares evaluation count, the
+tracemalloc peak of one kkt_report call, and the peak RSS of the process so
+far.  The trees are
 symmetric, with leaf resistance 1e5 * 2^(depth - 6), estimated flow splits
 and the same RRI coefficients at every outlet (r_lin 50, r_quad 2, l 0.5).
 
@@ -55,7 +57,7 @@ def main():
     args = ap.parse_args()
     for depth in args.depths:
         net = scaling_tree(depth)
-        standard_s, _ = best_of(args.repeat, solve_steady_standard, net)
+        standard_s, standard = best_of(args.repeat, solve_steady_standard, net)
         rri_s, rri = best_of(args.repeat, solve_opt, net, SolverConfig(mode="steady"), "rri")
         kkt_s, _ = best_of(args.repeat, kkt_report, rri)
         tracemalloc.start()
@@ -68,6 +70,8 @@ def main():
             "depth": depth,
             "vessels": len(net.vessels),
             "standard_s": round(standard_s, 6),
+            "nnz_jacobian": standard.diagnostics[0]["nnz_jacobian"],
+            "nnz_factor": standard.diagnostics[0]["nnz_factor"],
             "rri_s": round(rri_s, 6),
             "rri_nfev": rri.diagnostics[0]["nfev"],
             "kkt_s": round(kkt_s, 6),

@@ -94,12 +94,16 @@ def series_pressure_error(p: np.ndarray, p_ref: np.ndarray) -> dict:
     if denom == 0:
         raise AnalysisError("reference pressure range is zero; relative error undefined")
     diff = np.abs(p - p_ref)
-    return {
+    error = {
         "absolute_mmhg": float(np.max(diff)) / MMHG_TO_BA,
         "relative": float(np.max(diff)) / denom,
         "mean_absolute_mmhg": float(np.mean(diff)) / MMHG_TO_BA,
         "mean_relative": float(np.mean(diff)) / denom,
     }
+    if not all(map(math.isfinite, error.values())):
+        raise AnalysisError(f"pressure error overflows: largest difference {np.max(diff):.6g}, "
+                            f"reference pressure range {denom:.6g}")
+    return error
 
 
 def depth_statistics(
@@ -117,13 +121,13 @@ def depth_statistics(
     r0 = network.vessels[root].radius
     re0 = fluid.rho * (q0 / network.vessels[root].area) * 2 * r0 / fluid.mu
     records = []
-    for j in network.junctions:
+    for j, depth in zip(network.junctions, network.topology.depth.tolist()):
         v_in = network.vessels[j.inlet_vessel]
         q = x[idx(j.inlet_vessel, "q_in")]
         re = fluid.rho * (q / v_in.area) * 2 * v_in.radius / fluid.mu
         rec = {
             "junction": j.id,
-            "depth": network.junction_depth(j),
+            "depth": depth,
             "normalized_flow": q / q0 if q0 else float("nan"),
             "normalized_re": re / re0 if re0 else float("nan"),
             "outlet_resistances": {},

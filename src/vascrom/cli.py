@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .formats import canonical_json, read_csv, write_json
 from .network import (BIFURCATION_DEFINITIONS, NetworkError, generate_symmetric_tree,
@@ -210,15 +212,30 @@ def cmd_compare(args) -> None:
     if h1 != h2 or sol.shape != ref.shape:
         raise AnalysisError(f"{ref_path}: columns or rows differ from those of {path}")
     net = load_network(args.network)
-    name = f"P_{net.inflow_bc.vessel_id}_in"
-    if name not in h1:
-        raise AnalysisError(f"{path}: no column {name}, the inlet pressure of {args.network}")
-    col = h1.index(name)
-    error = series_pressure_error(sol[:, col], ref[:, col])
-    write_json({k: error[k] for k in ("absolute_mmhg", "relative")}, args.out)
+    outlets = [b.vessel_id for b in net.boundary_conditions if b.kind == "RESISTANCE"]
+    columns = {f"P_{net.inflow_bc.vessel_id}_in": "the inlet pressure",
+               **{f"Q_{vid}_out": f"the flow out of outlet {vid}" for vid in outlets}}
+    for name, what in columns.items():
+        if name not in h1:
+            raise AnalysisError(f"{path}: no column {name}, {what} of {args.network}")
+    p, *q = (h1.index(name) for name in columns)
+    error = series_pressure_error(sol[:, p], ref[:, p])
+    # each outlet's largest flow difference over its largest reference flow
+    scale = np.max(np.abs(ref[:, q]), axis=0)
+    with np.errstate(all="ignore"):
+        flow = np.max(np.abs(sol[:, q] - ref[:, q]), axis=0) / scale
+    if not np.isfinite(flow).all():
+        k = int(np.argmin(np.isfinite(flow)))
+        raise AnalysisError(f"{ref_path}: the relative flow error of outlet {outlets[k]} is "
+                            f"not finite: its largest reference flow is {scale[k]:.6g}")
+    worst = int(np.argmax(flow))
+    write_json({"absolute_mmhg": error["absolute_mmhg"], "relative": error["relative"],
+                "outlet_flow_relative": float(flow[worst]), "outlet_flow_vessel": outlets[worst]},
+               args.out)
     print(
         f"inlet pressure error: {error['absolute_mmhg']:.4f} mmHg "
-        f"({100 * error['relative']:.2f}%)"
+        f"({100 * error['relative']:.2f}%); outlet flow error: "
+        f"{100 * flow[worst]:.2f}% at {outlets[worst]}"
     )
 
 

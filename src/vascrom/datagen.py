@@ -315,6 +315,9 @@ def r_squared(series: TimeSeries, coeffs: CoefficientSet) -> float:
 
 def ingest_timeseries_csv(path) -> TimeSeries:
     _, values, _ = read_csv(path, ["t", "Q", "dP"], None, DatagenError)
+    with np.errstate(over="ignore"):  # the fits and spectra sum squares of Q and dP
+        if not np.isfinite(np.sum(values[:, 1:] ** 2)):
+            raise DatagenError(f"{path}: the squares of Q and dP overflow")
     return TimeSeries(t=values[:, 0], q=values[:, 1], dp=values[:, 2])
 
 

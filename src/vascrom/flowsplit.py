@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .formats import write_json
 from .network import VascularNetwork
 
@@ -28,22 +30,26 @@ class SplitEstimate:
     resistances: dict[str, float]
 
 
-def _reduce(network: VascularNetwork) -> dict[str, float]:
+def _reduce(network: VascularNetwork) -> np.ndarray:
     """Series-parallel effective resistance of every vessel, including the
-    vessel itself, reduced children first."""
-    leaf_r = {b.vessel_id: b.r for b in network.boundary_conditions if b.kind == "RESISTANCE"}
-    feeds = network.topology.feeds
-    r_eff: dict[str, float] = {}
-    for vid in reversed(network.topology.preorder):
-        r_vessel, _ = network.vessels[vid].elements(network.fluid)
-        junction = feeds.get(vid)
-        if junction is not None:
-            r1, r2 = (r_eff[o.vessel_id] for o in junction.outlets)
-            r_eff[vid] = r_vessel + 1.0 / (1.0 / r1 + 1.0 / r2)
-        elif vid in leaf_r:
-            r_eff[vid] = r_vessel + leaf_r[vid]
-        else:
-            raise UnsupportedConfigurationError(f"vessel {vid} does not end in a resistance BC")
+    vessel itself, by state position, reduced level by level from the leaves."""
+    topo, r_vessel = network.topology, network.topology.elements[:, 0]
+    leaf_r = np.full(r_vessel.size, np.nan)  # NaN: no resistance BC
+    for b in network.boundary_conditions:
+        if b.kind == "RESISTANCE":
+            leaf_r[topo.position[b.vessel_id]] = b.r
+    r_eff = r_vessel + leaf_r  # a junction inlet's entry is set by its level
+    for js in reversed(topo.levels()):
+        r1, r2 = r_eff[topo.outlets[js]].T
+        r_eff[topo.inlet[js]] = r_vessel[topo.inlet[js]] + 1.0 / (1.0 / r1 + 1.0 / r2)
+    if np.isnan(r_eff).any():
+        # name the last such leaf in tree order: follow second outlets first
+        fed = dict(zip(topo.inlet.tolist(), topo.outlets.tolist()))
+        v = topo.position[network.inflow_bc.vessel_id]
+        while v in fed:
+            v = fed[v][1] if np.isnan(r_eff[fed[v][1]]) else fed[v][0]
+        raise UnsupportedConfigurationError(
+            f"vessel {topo.vessel_ids[v]} does not end in a resistance BC")
     return r_eff
 
 
@@ -58,11 +64,11 @@ def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
                 f"nonzero distal pressure on {bc.vessel_id}; the split estimate "
                 "assumes equal (zero) distal pressures"
             )
-    r_eff = _reduce(network)
+    r_eff, position = _reduce(network).tolist(), network.topology.position
     splits: dict[str, tuple[float, float]] = {}
     resistances: dict[str, float] = {}
     for junction in network.junctions:
-        r1, r2 = (r_eff[o.vessel_id] for o in junction.outlets)
+        r1, r2 = (r_eff[position[o.vessel_id]] for o in junction.outlets)
         phi1 = r2 / (r1 + r2)
         splits[junction.id] = (phi1, 1.0 - phi1)
         resistances[junction.outlets[0].vessel_id] = r1

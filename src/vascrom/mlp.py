@@ -723,10 +723,17 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
             _predict_rows(bundle, fluid, outlets[:k], head, tags)
         raise error
 
-    x = feature_matrix(
-        feats["alpha_self"], feats["alpha_other"], feats["lam_self"],
-        feats["theta_self"], feats["theta_other"], feats["phi_self"],
-    )
+    try:
+        with np.errstate(all="ignore"):
+            x = feature_matrix(
+                feats["alpha_self"], feats["alpha_other"], feats["lam_self"],
+                feats["theta_self"], feats["theta_other"], feats["phi_self"],
+            )
+    except (OverflowError, ZeroDivisionError):  # float pow of a feature clamped to 0 or 1e308
+        x = np.array(math.inf)
+    if not np.isfinite(x).all():
+        raise ModelError("the bundle's feature ranges clamp a feature to where its powers "
+                         "overflow")
     xz = apply_znorm(x, bundle.input_stats)
     star = {
         tag: invert_znorm(mlp_forward(bundle.models[tag], xz), bundle.target_stats[tag])

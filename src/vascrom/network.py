@@ -5,9 +5,10 @@ pressure in Ba (1 mmHg = 1333.22 Ba), resistance in Ba*s/cm^3.
 
 The tree structure (which vessels exist and how junctions connect them) is
 fixed once ``VascularNetwork.validate()`` has run: validation builds one
-``Topology`` that every consumer reads.  Junction attributes (flow splits,
-coefficients) may still be written, and boundary conditions are read live
-from ``boundary_conditions``, so they may be swapped after construction.
+``Topology`` of read-only index and element arrays that every consumer
+reads.  Junction attributes (flow splits, coefficients) may still be
+written, and boundary conditions are read live from
+``boundary_conditions``, so they may be swapped after construction.
 """
 
 from __future__ import annotations
@@ -206,29 +207,23 @@ class Junction:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Structure of a validated tree, built once by ``validate()``."""
+    """Structure of a validated tree, built once by ``validate()``.  Junction
+    arrays follow ``network.junctions``; vessel arrays follow ``vessel_ids``,
+    the order of vessels in a state.  The arrays are read-only."""
 
-    vessel_ids: tuple[str, ...]  # sorted: the order of vessels in a state
+    vessel_ids: tuple[str, ...]  # sorted
     position: dict[str, int]  # vessel id -> index in vessel_ids
-    feeds: dict[str, Junction]  # vessel id -> junction at its downstream end
-    parent: dict[str, Junction]  # vessel id -> junction it leaves
-    preorder: tuple[str, ...]  # root first, every vessel before its subtree
-    depth: dict[str, int]  # junction id -> number of junctions upstream
+    inlet: np.ndarray  # per junction: the position of its inlet vessel
+    outlets: np.ndarray  # per junction: the positions of its two outlets, (junctions, 2)
+    depth: np.ndarray  # per junction: the number of junctions upstream
+    # per vessel: Poiseuille R and L, stenosis R (0 without one), capacitance
+    elements: np.ndarray  # (vessels, 4)
 
-
-def _preorder(feeds: dict[str, Junction], vessel_id: str) -> list[str]:
-    """Walk down from vessel_id: each vessel, then its first outlet's subtree,
-    then its second's."""
-    order, stack = [], [vessel_id]
-    while stack:
-        vid = stack.pop()
-        order.append(vid)
-        j = feeds.get(vid)
-        if j is not None:
-            stack.extend(o.vessel_id for o in reversed(j.outlets))
-    return order
+    def levels(self) -> list[np.ndarray]:
+        """The junctions at each depth, as indices into ``inlet``, root first."""
+        return [np.flatnonzero(self.depth == d) for d in range(self.depth.max(initial=-1) + 1)]
 
 
 @dataclass
@@ -266,10 +261,6 @@ class VascularNetwork:
         finally:
             self.boundary_conditions = original
 
-    def junction_depth(self, junction: Junction) -> int:
-        """Number of junctions upstream of this one."""
-        return self.topology.depth[junction.id]
-
     # -- validation -------------------------------------------------------
 
     def validate(self):
@@ -283,23 +274,25 @@ class VascularNetwork:
         jids = [j.id for j in self.junctions]
         if len(set(jids)) != len(jids):
             raise SchemaError("duplicate junction ids")
+        rows = {}  # vessel id -> its row of Topology.elements
         for v in self.vessels.values():
             try:
-                finite = all(map(math.isfinite, v.elements(self.fluid)))
+                r_l = v.elements(self.fluid)
             except (ZeroDivisionError, OverflowError):  # A**2 under- or overflows
-                finite = False
-            if not finite:
+                r_l = (math.nan,)
+            if not all(map(math.isfinite, r_l)):
                 raise InvalidGeometryError(
                     f"vessel {v.id}: Poiseuille resistance and inductance must be "
                     f"finite, got l={v.length}, A={v.area}"
                 )
             try:
-                finite = math.isfinite(v.stenosis_r(self.fluid))
+                rs = v.stenosis_r(self.fluid)
             except OverflowError:  # (A/A_s - 1)**2 overflows
-                finite = False
-            if not finite:
+                rs = math.nan
+            if not math.isfinite(rs):
                 raise InvalidGeometryError(f"vessel {v.id}: stenosis resistance must be finite, "
                                            f"got A={v.area}, A_stenosis={v.stenosis_area}")
+            rows[v.id] = (*r_l, rs, v.capacitance)
 
         for j in self.junctions:
             for vid in [j.inlet_vessel] + [o.vessel_id for o in j.outlets]:
@@ -338,9 +331,21 @@ class VascularNetwork:
         root = flow_bcs[0].vessel_id
         if root in parent:
             raise ConnectivityError("inflow vessel must be the tree root")
-        preorder = _preorder(feeds, root)
-        if len(preorder) != len(self.vessels):
-            missing = sorted(set(self.vessels) - set(preorder))
+        order = tuple(sorted(self.vessels))
+        position = {vid: i for i, vid in enumerate(order)}
+        inlet = np.array([position[j.inlet_vessel] for j in self.junctions], dtype=int)
+        outlets = np.array([position[o.vessel_id] for j in self.junctions for o in j.outlets],
+                           dtype=int).reshape(-1, 2)
+        fed = np.full(len(order), -1)  # the junction each vessel feeds, -1 at a leaf
+        fed[inlet] = np.arange(inlet.size)
+        depth = np.full(inlet.size, -1)
+        level, d = fed[[position[root]]], 0
+        while level.size:  # one depth level at a time, from the root down
+            level = level[level >= 0]
+            depth[level] = d
+            level, d = fed[outlets[level].ravel()], d + 1
+        missing = sorted(set(order) - {root} - {order[v] for v in outlets[depth >= 0].flat})
+        if missing:
             raise ConnectivityError(f"disconnected vessels: {missing}")
 
         # Downstream end of every vessel is a junction inlet or a resistance BC.
@@ -355,13 +360,25 @@ class VascularNetwork:
                     f"vessel {vid} has both a downstream junction and a resistance BC"
                 )
 
-        depth: dict[str, int] = {}
-        for vid in preorder:
-            if vid in feeds:
-                depth[feeds[vid].id] = depth[parent[vid].id] + 1 if vid in parent else 0
-        order = tuple(sorted(self.vessels))
-        position = {vid: i for i, vid in enumerate(order)}
-        self.topology = Topology(order, position, feeds, parent, tuple(preorder), depth)
+        elements = np.array([rows[vid] for vid in order], dtype=float)
+        # every pressure drop at the peak inflow is at most q*r + q^2*r_quad:
+        # where that overflows, or q^2 underflows, no engine solves in floats
+        inflow = flow_bcs[0].value
+        q = float(np.max(np.abs(inflow[1] if isinstance(inflow, tuple) else inflow)))
+        coeffs = [o.coefficients for j in self.junctions for o in j.outlets
+                  if o.coefficients is not None]
+        r = max([float(elements[:, 0].max()), *(abs(c.r_lin) for c in coeffs),
+                 *(b.r for b in self.boundary_conditions if b.kind == "RESISTANCE")])
+        r_quad = max([float(elements[:, 2].max()), *(abs(c.quad()) for c in coeffs)])
+        if not math.isfinite(q * r + q * q * r_quad):
+            raise InvalidGeometryError(
+                f"pressures overflow: peak inflow {q:.6g}, largest resistance {r:.6g} and "
+                f"quadratic resistance {r_quad:.6g} (of a vessel, leaf or junction outlet)")
+        if 0 < q and q * q < np.finfo(float).tiny:
+            raise InvalidGeometryError(f"peak inflow {q:.6g}: its square underflows")
+        for a in (inlet, outlets, depth, elements):
+            a.setflags(write=False)
+        self.topology = Topology(order, position, inlet, outlets, depth, elements)
 
 
 def apply_bifurcation_definition(network: VascularNetwork) -> VascularNetwork:

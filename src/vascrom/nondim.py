@@ -55,10 +55,18 @@ def scale_fields(l_c, fluid: Fluid, re_c: float) -> SimpleNamespace:
 def characteristic_scales(
     l_c: float, fluid: Fluid, re_c: float = DEFAULT_RE_C
 ) -> SimpleNamespace:
-    """scale_fields for one junction, after checking l_c and Re_c."""
+    """scale_fields for one junction, after checking l_c and Re_c, and that
+    every scale is a positive float."""
     if l_c <= 0 or re_c <= 0:
         raise InvalidGeometryError(f"need l_c > 0 and Re_c > 0, got {l_c}, {re_c}")
-    return scale_fields(l_c, fluid, re_c)
+    try:
+        scales = scale_fields(l_c, fluid, re_c)
+    except (OverflowError, ZeroDivisionError):  # U_c^2 overflows, or U_c underflows to 0
+        scales = None
+    if scales is None or not all(0 < v < math.inf for v in vars(scales).values()):
+        raise InvalidGeometryError(f"l_c {l_c} and Re_c {re_c} give a characteristic scale "
+                                   f"that overflows or vanishes")
+    return scales
 
 
 @dataclass(frozen=True)

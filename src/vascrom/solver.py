@@ -182,18 +182,15 @@ class _LinearConstraints:
     they are listed here."""
 
     def __init__(self, network: VascularNetwork):
-        pos = network.topology.position
-        self.inlet = np.array([pos[j.inlet_vessel] for j in network.junctions], dtype=int)
-        self.outlets = np.array(
-            [pos[o.vessel_id] for j in network.junctions for o in j.outlets], dtype=int
-        ).reshape(-1, 2)
+        topo = network.topology
+        pos = topo.position
         leaves = [b for b in network.boundary_conditions if b.kind == "RESISTANCE"]
         self.leaf = np.array([pos[b.vessel_id] for b in leaves], dtype=int)
         self.leaf_r = np.array([b.r for b in leaves])
         self.leaf_pd = np.array([b.pd for b in leaves])
 
         v, inlet, outlets, leaf = (
-            4 * a for a in (np.arange(len(pos)), self.inlet, self.outlets, self.leaf)
+            4 * a for a in (np.arange(len(pos)), topo.inlet, topo.outlets, self.leaf)
         )
         blocks = (  # the (columns, coefficient) terms of the rows of each block
             ((v + P_IN, 1.0), (v + P_OUT, -1.0)),
@@ -241,16 +238,12 @@ class _StandardSystem:
     """The standard engine's equations on one network: the two vessel
     equations, then its rows of the linear constraints: junction mass
     balance, equal pressure across each junction, the inflow and the leaf
-    BCs.  Vessel elements are computed once, and the Jacobian's sparsity
-    pattern with the linear rows' values on the first ``jacobian()``; each
-    call then writes only the vessel blocks."""
+    BCs.  The vessel elements are the topology's; the Jacobian's sparsity
+    pattern with the linear rows' values is built on the first
+    ``jacobian()``, and each call then writes only the vessel blocks."""
 
     def __init__(self, network: VascularNetwork):
-        fluid = network.fluid
-        vessels = [network.vessels[vid] for vid in network.topology.vessel_ids]
-        self.R, self.L = np.array([v.elements(fluid) for v in vessels]).T
-        self.Rs = np.array([v.stenosis_r(fluid) for v in vessels])
-        self.C = np.array([v.capacitance for v in vessels])
+        self.R, self.L, self.Rs, self.C = network.topology.elements.T
         self.constraints = _LinearConstraints(network)
 
     @cached_property
@@ -318,17 +311,22 @@ MAX_NEWTON_ITERATIONS = 50
 
 
 def _newton(system, x0, x_prev, dt, inflow, config):
-    x = x0.copy()
+    x, lu = x0.copy(), None
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         res = system.residual(x, x_prev, dt, inflow)
         jac = system.jacobian(x, x_prev, dt)
         norm = _scaled_norm(res, jac, x)
         if norm <= config.newton_tol:
-            return x, {"iterations": it, "residual_norm": norm}
+            # work counters: the Jacobian's stored entries and the entries of
+            # the last factorisation's L and U (SuperLU's own nnz counts its
+            # supernodal storage, not the factors)
+            return x, {"iterations": it, "residual_norm": norm, "nnz_jacobian": jac.nnz,
+                       "nnz_factor": None if lu is None else lu.L.nnz + lu.U.nnz}
         if it == MAX_NEWTON_ITERATIONS:
             break
         try:
-            x = x + scipy.sparse.linalg.splu(jac).solve(-res)
+            lu = scipy.sparse.linalg.splu(jac)
+            x = x + lu.solve(-res)
         except RuntimeError as e:  # splu: "Factor is exactly singular"
             raise ConvergenceError(f"singular Jacobian at iteration {it}") from e
     raise ConvergenceError(
@@ -397,11 +395,12 @@ class _OptProblem:
                         f"junction {j.id}: outlet {o.vessel_id} has no flow split"
                     )
                 outlets.append((j, o))
-        c = self.constraints = _LinearConstraints(network)
+        self.constraints = _LinearConstraints(network)
 
         # per outlet: junction pressure, outlet pressure, outlet flow, junction
         # inflow, and the junction-law coefficients
-        inlet, outlet = 4 * np.repeat(c.inlet, 2), 4 * c.outlets.ravel()
+        topo = network.topology
+        inlet, outlet = 4 * np.repeat(topo.inlet, 2), 4 * topo.outlets.ravel()
         self.i_pj, self.i_po = inlet + P_OUT, outlet + P_IN
         self.i_q, self.i_qj = outlet + Q_IN, inlet + Q_OUT
         use_quad = engine == "rri"
@@ -412,30 +411,27 @@ class _OptProblem:
         self._tree_basis()
 
         # each first outlet's share of the inflow: the product of the flow
-        # splits from the root down to it, in one root-first pass
-        topo = network.topology
-        share = {topo.preorder[0]: 1.0}
-        for vid in topo.preorder:
-            if vid in topo.feeds:
-                for o in topo.feeds[vid].outlets:
-                    share[o.vessel_id] = share[vid] * o.flow_split
-        self.share = np.array([abs(share[j.outlets[0].vessel_id]) for j in network.junctions])
+        # splits from the root down to it, one depth level at a time
+        share, phi = np.ones(len(topo.vessel_ids)), self.phi.reshape(-1, 2)
+        for js in topo.levels():
+            share[topo.outlets[js]] = share[topo.inlet[js], None] * phi[js]
+        self.share = np.abs(share[topo.outlets[:, 0]])
         # a zero share would zero the flow column and the warm start's divisor
         self.share[self.share == 0.0] = 1.0
 
     def _tree_basis(self):
         """The basis and x_unit, following the second-outlet links from every
         junction's two outlets and from the inflow vessel as one frontier."""
-        con, n_j = self.constraints, len(self.network.junctions)
+        con, topo, n_j = self.constraints, self.network.topology, len(self.network.junctions)
         n_v = len(self.idx.vessel_ids)
         leaf_r = np.zeros(n_v)  # by vessel position
         leaf_r[con.leaf] = con.leaf_r
         second = np.full(n_v, -1)  # each vessel's second outlet; -1 at a leaf
-        second[con.inlet] = con.outlets[:, 1]
+        second[topo.inlet] = topo.outlets[:, 1]
         # a unit flow into each first outlet (column k) and out of each second
         # one (column k), and into the inflow vessel (column 2 n_j, x_unit)
         j = np.arange(n_j)
-        vessel = np.concatenate([con.outlets[:, 0], con.outlets[:, 1],
+        vessel = np.concatenate([topo.outlets[:, 0], topo.outlets[:, 1],
                                  [self.idx.position[self.network.inflow_bc.vessel_id]]])
         col = np.concatenate([j, j, [2 * n_j]])
         sign = np.concatenate([np.ones(n_j), -np.ones(n_j), [1.0]])
@@ -449,7 +445,7 @@ class _OptProblem:
         # pressures by R; a pressure unknown moves its own inlet's pressures
         leaf = second[vessel] < 0
         r = sign[leaf] * leaf_r[vessel[leaf]]
-        v, lv, inlet = 4 * vessel, 4 * vessel[leaf], 4 * con.inlet
+        v, lv, inlet = 4 * vessel, 4 * vessel[leaf], 4 * topo.inlet
         rows = np.concatenate([v + Q_IN, v + Q_OUT, lv + P_IN, lv + P_OUT,
                                inlet + P_IN, inlet + P_OUT])
         cols = np.concatenate([col, col, col[leaf], col[leaf], n_j + j, n_j + j])
@@ -458,7 +454,7 @@ class _OptProblem:
         self.basis = scipy.sparse.csr_matrix(
             (vals[~unit], (rows[~unit], cols[~unit])), shape=(self.idx.n, 2 * n_j)
         )
-        self.free = np.concatenate([4 * con.outlets[:, 0] + Q_IN, 4 * con.inlet + P_OUT])
+        self.free = np.concatenate([4 * topo.outlets[:, 0] + Q_IN, 4 * topo.inlet + P_OUT])
         self.x_unit = np.zeros(self.idx.n)
         self.x_unit[rows[unit]] = vals[unit]
 

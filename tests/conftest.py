@@ -65,17 +65,19 @@ def leaf_bcs(network):
     """The resistance BC of every leaf vessel (one that feeds no junction),
     by vessel id, in the network's vessel order."""
     bcs = {b.vessel_id: b for b in network.boundary_conditions if b.kind == "RESISTANCE"}
-    return {vid: bcs[vid] for vid in network.vessels if vid not in network.topology.feeds}
+    fed = {j.inlet_vessel for j in network.junctions}
+    return {vid: bcs[vid] for vid in network.vessels if vid not in fed}
 
 
 def rri_coeffs(r_lin, r_quad, l):
     return CoefficientSet(kind="RRI", r_lin=r_lin, r_quad=r_quad, l=l)
 
 
-def random_shape_tree(seed, inflow=100.0, max_depth=4):
+def random_shape_tree(seed, inflow=100.0, max_depth=4, n_junctions=None):
     """Unbalanced bifurcating tree grown by splitting random leaves.
 
     Leaves sit at mixed depths, at most max_depth junctions below the root.
+    It has n_junctions junctions, by default a random number from 4 to 8.
     Vessel ids are shuffled, so their sorted order is not the tree order,
     and vessels and junctions are listed in random order.  Vessel geometry
     and leaf resistances are random.  seed is an int or a numpy Generator.
@@ -84,7 +86,8 @@ def random_shape_tree(seed, inflow=100.0, max_depth=4):
     depth = [0]  # per node; node 0 is the root
     children = {}  # node -> its two outlet nodes
     leaves = [0]
-    n_junctions = int(rng.integers(4, 9))
+    n_random = int(rng.integers(4, 9))
+    n_junctions = n_random if n_junctions is None else n_junctions
     while len(children) < n_junctions or len({depth[v] for v in leaves}) == 1:
         v = int(rng.choice([v for v in leaves if depth[v] < max_depth]))
         children[v] = (len(depth), len(depth) + 1)

@@ -481,9 +481,9 @@ def test_criterion_11_tree_fit_self_consistency():
         )
         for d in range(depth)
     }
-    for j in net.junctions:
+    for j, d in zip(net.junctions, net.topology.depth):
         for o in j.outlets:
-            o.coefficients = by_depth[net.junction_depth(j)]
+            o.coefficients = by_depth[d]
             o.flow_split = 0.5
 
     inflows = [40.0, 80.0, 120.0, 160.0]

@@ -223,8 +223,8 @@ def _symmetric_coefficient_tree(depth=2, seed=0, quad_scale=0.02):
         )
         for d in range(depth)
     }
-    for j in net.junctions:
-        c = by_depth[net.junction_depth(j)]
+    for j, d in zip(net.junctions, net.topology.depth):
+        c = by_depth[d]
         for o in j.outlets:
             o.coefficients = c
             o.flow_split = 0.5

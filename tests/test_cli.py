@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_series_commands_reject_non_finite_cells(tmp_path, capsys, command, colu
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["impedance", "fit-coeffs"])
+@pytest.mark.parametrize("column", [1, 2])
+def test_series_commands_reject_numbers_whose_squares_overflow(tmp_path, capsys, command,
+                                                               column):
+    """A Q or dP of 1e308 ended in an SVD LinAlgError traceback in the fit,
+    or in a ValueError traceback when a NaN R^2 or spectrum was written."""
+    path = tmp_path / "series.csv"
+    lines = Path(_write_series(path)).read_text().splitlines(keepends=True)
+    cells = lines[4].rstrip().split(",")
+    cells[column] = "1e308"
+    lines[4] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    out = tmp_path / "out" / "result"
+    extra = ["--period", "1.0"] if command == "impedance" else []
+    assert main([command, "--series", str(path), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: the squares of Q and dP overflow\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("period", ["0", "inf", "nan", "-1"])
 def test_impedance_rejects_bad_period(tmp_path, capsys, period):
     series = _write_series(tmp_path / "series.csv")
@@ -502,6 +522,45 @@ def test_compare_identical_solutions(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["absolute_mmhg"] == 0.0
     assert result["relative"] == 0.0
+
+
+def test_compare_names_the_outlet_with_the_worst_flow_error(tmp_path):
+    """A depth-2 tree whose rri and standard solutions differ, because one
+    leaf resistance and the junction coefficients make it asymmetric; the
+    outlet-flow error is checked against a hand computation from the two
+    solution.csv files."""
+    from vascrom.flowsplit import estimate_flow_splits
+    from vascrom.nondim import CoefficientSet
+
+    net = generate_symmetric_tree(depth=2)
+    net.boundary_conditions = [replace(b, r=3 * b.r) if b.vessel_id == "v10" else b
+                               for b in net.boundary_conditions]
+    estimate_flow_splits(net)
+    for k, o in enumerate(o for j in net.junctions for o in j.outlets):
+        o.coefficients = CoefficientSet(kind="RRI", r_lin=100.0 * (k + 1), r_quad=4.0, l=0.2)
+    save_network(net, tmp_path / "net.json")
+    for engine in ("rri", "standard"):
+        assert main(["solve", "--network", str(tmp_path / "net.json"), "--engine", engine,
+                     "--out", str(tmp_path / engine)]) == 0
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--solution", str(tmp_path / "rri"), "--reference",
+                 str(tmp_path / "standard"), "--network", str(tmp_path / "net.json"),
+                 "--out", str(out)]) == 0
+    columns = {}
+    for engine in ("rri", "standard"):
+        with open(tmp_path / engine / "solution.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        columns[engine] = {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+    errors = {}
+    for vid in ("v00", "v01", "v10", "v11"):
+        q, q_ref = columns["rri"][f"Q_{vid}_out"], columns["standard"][f"Q_{vid}_out"]
+        errors[vid] = max(abs(a - b) for a, b in zip(q, q_ref)) / max(map(abs, q_ref))
+    worst = max(errors, key=errors.get)
+    result = json.loads(out.read_text())
+    assert list(result) == ["absolute_mmhg", "relative", "outlet_flow_relative",
+                            "outlet_flow_vessel"]
+    assert result["outlet_flow_vessel"] == worst
+    assert result["outlet_flow_relative"] == errors[worst] > 1e-3
 
 
 def test_compare_rejects_empty_solution_file(tmp_path, capsys):
@@ -801,16 +860,28 @@ def _resistance_bc(data):
          "junction jv: coefficients\\[0\\]: unknown coefficient kind 'XYZ'"),
         (lambda d: d["junctions"][0].update(coefficients=[{"kind": "RI", "l": 0.0}] * 2),
          "junction jv: coefficients\\[0\\]: r_lin must be a number, got None"),
+        (lambda d: d["vessels"][0].update(length=1e308), "pressures overflow: peak inflow 100"),
+        (lambda d: _resistance_bc(d)["value"].update(R=1e308), "pressures overflow"),
+        (lambda d: _flow_bc(d).update(value=-1e308), "pressures overflow: peak inflow 1e"),
+        (lambda d: _flow_bc(d).update(value=5e-324),
+         r"peak inflow 4\.94066e-324: its square underflows"),
+        (lambda d: d["junctions"][0].update(
+            coefficients=[{"kind": "RI", "r_lin": 1e308, "l": 0.0}] * 2),
+         "pressures overflow: .* largest resistance 1e"),
     ],
     ids=["area-null", "area-list", "vessel-list", "outlet-vessels-number",
          "resistance-value-number", "fluid-string", "flow-series-without-t", "angle-string",
          "length-bool", "length-string", "vessels-object", "kind-number",
-         "coefficient-kind-unknown", "coefficient-r_lin-missing"],
+         "coefficient-kind-unknown", "coefficient-r_lin-missing", "length-1e308",
+         "leaf-resistance-1e308", "inflow-1e308", "inflow-subnormal", "coefficient-1e308"],
 )
 def test_malformed_network_json_exits_1_naming_file_entry_and_field(tmp_path, capsys, edit,
                                                                     message):
     """Each of these ended in a traceback, exited 1 with a bare KeyError or
-    Python's float message, or (a bool or numeric-string length) was accepted."""
+    Python's float message, or (a bool or numeric-string length) was accepted.
+    The last five, numbers whose pressures overflow a float or an inflow whose
+    square underflows, exited 2 or ended in a least_squares or OverflowError
+    traceback."""
     assert main(["make-tree", "--depth", "2", "--out", str(tmp_path / "tree.json")]) == 0
     data = json.loads((tmp_path / "tree.json").read_text())
     edit(data)
@@ -859,6 +930,30 @@ def test_predict_with_malformed_bundle_exits_1_naming_file_and_field(tmp_path, c
     assert not (tmp_path / "tree_rri.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["scales_policy"].update(re_c=1e308),
+     "l_c 0.5 and Re_c 1e+308 give a characteristic scale that overflows or vanishes"),
+    (lambda d: d["scales_policy"].update(re_c=5e-324),
+     "l_c 0.5 and Re_c 5e-324 give a characteristic scale that overflows or vanishes"),
+    (lambda d: d["ranges"].update(alpha_self=[0.5, 5e-324]),
+     "the bundle's feature ranges clamp a feature to where its powers overflow"),
+], ids=["re_c-1e308", "re_c-subnormal", "alpha-range-subnormal"])
+def test_predict_rejects_a_bundle_whose_scales_or_features_overflow(tmp_path, capsys,
+                                                                    cli_inputs, edit, message):
+    """A bundle Re_c of 1e308 ended in an OverflowError traceback (U_c^2), one
+    of 5e-324 in a ZeroDivisionError traceback (t_c = l_c/U_c), and a feature
+    range clamping alpha to 5e-324 in an OverflowError traceback (alpha^-2)."""
+    data = json.loads((cli_inputs / "models.json").read_text())
+    edit(data)
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps(data))
+    rc = main(["predict", "--network", str(cli_inputs / "tree.json"), "--models", str(models),
+               "--out", str(tmp_path / "tree_rri.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "tree_rri.json").exists()
+
+
 @pytest.mark.parametrize("damage", ["nan", "x.0", "short", "long"])
 def test_compare_rejects_malformed_solution_rows(tmp_path, capsys, cli_inputs, damage):
     """A nan cell was compared and exited 0; a non-numeric cell exited 1 with
@@ -884,6 +979,28 @@ def test_compare_rejects_malformed_solution_rows(tmp_path, capsys, cli_inputs, d
     n = len(header.split(","))
     assert capsys.readouterr().err == (
         f"error: {path}:2: need {n} finite numbers, got {','.join(cells)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, message", [
+    ("P_v_in", "pressure error overflows: largest difference 2.5"),
+    ("Q_v00_out", "{ref}: the relative flow error of outlet v00 is not finite: its largest "
+                  "reference flow is 4.94066e-324"),
+])
+def test_compare_rejects_an_error_that_overflows(tmp_path, capsys, cli_inputs, column, message):
+    """A reference inlet pressure of 5e-324 made the relative error inf, and
+    writing it ended in the JSON writer's ValueError traceback."""
+    shutil.copytree(cli_inputs / "s2", tmp_path / "s2")
+    path = tmp_path / "s2" / "solution.csv"
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = "5e-324"
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--solution", str(cli_inputs / "s1"), "--reference",
+                 str(tmp_path / "s2"), "--network", str(cli_inputs / "net.json"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.format(ref=path)}")
     assert not out.exists()
 
 
@@ -934,6 +1051,38 @@ def _json_type(value) -> str:
 
 # a value of each JSON type but null, which an optional field may hold
 _WRONG_TYPES = ("x", 1.5, True, [1.0], {"k": 1.0})
+# finite numbers at the ends of the float range: the smallest subnormal and +-1e308
+_EXTREMES = (5e-324, 1e308, -1e308)
+
+
+@st.composite
+def _damaged_json(draw, doc, kind):
+    """A copy of doc with one value replaced: by one of the wrong JSON type
+    ("type"), or a number by NaN or +-inf ("non-finite") or by an extreme
+    finite number ("extreme"); or with one key of an object deleted
+    ("missing")."""
+    doc = copy.deepcopy(doc)
+    if kind == "missing":
+        path = draw(st.sampled_from([p for p in _paths(doc) if p and isinstance(p[-1], str)]))
+        del _at(doc, path[:-1])[path[-1]]
+        return doc
+    path = draw(st.sampled_from([p for p in _paths(doc)
+                                 if kind == "type" or _json_type(_at(doc, p)) == "number"]))
+    old = _at(doc, path)
+    new = draw(st.sampled_from(
+        {"non-finite": [math.nan, math.inf, -math.inf], "extreme": _EXTREMES}.get(kind)
+        or [v for v in _WRONG_TYPES if _json_type(v) != _json_type(old)]))
+    if not path:
+        return new
+    _at(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+def _assert_one_error_line(code, err, path=None):
+    """Exit 0 with nothing on standard error, or exit 1 with one error line
+    (naming path if given); never exit 2 and never a traceback."""
+    assert (code, err) == (0, "") or (code, err.count("\n")) == (1, 1), err
+    assert code == 0 or err.startswith(f"error: {path or ''}"), err
 
 
 @st.composite
@@ -947,15 +1096,7 @@ def _broken_network(draw, doc):
     kind = draw(st.sampled_from(["type", "non-finite", "non-positive", "negative R", "missing",
                                  "duplicate", "dangling", "cycle"]))
     if kind in ("type", "non-finite"):
-        paths = [p for p in _paths(doc)
-                 if kind == "type" or _json_type(_at(doc, p)) == "number"]
-        path = draw(st.sampled_from(paths))
-        old = _at(doc, path)
-        new = draw(st.sampled_from([math.nan, math.inf, -math.inf] if kind == "non-finite" else
-                                   [v for v in _WRONG_TYPES if _json_type(v) != _json_type(old)]))
-        if not path:
-            return new
-        _at(doc, path[:-1])[path[-1]] = new
+        return draw(_damaged_json(doc, kind))
     elif kind == "non-positive":
         vessel = draw(st.sampled_from(vessels))
         vessel[draw(st.sampled_from(["length", "area"]))] = draw(
@@ -1016,6 +1157,47 @@ def test_a_broken_network_file_exits_1_in_every_command(cli_inputs, data):
         assert not (Path(tmp) / "out").exists()
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_extreme_number_in_a_network_file_exits_0_or_1(cli_inputs, data):
+    """A depth-2 tree with junction coefficients and one number replaced by
+    5e-324 or +-1e308: each command that reads it either runs or exits 1 with
+    one error line."""
+    doc = data.draw(_damaged_json(json.loads((cli_inputs / "net.json").read_text()), "extreme"))
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp) / "net.json"
+        net.write_text(json.dumps(doc))
+        for argv in _network_commands(cli_inputs, net, Path(tmp) / "out"):
+            _assert_one_error_line(*_run(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["models.json", "stats.json"]),
+       kind=st.sampled_from(["type", "non-finite", "extreme", "missing"]))
+def test_a_damaged_model_or_stats_file_exits_0_or_1(cli_inputs, data, target, kind):
+    """models.json through predict, stats.json through train, with one value
+    of the wrong type, NaN or +-inf, 5e-324 or +-1e308, or one key deleted:
+    each runs or exits 1 with one error line, and a non-finite number exits 1
+    naming the file.  (A wrong type or a deleted key in a field no reader
+    needs, such as scales_policy.l_c, is ignored.)"""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if target == "models.json":
+            path = tmp / "models.json"
+            argv = ["predict", "--network", cli_inputs / "tree.json", "--models", path,
+                    "--out", tmp / "out" / "p.json"]
+            path.write_bytes((cli_inputs / "models.json").read_bytes())
+        else:
+            shutil.copytree(cli_inputs / "data", tmp / "in")
+            path = tmp / "in" / "stats.json"
+            argv = ["train", "--data", tmp / "in", "--epochs", "1", "--out", tmp / "out" / "m.json"]
+        path.write_text(json.dumps(data.draw(_damaged_json(json.loads(path.read_text()), kind))))
+        code, err = _run(argv)
+        _assert_one_error_line(code, err, path if kind == "non-finite" else None)
+        assert code == 1 or kind != "non-finite"
+        assert code == 0 or not (tmp / "out").exists()
+
+
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_an_unknown_key_in_a_network_file_is_ignored(cli_inputs, data):
@@ -1033,13 +1215,15 @@ _BAD_CELLS = ("nan", "NaN", "inf", "-Infinity", "1e999", "x", "", "1.0.0", "0x10
 
 
 @st.composite
-def _damaged_csv(draw, text):
-    """The CSV text with one damaged cell, row or header."""
+def _damaged_csv(draw, text, kind):
+    """The CSV text with one damaged cell, row or header, or with one number
+    replaced by an extreme finite one ("extreme")."""
     header, *rows = [line.split(",") for line in text.splitlines()]
     row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
-    kind = draw(st.sampled_from(["cell", "short row", "long row", "blank row", "no rows",
-                                 "header renamed", "short header", "long header", "empty"]))
-    if kind == "cell":
+    if kind == "extreme":
+        column = draw(st.integers(0, len(header) - 1 - (header[-1] == "split")))
+        rows[row][column] = repr(draw(st.sampled_from(_EXTREMES)))
+    elif kind == "cell":
         rows[row][column] = draw(st.sampled_from(_BAD_CELLS))
     elif kind == "short row":
         del rows[row][column]
@@ -1060,24 +1244,43 @@ def _damaged_csv(draw, text):
     return "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), target=st.sampled_from(["solution.csv", "dataset.csv"]))
-def test_a_damaged_csv_file_exits_1(cli_inputs, data, target):
-    """solution.csv through compare, dataset.csv through train: exit 1, one
-    error line naming the file, and no output.  A reference whose header
-    differed from the solution's was named by neither file."""
+# the commands that read each CSV file, as (input file, command) makers
+_CSV_COMMANDS = {
+    "solution.csv": ("s2", lambda d, tmp, out: [
+        ["compare", "--solution", d / "s1", "--reference", tmp / "in", "--network",
+         d / "net.json", "--out", out]]),
+    "dataset.csv": ("data", lambda d, tmp, out: [
+        ["train", "--data", tmp / "in", "--epochs", "1", "--out", out]]),
+    "series.csv": ("series.csv", lambda d, tmp, out: [
+        ["fit-coeffs", "--series", tmp / "in" / "series.csv", "--out", out],
+        ["impedance", "--series", tmp / "in" / "series.csv", "--period", "1.0", "--out", out]]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), target=st.sampled_from(list(_CSV_COMMANDS)),
+       kind=st.sampled_from(["cell", "short row", "long row", "blank row", "no rows",
+                             "header renamed", "short header", "long header", "empty",
+                             "extreme"]))
+def test_a_damaged_csv_file_exits_1(cli_inputs, data, target, kind):
+    """solution.csv through compare, dataset.csv through train, the t,Q,dP
+    series through fit-coeffs and impedance: exit 1, one error line naming
+    the file, and no output.  A number replaced by 5e-324 or +-1e308 may also
+    run.  A reference whose header differed from the solution's was named by
+    neither file."""
+    source, commands = _CSV_COMMANDS[target]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        source = cli_inputs / ("s2" if target == "solution.csv" else "data")
-        shutil.copytree(source, tmp / "in")
-        path = tmp / "in" / target
-        path.write_text(data.draw(_damaged_csv(path.read_text())), newline="")
-        out = tmp / "out" / "result.json"
-        if target == "solution.csv":
-            argv = ["compare", "--solution", cli_inputs / "s1", "--reference", tmp / "in",
-                    "--network", cli_inputs / "net.json", "--out", out]
+        if (cli_inputs / source).is_dir():
+            shutil.copytree(cli_inputs / source, tmp / "in")
         else:
-            argv = ["train", "--data", tmp / "in", "--epochs", "1", "--out", out]
-        code, err = _run(argv)
-        assert (code, err.count("\n")) == (1, 1) and err.startswith(f"error: {path}"), err
-        assert not out.parent.exists()
+            (tmp / "in").mkdir()
+            shutil.copy(cli_inputs / source, tmp / "in")
+        path = tmp / "in" / target
+        path.write_text(data.draw(_damaged_csv(path.read_text(), kind)), newline="")
+        for k, argv in enumerate(commands(cli_inputs, tmp, tmp / "out")):
+            argv[-1] = out = argv[-1] / str(k) / "result"
+            code, err = _run(argv)
+            _assert_one_error_line(code, err, None if kind == "extreme" else path)
+            assert code == 1 or kind == "extreme"
+            assert code == 0 or not out.parent.exists()

@@ -89,10 +89,11 @@ def test_parallel_of_identical_subtrees():
 
 def test_depth_two_matches_hand_ladder_reduction():
     net = generate_symmetric_tree(depth=2)
+    feeds = {j.inlet_vessel: j for j in net.junctions}
 
     def hand(vid):
         r_v, _ = net.vessels[vid].elements(net.fluid)
-        j = net.topology.feeds.get(vid)
+        j = feeds.get(vid)
         if j is None:
             return r_v + leaf_bcs(net)[vid].r
         r1 = hand(j.outlets[0].vessel_id)

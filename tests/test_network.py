@@ -1,13 +1,14 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import leaf_bcs
+from tests.conftest import leaf_bcs, make_single_vessel, random_shape_tree
 from vascrom.network import (
     BoundaryCondition,
     ConnectivityError,
@@ -358,16 +359,27 @@ def test_roundtrip_preserves_splits_and_coefficients(tmp_path):
 
 def test_junction_depth():
     net = generate_symmetric_tree(depth=3)
-    depths = sorted(net.junction_depth(j) for j in net.junctions)
+    depths = sorted(net.topology.depth.tolist())
     assert depths == [0, 1, 1, 2, 2, 2, 2]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_topology_of_random_shape_trees(seed):
-    from tests.conftest import random_shape_tree
+TOPOLOGY_TREES = {  # test id -> a function that makes the tree
+    **{str(seed): lambda seed=seed: random_shape_tree(seed) for seed in range(11)},
+    **{f"sym{depth}": lambda depth=depth: generate_symmetric_tree(depth=depth)
+       for depth in range(7)},
+    "unbalanced_v127": lambda: load_network(Path(__file__).parent / "data" / "unbalanced_v127.json"),
+    "stenosis": lambda: make_single_vessel(stenosis_area=0.3, kt=1.2),
+}
 
-    net = random_shape_tree(seed)
+
+@pytest.mark.parametrize("tree", TOPOLOGY_TREES)
+def test_topology_of_random_shape_trees(tree):
+    """The topology's arrays against a walk of ``network.junctions`` and the
+    vessels' own element methods, bit for bit; none of them takes a write."""
+    net = TOPOLOGY_TREES[tree]()
     topo = net.topology
+    ids = list(topo.vessel_ids)
+    assert ids == sorted(net.vessels)
     # ancestors are counted from the junction list alone
     parent_of = {o.vessel_id: j for j in net.junctions for o in j.outlets}
 
@@ -377,16 +389,23 @@ def test_topology_of_random_shape_trees(seed):
             n, vid = n + 1, parent_of[vid].inlet_vessel
         return n
 
-    for j in net.junctions:
-        assert net.junction_depth(j) == ancestors(j.inlet_vessel)
-    assert len({ancestors(v) for v in leaf_bcs(net)}) > 1
-    assert list(topo.preorder) != sorted(net.vessels)
-    assert list(topo.vessel_ids) == sorted(net.vessels) == sorted(topo.preorder)
-    assert topo.preorder[0] == net.inflow_bc.vessel_id
-    seen = set()
-    for vid in topo.preorder:
-        assert vid not in parent_of or parent_of[vid].inlet_vessel in seen
-        seen.add(vid)
+    for k, j in enumerate(net.junctions):
+        assert ids[topo.inlet[k]] == j.inlet_vessel
+        assert [ids[i] for i in topo.outlets[k]] == [o.vessel_id for o in j.outlets]
+        assert topo.depth[k] == ancestors(j.inlet_vessel)
+    levels = topo.levels()
+    assert sorted(k for js in levels for k in js) == list(range(len(net.junctions)))
+    assert [set(topo.depth[js]) for js in levels] == [{d} for d in range(len(levels))]
+    if tree.isdigit():  # leaves at mixed depths, junctions not in state order
+        assert len({ancestors(v) for v in leaf_bcs(net)}) > 1
+        assert topo.inlet.tolist() != sorted(topo.inlet.tolist())
+
+    elements = [(*v.elements(net.fluid), v.stenosis_r(net.fluid), v.capacitance)
+                for v in map(net.vessels.get, ids)]
+    assert topo.elements.tobytes() == np.array(elements, dtype=float).tobytes()
+    for name in ("inlet", "outlets", "depth", "elements"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(topo, name)[...] = 0
 
 
 @given(depth=st.integers(0, 4), exponent=st.floats(2.0, 4.0))

@@ -321,12 +321,48 @@ def test_steady_standard_memory_is_linear_in_vessels():
     assert mass_conservation_error(sol) <= 1e-10
 
 
+# L and U entries per vessel of the standard Jacobian's SuperLU factor:
+# measured 21.24-21.49 on symmetric trees of depth 6-12 and 21.27-21.32 on
+# 1000-junction random trees; the bound leaves 4.7 % above the largest
+FACTOR_FILL_PER_VESSEL = 22.5
+
+
+def _stenosed(net):
+    data = network_to_dict(net)
+    for v in data["vessels"]:
+        v["stenosis_area"] = 0.6 * v["area"]
+    return network_from_dict(data)
+
+
+def test_standard_factor_fill_and_newton_iterations_stay_flat_with_depth():
+    """The work counters of a steady standard solve: the factor fill per
+    vessel stays bounded from 127 to 8191 vessels, and the Newton iteration
+    count does not grow with depth (stenosed symmetric trees, so Q|Q| terms
+    make the system nonlinear, and linear random trees about 20 levels deep)."""
+    iterations = []
+    for depth in range(6, 13):
+        net = _stenosed(generate_symmetric_tree(depth, leaf_resistance=1e5 * 2.0 ** (depth - 6)))
+        diag = solve_steady_standard(net).diagnostics[0]
+        assert diag["nnz_jacobian"] / len(net.vessels) <= 12.5
+        assert diag["nnz_factor"] / len(net.vessels) < FACTOR_FILL_PER_VESSEL
+        iterations.append(diag["iterations"])
+    assert iterations == [iterations[0]] * len(iterations)
+    for seed in (1, 2, 3):
+        net = random_shape_tree(seed, max_depth=30, n_junctions=1000)
+        assert net.topology.depth.max() >= 16
+        diag = solve_steady_standard(net).diagnostics[0]
+        assert diag["nnz_factor"] / len(net.vessels) < FACTOR_FILL_PER_VESSEL
+        assert diag["iterations"] <= 2  # one step, and one more for roundoff
+
+
 def test_transient_constant_inflow_matches_steady():
     net = generate_symmetric_tree(depth=2, inflow=50.0)
     steady = solve_steady_standard(net)
     cfg = SolverConfig(mode="transient", dt=1e-3, n_steps=20)
     trans = solve_transient_standard(net, cfg)
     assert np.allclose(trans.states[-1], steady.states[0], rtol=1e-9, atol=1e-9)
+    # every later step starts on the steady state and factors nothing
+    assert [d["nnz_factor"] for d in trans.diagnostics[1:]] == [None] * 20
 
 
 def test_transient_requires_transient_mode():
@@ -552,7 +588,7 @@ def _loop_tree_basis(problem):
     """basis, free and x_unit of an _OptProblem, built by walking each unit
     flow down the tree one vessel at a time."""
     net, idx, con = problem.network, problem.idx, problem.constraints
-    feeds = net.topology.feeds
+    feeds = {j.inlet_vessel: j for j in net.junctions}
     leaf_r = np.zeros(len(idx.vessel_ids))
     leaf_r[con.leaf] = con.leaf_r
 
@@ -575,7 +611,8 @@ def _loop_tree_basis(problem):
         entries += [(idx(j.inlet_vessel, q), n_j + k, 1.0) for q in ("p_in", "p_out")]
     rows, cols, vals = zip(*entries)
     basis = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(idx.n, 2 * n_j))
-    free = np.concatenate([4 * con.outlets[:, 0] + Q_IN, 4 * con.inlet + P_OUT])
+    free = np.array([idx(j.outlets[0].vessel_id, "q_in") for j in net.junctions]
+                    + [idx(j.inlet_vessel, "p_out") for j in net.junctions], dtype=int)
     x_unit = np.zeros(idx.n)
     for i, c in unit_flow(net.inflow_bc.vessel_id):
         x_unit[i] = c
@@ -646,9 +683,9 @@ def test_opt_transient_matches_backward_euler_root_finder(depth, seed):
         rri_coeffs(rng.uniform(50.0, 500.0), rng.uniform(1.0, 5.0), rng.uniform(0.1, 1.0))
         for _ in range(depth)
     ]
-    for j in net.junctions:
+    for j, d in zip(net.junctions, net.topology.depth):
         for o in j.outlets:
-            o.coefficients, o.flow_split = levels[net.junction_depth(j)], 0.5
+            o.coefficients, o.flow_split = levels[d], 0.5
     cfg = SolverConfig(mode="transient", dt=dt, n_steps=n_steps)
     sol = solve_opt(net, cfg, engine="rri")
     for k, inflow in enumerate(inflows):
