@@ -9,11 +9,12 @@ from typing import Optional
 
 import numpy as np
 
+from .datagen import UnderdeterminedFitError, fit_junction_law
 from .flowsplit import ensure_flow_splits
 from .formats import write_csv
 from .network import MMHG_TO_BA, VascularNetwork
 from .nondim import CoefficientSet
-from .solver import Solution, SolverConfig, solve_opt
+from .solver import P_IN, P_OUT, Q_IN, Solution, SolverConfig, solve_opt
 
 
 class AnalysisError(Exception):
@@ -73,34 +74,38 @@ def write_impedance_csv(spectrum: ImpedanceSpectrum, path) -> None:
         [spectrum.omega, z.real, z.imag, np.hypot(z.real, z.imag), np.angle(z)]), None)
 
 
-def pressure_error(solution: Solution, reference: Solution) -> dict:
+def pressure_error(solution: Solution, reference: Solution, zero_reference: bool = False) -> dict:
     """Max-over-time inlet pressure error vs a reference solution, as
     ``series_pressure_error`` of the two inlet-pressure series."""
     if solution.times.size != reference.times.size or not np.allclose(
         solution.times, reference.times
     ):
         raise AnalysisError("solution and reference time grids do not match")
-    return series_pressure_error(solution.inlet_pressure, reference.inlet_pressure)
+    return series_pressure_error(solution.inlet_pressure, reference.inlet_pressure,
+                                 zero_reference)
 
 
-def series_pressure_error(p: np.ndarray, p_ref: np.ndarray) -> dict:
+def series_pressure_error(p: np.ndarray, p_ref: np.ndarray, zero_reference: bool = False) -> dict:
     """Max-over-time error of a pressure series against a reference series
     on the same time grid.
 
     absolute is in mmHg; relative divides by the largest reference pressure
-    above the zero datum.  Mean-over-time values are also reported.
+    above the zero datum.  Mean-over-time values are also reported.  A
+    reference that is zero throughout (a sweep point at Re 0) has no
+    relative error: it raises, or with zero_reference gives None for both
+    relative values.
     """
     denom = float(np.max(np.abs(p_ref)))
-    if denom == 0:
+    if denom == 0 and not zero_reference:
         raise AnalysisError("reference pressure range is zero; relative error undefined")
     diff = np.abs(p - p_ref)
     error = {
         "absolute_mmhg": float(np.max(diff)) / MMHG_TO_BA,
-        "relative": float(np.max(diff)) / denom,
+        "relative": float(np.max(diff)) / denom if denom else None,
         "mean_absolute_mmhg": float(np.mean(diff)) / MMHG_TO_BA,
-        "mean_relative": float(np.mean(diff)) / denom,
+        "mean_relative": float(np.mean(diff)) / denom if denom else None,
     }
-    if not all(map(math.isfinite, error.values())):
+    if not all(v is None or math.isfinite(v) for v in error.values()):
         raise AnalysisError(f"pressure error overflows: largest difference {np.max(diff):.6g}, "
                             f"reference pressure range {denom:.6g}")
     return error
@@ -173,35 +178,23 @@ def fit_tree_coefficients(
     need = 2 if mode == "RRI" else 1
     if len(solutions) < need:
         raise AnalysisError(f"{mode} fit needs at least {need} steady solutions")
-    fits: dict[tuple[str, str], CoefficientSet] = {}
-    for j in network.junctions:
-        for o in j.outlets:
-            qs, dps = [], []
-            for sol in solutions:
-                x = sol.states[-1]
-                idx = sol.index
-                qs.append(x[idx(o.vessel_id, "q_in")])
-                dps.append(x[idx(j.inlet_vessel, "p_out")] - x[idx(o.vessel_id, "p_in")])
-            q = np.array(qs)
-            dp = np.array(dps)
-            if mode == "RRI":
-                a = np.column_stack([q, q * np.abs(q)])
-                if np.linalg.matrix_rank(a, tol=1e-10 * np.abs(a).max()) < 2:
-                    raise AnalysisError(
-                        f"rank-deficient sweep for junction {j.id} outlet {o.vessel_id}"
-                    )
-                coef, *_ = np.linalg.lstsq(a, dp, rcond=None)
-                fits[(j.id, o.vessel_id)] = CoefficientSet(
-                    kind="RRI", r_lin=float(coef[0]), r_quad=float(coef[1]), l=0.0
-                )
-            else:
-                if np.all(q == 0):
-                    raise AnalysisError(
-                        f"zero-flow sweep for junction {j.id} outlet {o.vessel_id}"
-                    )
-                r_lin = float(np.dot(q, dp) / np.dot(q, q))
-                fits[(j.id, o.vessel_id)] = CoefficientSet(kind="RI", r_lin=r_lin, l=0.0)
-    return fits
+    # q and dP of every outlet (junction order, then outlet order) over the sweep
+    x = np.array([sol.states[-1] for sol in solutions])
+    inlet, outlet = 4 * np.repeat(network.topology.inlet, 2), 4 * network.topology.outlets.ravel()
+    q = x[:, outlet + Q_IN].T
+    dp = (x[:, inlet + P_OUT] - x[:, outlet + P_IN]).T
+    columns = ("Q", "Q|Q|") if mode == "RRI" else ("Q",)
+    try:
+        coef = fit_junction_law({"Q": q, "Q|Q|": q * np.abs(q)}, columns, dp)
+    except UnderdeterminedFitError as e:
+        j = network.junctions[e.index // 2]
+        what = "rank-deficient" if mode == "RRI" else "zero-flow"
+        raise AnalysisError(f"{what} sweep for junction {j.id} "
+                            f"outlet {j.outlets[e.index % 2].vessel_id}") from e
+    keys = [(j.id, o.vessel_id) for j in network.junctions for o in j.outlets]
+    return {key: CoefficientSet(kind=mode, r_lin=c[0], r_quad=c[1] if mode == "RRI" else None,
+                                l=0.0)
+            for key, c in zip(keys, coef.tolist())}
 
 
 def resolve_with_fits(
@@ -223,6 +216,6 @@ def resolve_with_fits(
             sol = solve_opt(network, SolverConfig(mode="steady"), engine=engine)
         row = {"inflow": q_in, "objective": sol.diagnostics[0]["objective"]}
         if references is not None:
-            row.update(pressure_error(sol, references[i]))
+            row.update(pressure_error(sol, references[i], zero_reference=True))
         rows.append(row)
     return rows

@@ -4,7 +4,7 @@ time-series synthesis, and RRI/RI coefficient extraction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,6 +19,8 @@ from .nondim import (
     characteristic_scales,
     feature_matrix,
     fit_znorm,
+    float_pow,
+    invalid_geometry,
     apply_znorm,
     nondimensionalize_values,
     redimensionalize_values,
@@ -35,7 +37,11 @@ class DatagenError(Exception):
 
 
 class UnderdeterminedFitError(DatagenError):
-    pass
+    """A design matrix that a fit cannot use; ``index`` is its place in the stack."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 # -- time series ----------------------------------------------------------
@@ -64,16 +70,17 @@ class TimeSeries:
 
 
 def central_difference(q: np.ndarray, dt: float) -> np.ndarray:
-    """Interior central differences, one-sided first order at the endpoints."""
+    """Interior central differences along the last axis, one-sided first
+    order at the endpoints."""
     q = np.asarray(q, float)
-    if q.size < 3:
+    if q.ndim == 0 or q.shape[-1] < 3:
         raise DatagenError("need at least 3 samples for differentiation")
     if dt <= 0:
         raise DatagenError("dt must be positive")
     qdot = np.empty_like(q)
-    qdot[1:-1] = (q[2:] - q[:-2]) / (2.0 * dt)
-    qdot[0] = (q[1] - q[0]) / dt
-    qdot[-1] = (q[-1] - q[-2]) / dt
+    qdot[..., 1:-1] = (q[..., 2:] - q[..., :-2]) / (2.0 * dt)
+    qdot[..., 0] = (q[..., 1] - q[..., 0]) / dt
+    qdot[..., -1] = (q[..., -1] - q[..., -2]) / dt
     return qdot
 
 
@@ -105,7 +112,8 @@ def plug_flow(re: float, radius: float, fluid: Fluid) -> float:
 # -- sampling -------------------------------------------------------------
 
 
-# min/max of the sampled base dimensionless descriptors (phi_2 = 1 - phi_1)
+# min/max of the sampled base dimensionless descriptors, in SampledJunction
+# field order (phi_2 = 1 - phi_1)
 SAMPLING_RANGES = {
     "alpha1": (0.40, 1.2),
     "alpha2": (0.37, 1.2),
@@ -160,15 +168,9 @@ def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 def sample_geometries(n: int, seed: int = 0) -> list[SampledJunction]:
     if n < 1:
         raise DatagenError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    unit = latin_hypercube(n, len(SAMPLING_RANGES), rng)
-    out = []
-    for row in unit:
-        vals = {}
-        for j, (name, (lo, hi)) in enumerate(SAMPLING_RANGES.items()):
-            vals[name] = lo + (hi - lo) * row[j]
-        out.append(SampledJunction(**vals))
-    return out
+    unit = latin_hypercube(n, len(SAMPLING_RANGES), np.random.default_rng(seed))
+    lo, hi = np.array(list(SAMPLING_RANGES.values())).T
+    return [SampledJunction(*row) for row in (lo + (hi - lo) * unit).tolist()]
 
 
 # -- analytic ground-truth oracle -----------------------------------------
@@ -201,31 +203,31 @@ def oracle_coeffs(g: DimensionlessGeometry) -> CoefficientSet:
     R_quad* = 0.4*(alpha^-2 - 1) + 0.1*(phi^-1 - 2)
     L* = 0.1*lam*alpha^-1
     """
-    r_lin, r_quad, l = _oracle_values(g)
+    r_lin, r_quad, l = _oracle_values(**asdict(g))
     return CoefficientSet(kind="RRI", r_lin=r_lin, r_quad=r_quad, l=l, dimensionless=True)
 
 
-def _oracle_values(g: DimensionlessGeometry) -> tuple[float, float, float]:
-    """oracle_coeffs as plain (r_lin, r_quad, l) floats."""
-    checks = [
-        ("alpha", g.alpha_self),
-        ("alpha", g.alpha_other),
-        ("lam", g.lam_self),
-        ("theta", g.theta_self),
-        ("theta", g.theta_other),
-        ("phi", g.phi_self),
-    ]
-    for name, val in checks:
-        lo, hi = ORACLE_BOX[name]
-        if not (lo <= val <= hi):
-            raise DatagenError(
-                f"geometry outside oracle validity box: {name}={val} not in [{lo}, {hi}]"
-            )
-    inv_a2 = g.alpha_self**-2
+def _oracle_values(alpha_self, alpha_other, lam_self, theta_self, theta_other, phi_self):
+    """oracle_coeffs as plain (r_lin, r_quad, l) values, from the fields of a
+    DimensionlessGeometry: floats for one outlet, or arrays that broadcast
+    together.  The box check names the first outlet outside the box."""
+    names = ("alpha", "alpha", "lam", "theta", "theta", "phi")
+    values = [np.ravel(v) for v in np.broadcast_arrays(
+        alpha_self, alpha_other, lam_self, theta_self, theta_other, phi_self)]
+    # per descriptor and outlet; the negation also rejects NaN
+    outside = np.array([~((ORACLE_BOX[name][0] <= v) & (v <= ORACLE_BOX[name][1]))
+                        for name, v in zip(names, values)])
+    if outside.any():
+        row = int(np.argmax(outside.any(axis=0)))  # the first outlet outside
+        c = int(np.argmax(outside[:, row]))  # and its first descriptor outside
+        lo, hi = ORACLE_BOX[names[c]]
+        raise DatagenError(f"geometry outside oracle validity box: "
+                           f"{names[c]}={values[c][row].tolist()} not in [{lo}, {hi}]")
+    inv_a2 = float_pow(alpha_self, -2)
     return (
-        ORACLE_RLIN_LAM * inv_a2 * g.lam_self + ORACLE_RLIN_THETA * g.theta_self,
-        ORACLE_RQUAD_ALPHA * (inv_a2 - 1.0) + ORACLE_RQUAD_PHI * (1.0 / g.phi_self - 2.0),
-        ORACLE_L_LAM * g.lam_self / g.alpha_self,
+        ORACLE_RLIN_LAM * inv_a2 * lam_self + ORACLE_RLIN_THETA * theta_self,
+        ORACLE_RQUAD_ALPHA * (inv_a2 - 1.0) + ORACLE_RQUAD_PHI * (1.0 / phi_self - 2.0),
+        ORACLE_L_LAM * lam_self / alpha_self,
     )
 
 
@@ -259,34 +261,39 @@ _RRI_COLUMNS = ("Q", "Q|Q|", "Qdot")
 _RI_COLUMNS = ("Q", "Qdot")
 
 
-def _factor(cols: dict[str, np.ndarray], columns: tuple[str, ...]):
-    """Column-scaled SVD of the design matrix, after a rank check."""
-    a = np.column_stack([cols[c] for c in columns])
+def fit_junction_law(cols: dict[str, np.ndarray], columns: tuple[str, ...],
+                     dp: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of dP on the named columns, for a stack of
+    k design matrices (each cols[c] is (k, T)) and one right-hand side per
+    matrix, dp (k, T), or f of them, dp (k, f, T): (k, c) or (k, f, c).
+    Each matrix gets a column-scaled SVD after a zero-column and a rank
+    check; the index of an UnderdeterminedFitError is the first that fails.
+    The products are matrix-vector products, so each fit rounds exactly as a
+    fit of its matrix alone."""
+    a = np.stack([cols[c] for c in columns], axis=-1)
     # Column scaling keeps the rank check meaningful across units.
-    scale = np.linalg.norm(a, axis=0)
-    if np.any(scale == 0):
-        bad = columns[int(np.argmax(scale == 0))]
-        raise UnderdeterminedFitError(f"design matrix column {bad!r} is identically zero")
-    a_s = a / scale
-    u, s, vt = np.linalg.svd(a_s, full_matrices=False)
-    if s[-1] < 1e-10 * s[0]:
-        direction = columns[int(np.argmax(np.abs(vt[-1])))]
-        raise UnderdeterminedFitError(
-            f"rank-deficient design matrix; deficient direction dominated by {direction!r}"
-        )
-    return u, s, vt, scale
-
-
-def _solve(factors, dp: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of dP from the factors of `_factor`."""
-    u, s, vt, scale = factors
-    return vt.T @ ((u.T @ dp) / s) / scale
+    scale = np.linalg.norm(a, axis=1)
+    zero = scale == 0
+    if zero.any():
+        k, c = np.argwhere(zero)[0].tolist()
+        raise UnderdeterminedFitError(f"design matrix column {columns[c]!r} is identically zero", k)
+    u, s, vt = np.linalg.svd(a / scale[:, None], full_matrices=False)
+    deficient = s[:, -1] < 1e-10 * s[:, 0]
+    if deficient.any():
+        k = int(np.argmax(deficient))
+        direction = columns[int(np.argmax(np.abs(vt[k, -1])))]
+        raise UnderdeterminedFitError(f"rank-deficient design matrix; deficient direction "
+                                      f"dominated by {direction!r}", k)
+    rhs = (dp if dp.ndim == 3 else dp[:, None])[..., None]
+    w = np.matmul(u.transpose(0, 2, 1)[:, None], rhs) / s[:, None, :, None]
+    coef = np.matmul(vt.transpose(0, 2, 1)[:, None], w)[..., 0] / scale[:, None]
+    return coef if dp.ndim == 3 else coef[:, 0]
 
 
 def _lstsq_fit(series: TimeSeries, columns: tuple[str, ...]) -> np.ndarray:
     qdot = series.qdot if series.qdot is not None else central_difference(series.q, series.dt)
     cols = {"Q": series.q, "Q|Q|": series.q * np.abs(series.q), "Qdot": qdot}
-    return _solve(_factor(cols, columns), series.dp)
+    return fit_junction_law({c: v[None] for c, v in cols.items()}, columns, series.dp[None])[0]
 
 
 def fit_rri(series: TimeSeries) -> CoefficientSet:
@@ -348,41 +355,40 @@ def build_cohort(
     if not 0.0 <= noise_sigma < math.inf:
         raise DatagenError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     fluid, re_c = Fluid(), DEFAULT_RE_C
-    junctions = sample_geometries(n, seed)
+    # (alpha1, alpha2, lam1, lam2, theta1, theta2, phi1, phi2) per junction
+    junctions = np.array([astuple(junc) + (junc.phi2,) for junc in sample_geometries(n, seed)])
     l_c = circle_radius(INLET_AREA_COHORT)
     scales = characteristic_scales(l_c, fluid, re_c)
     t, q_inlet = systolic_waveform(RE_MAX, l_c, fluid, waveform.period, waveform.n_steps)
     TimeSeries(t=t, q=q_inlet, dp=q_inlet)  # checks the shared time grid once
-    noise_seeds = np.random.SeedSequence(seed).spawn(len(junctions))
 
-    # per row: the base descriptors, and the dimensional RRI and RI fits
-    base, rri_fits, ri_fits = [], [], []
-    for jidx, junc in enumerate(junctions):
-        noise_rng = np.random.default_rng(noise_seeds[jidx])
-        for outlet in (0, 1):
-            lam_total = (junc.lam1, junc.lam2)[outlet]
-            phi = (junc.phi1, junc.phi2)[outlet]
-            q_out = phi * q_inlet
-            qq, qdot = _flow_columns(t, q_out)
-            # the length fractions of an outlet share its flow, and so its
-            # design matrices: factor each once, solve per fraction
-            cols = {"Q": q_out, "Q|Q|": qq, "Qdot": qdot}
-            rri_factors = _factor(cols, _RRI_COLUMNS)
-            ri_factors = _factor(cols, _RI_COLUMNS)
-            for frac in LAMBDA_FRACTIONS:
-                g = junc.geometry(outlet, lam_override=frac * lam_total)
-                r_lin, r_quad, l = redimensionalize_values(*_oracle_values(g), scales)
-                dp = _pressure_drop(r_lin, r_quad, l, q_out, qq, qdot)
-                if noise_sigma > 0:
-                    dp = dp + noise_rng.normal(0.0, noise_sigma, dp.size)
-                rri_fits.append(_solve(rri_factors, dp))
-                ri_fits.append(_solve(ri_factors, dp))
-                base.append(
-                    (g.alpha_self, g.alpha_other, g.lam_self, g.theta_self, g.theta_other, g.phi_self)
-                )
+    # the fields of DimensionlessGeometry per (junction, outlet, fraction):
+    # the rows run over junctions, then outlets, then outlet-length fractions
+    geometry = [junctions[:, pair, None]
+                for pair in ([0, 1], [1, 0], [2, 3], [4, 5], [5, 4], [6, 7])]
+    geometry[2] = geometry[2] * np.array(LAMBDA_FRACTIONS)
+    rows = [np.broadcast_to(g, geometry[2].shape).ravel() for g in geometry]
+    invalid = invalid_geometry(rows[0], rows[1], rows[2], rows[5])
+    if invalid is not None:
+        raise invalid[1]
+    coeffs = redimensionalize_values(*_oracle_values(*geometry), scales)
 
-    x = feature_matrix(*np.array(base).T)
-    rri, ri = np.array(rri_fits), np.array(ri_fits)
+    # the length fractions of an outlet share its flow, and so its design
+    # matrices: one stack of matrices per column set, (2n, T, c), and one
+    # right-hand side per row, (2n, 7, T)
+    q_out = junctions[:, 6:].reshape(-1, 1) * q_inlet
+    qq, qdot = _flow_columns(t, q_out)
+    dp = _pressure_drop(*(c.reshape(2 * n, -1, 1) for c in coeffs),
+                        q_out[:, None], qq[:, None], qdot[:, None])
+    if noise_sigma > 0:  # one draw per junction, from its own stream
+        for j, noise_seed in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            dp[2 * j:2 * j + 2] += np.random.default_rng(noise_seed).normal(
+                0.0, noise_sigma, (2,) + dp.shape[1:])
+    cols = {"Q": q_out, "Q|Q|": qq, "Qdot": qdot}
+    rri, ri = (fit_junction_law(cols, columns, dp).reshape(-1, len(columns))
+               for columns in (_RRI_COLUMNS, _RI_COLUMNS))
+
+    x = feature_matrix(*rows)
     rri_rlin, rri_rquad, rri_l = nondimensionalize_values(rri[:, 0], rri[:, 1], rri[:, 2], scales)
     ri_rlin, _, ri_l = nondimensionalize_values(ri[:, 0], None, ri[:, 1], scales)
     y = dict(zip(COEFFICIENT_TAGS, (rri_rlin, rri_rquad, rri_l, ri_rlin, ri_l)))

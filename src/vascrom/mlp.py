@@ -137,6 +137,7 @@ class Adam:
         self.v = np.zeros_like(params)
         self.t = 0
 
+    @np.errstate(over="ignore", invalid="ignore")  # the next loss or val_mse check rejects it
     def step(self, params: np.ndarray, grads: np.ndarray):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
@@ -278,6 +279,7 @@ class _Stack:
         pred += self.b_out_col
         return pred, acts, heads
 
+    @np.errstate(over="ignore", invalid="ignore")  # train_models checks every loss
     def gradients(self, x: np.ndarray, y: np.ndarray, loss: np.ndarray) -> None:
         """Each model's mean-squared-error loss on one batch, into `loss` (k,),
         and the gradients of all of them, into `self.grads`.
@@ -314,6 +316,7 @@ class _Stack:
             np.sum(g, axis=1, out=self.gb[l])
             g_deeper = g
 
+    @np.errstate(over="ignore", invalid="ignore")  # train_models checks every val_mse
     def val_mse(self, x: np.ndarray, y: np.ndarray) -> list[float]:
         """Each model's mean squared error on the rows x (n, n_inputs) with
         targets y (k, n)."""
@@ -696,6 +699,7 @@ def outlet_features(network: VascularNetwork):
     return result()
 
 
+@np.errstate(all="ignore")  # the CoefficientSet checks reject a value that overflowed
 def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
     """One batched pass over the outlets and features of outlet_features.
 
@@ -724,11 +728,10 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
         raise error
 
     try:
-        with np.errstate(all="ignore"):
-            x = feature_matrix(
-                feats["alpha_self"], feats["alpha_other"], feats["lam_self"],
-                feats["theta_self"], feats["theta_other"], feats["phi_self"],
-            )
+        x = feature_matrix(
+            feats["alpha_self"], feats["alpha_other"], feats["lam_self"],
+            feats["theta_self"], feats["theta_other"], feats["phi_self"],
+        )
     except (OverflowError, ZeroDivisionError):  # float pow of a feature clamped to 0 or 1e308
         x = np.array(math.inf)
     if not np.isfinite(x).all():

@@ -321,3 +321,51 @@ def test_refit_resolve_error_ordering():
         assert rri_row["relative"] <= 1e-6
         assert rri_row["relative"] <= ri_row["relative"] + 1e-12
     assert max(r["relative"] for r in ri_rows) > 1e-4  # RI misses the quadratic
+
+
+def _random_tree_sweep(seed, inflows):
+    """A random-shape tree with random RRI coefficients and estimated flow
+    splits, and its steady rri solutions at each inflow."""
+    from tests.conftest import random_shape_tree
+    from vascrom.flowsplit import estimate_flow_splits
+
+    rng = np.random.default_rng(seed)
+    net = random_shape_tree(seed)
+    estimate_flow_splits(net)
+    for j in net.junctions:
+        for o in j.outlets:
+            o.coefficients = rri_coeffs(rng.uniform(100.0, 400.0), rng.uniform(0.5, 8.0), 0.1)
+    return net, _steady_sweep(net, inflows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tree_fit_agrees_with_a_per_outlet_lstsq(seed):
+    net, sols = _random_tree_sweep(seed, [20.0, 60.0, 110.0, 170.0])
+    rri = fit_tree_coefficients(net, sols, mode="RRI")
+    ri = fit_tree_coefficients(net, sols, mode="RI")
+    for j in net.junctions:
+        for o in j.outlets:
+            q = np.array([s.q(o.vessel_id)[-1] for s in sols])
+            dp = np.array([s.p(j.inlet_vessel, "out")[-1] - s.p(o.vessel_id)[-1] for s in sols])
+            ref = np.linalg.lstsq(np.column_stack([q, q * np.abs(q)]), dp, rcond=None)[0]
+            got = rri[(j.id, o.vessel_id)]
+            assert [got.r_lin, got.r_quad] == pytest.approx(ref.tolist(), rel=1e-10)
+            ref_ri = np.linalg.lstsq(q[:, None], dp, rcond=None)[0]
+            assert ri[(j.id, o.vessel_id)].r_lin == pytest.approx(ref_ri[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("mode, flows, message", [
+    ("RRI", 5.0, "rank-deficient sweep"),
+    ("RI", 0.0, "zero-flow sweep"),
+])
+def test_tree_fit_names_the_junction_and_outlet_it_cannot_fit(mode, flows, message):
+    """One outlet deep in the tree sees the same flow at every sweep point (a
+    rank-deficient RRI fit) or no flow at all (no RI fit): the error names it."""
+    net, sols = _random_tree_sweep(4, [20.0, 60.0, 110.0])
+    j = net.junctions[-1]
+    o = j.outlets[1]
+    for s in sols:
+        s.states = s.states.copy()
+        s.states[:, s.index(o.vessel_id, "q_in")] = flows
+    with pytest.raises(AnalysisError, match=f"^{message} for junction {j.id} outlet {o.vessel_id}$"):
+        fit_tree_coefficients(net, sols, mode=mode)

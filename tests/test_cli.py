@@ -498,6 +498,36 @@ def test_fit_tree_command(tmp_path):
         assert row["relative"] <= 1e-6
 
 
+@pytest.mark.parametrize("kind", ["RRI", "RI"])
+def test_fit_tree_sweep_from_re_0_has_null_relative_errors(tmp_path, capsys, cli_inputs, kind):
+    """The paper's Re range starts at 0.  The Re-0 reference pressure is zero
+    throughout, so that resolve row reports its absolute errors and null
+    relative ones; it used to exit 1 after the fit had succeeded."""
+    net = tmp_path / "tree_rri.json"
+    assert main(["estimate-splits", "--network", str(cli_inputs / "tree.json"),
+                 "--out", str(tmp_path / "splits.json"), "--network-out", str(net)]) == 0
+    assert main(["predict", "--network", str(net), "--models", str(cli_inputs / "models.json"),
+                 "--out", str(net)]) == 0
+    out = tmp_path / "fits.json"
+    assert main(["fit-tree", "--network", str(net), "--kind", kind, "--re", "0,600,1300",
+                 "--out", str(out)]) == 0
+    zero, *rows = json.loads(out.read_text())["resolve_errors"]
+    assert zero["inflow"] == 0.0
+    assert (zero["relative"], zero["mean_relative"]) == (None, None)
+    assert zero["absolute_mmhg"] == zero["mean_absolute_mmhg"] == 0.0
+    for row in rows:
+        assert row["inflow"] > 0 and 0 <= row["relative"] < math.inf
+    # compare still refuses a relative error against an all-zero reference
+    still = _write_single_vessel(tmp_path / "still.json", inflow=0.0)
+    for name in ("s1", "s2"):
+        assert main(["solve", "--network", still, "--out", str(tmp_path / name)]) == 0
+    assert main(["compare", "--solution", str(tmp_path / "s1"), "--reference",
+                 str(tmp_path / "s2"), "--network", still, "--out",
+                 str(tmp_path / "cmp.json")]) == 1
+    assert capsys.readouterr().err == ("error: reference pressure range is zero; "
+                                       "relative error undefined\n")
+
+
 @pytest.mark.parametrize("re_sweep", ["abc", "600,nan", "600,,1300"])
 def test_fit_tree_rejects_bad_re_sweep(tmp_path, capsys, re_sweep):
     net_path = tmp_path / "net.json"
@@ -695,7 +725,9 @@ MANIFEST_KEYS = {
 
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
-    """One input of every kind a command reads, made by the CLI itself."""
+    """One input of every kind a command reads, made by the CLI itself, and a
+    random-shape tree with junction coefficients and flow splits."""
+    from vascrom.flowsplit import estimate_flow_splits
     from vascrom.network import generate_symmetric_tree
     from vascrom.nondim import CoefficientSet
 
@@ -710,6 +742,12 @@ def cli_inputs(tmp_path_factory):
         for o in j.outlets:
             o.coefficients = CoefficientSet(kind="RRI", r_lin=200.0, r_quad=4.0, l=0.2)
     save_network(net, d / "net.json")
+    rtree = random_shape_tree(1)
+    estimate_flow_splits(rtree)
+    for j in rtree.junctions:
+        for o in j.outlets:
+            o.coefficients = CoefficientSet(kind="RRI", r_lin=200.0, r_quad=4.0, l=0.2)
+    save_network(rtree, d / "random_tree.json")
     for name in ("s1", "s2"):
         assert main(["solve", "--network", str(d / "net.json"), "--out", str(d / name)]) == 0
     return d
@@ -1126,8 +1164,9 @@ def _broken_network(draw, doc):
         entry[key] = "nowhere"
     else:  # an outlet that is its own junction's inlet, or the root
         junction = draw(st.sampled_from(junctions))
+        root = next(b["vessel_id"] for b in bcs if b["kind"] == "FLOW")
         junction["outlet_vessels"][draw(st.sampled_from([0, 1]))] = draw(
-            st.sampled_from([junction["inlet_vessel"], "v"]))
+            st.sampled_from([junction["inlet_vessel"], root]))
     return doc
 
 
@@ -1144,9 +1183,11 @@ def _network_commands(d, net, out):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_broken_network_file_exits_1_in_every_command(cli_inputs, data):
-    """A depth-2 tree with junction coefficients and one schema-breaking edit:
-    each command that reads it exits 1 with one error line naming the file."""
-    doc = data.draw(_broken_network(json.loads((cli_inputs / "net.json").read_text())))
+    """A depth-2 tree with junction coefficients, or a random-shape tree with
+    coefficients and flow splits, and one schema-breaking edit: each command
+    that reads it exits 1 with one error line naming the file."""
+    source = data.draw(st.sampled_from(["net.json", "random_tree.json"]))
+    doc = data.draw(_broken_network(json.loads((cli_inputs / source).read_text())))
     with tempfile.TemporaryDirectory() as tmp:
         net = Path(tmp) / "net.json"
         net.write_text(json.dumps(doc))  # NaN and +-inf as JSON's NaN and Infinity

@@ -382,8 +382,20 @@ def test_cohort_rejects_non_finite_targets():
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
 def test_cohort_equals_per_row_reference(noise_sigma):
-    """build_cohort shares one factorisation per outlet; every target must
-    equal a fresh synthesize-and-fit per row, bit for bit."""
+    """build_cohort fits every outlet in one batched least-squares solve;
+    every target must equal a fresh synthesize-and-fit per row, bit for bit."""
+    _assert_cohort_equals_per_row_reference(3, 0, noise_sigma)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+@pytest.mark.parametrize("n, seed", [(60, 7), (200, 0)])
+def test_cohort_equals_per_row_reference_at_benchmark_sizes(n, seed, noise_sigma):
+    """The same at the benchmark bundle's cohort (n = 60, seed 7) and at the
+    CLI's default size, n = 200."""
+    _assert_cohort_equals_per_row_reference(n, seed, noise_sigma)
+
+
+def _assert_cohort_equals_per_row_reference(n, seed, noise_sigma):
     from vascrom.datagen import INLET_AREA_COHORT
     from vascrom.nondim import (
         apply_znorm,
@@ -392,7 +404,6 @@ def test_cohort_equals_per_row_reference(noise_sigma):
         redimensionalize_coeffs,
     )
 
-    n, seed = 3, 0
     dataset, _ = build_cohort(n=n, seed=seed, noise_sigma=noise_sigma)
 
     l_c = math.sqrt(INLET_AREA_COHORT / math.pi)
@@ -430,3 +441,42 @@ def test_cohort_equals_per_row_reference(noise_sigma):
         raw = np.array(y[tag])
         expected = apply_znorm(raw, fit_znorm(raw[train])).ravel()
         assert np.array_equal(dataset.targets[tag], expected), tag
+
+
+# -- the shared batched fit -------------------------------------------------
+
+
+def test_batched_fit_equals_one_fit_per_matrix():
+    """A stack of design matrices with several right-hand sides each gives,
+    bit for bit, what fitting each series alone gives."""
+    from vascrom.datagen import fit_junction_law
+
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 0.4, 120)
+    q = rng.uniform(0.2, 2.0, (4, 1)) * np.sin(math.pi * t / 0.4) + rng.uniform(-1, 1, (4, 1))
+    cols = {"Q": q, "Q|Q|": q * np.abs(q), "Qdot": central_difference(q, t[1] - t[0])}
+    dp = rng.normal(size=(4, 3, t.size))
+    for columns, fit in ((("Q", "Q|Q|", "Qdot"), fit_rri), (("Q", "Qdot"), fit_ri)):
+        stacked = fit_junction_law(cols, columns, dp)
+        assert stacked.shape == (4, 3, len(columns))
+        for k in range(4):
+            for f in range(3):
+                one = fit(TimeSeries(t=t, q=q[k], dp=dp[k, f], qdot=cols["Qdot"][k]))
+                values = (one.r_lin, one.r_quad, one.l) if len(columns) == 3 else (one.r_lin, one.l)
+                assert stacked[k, f].tolist() == list(values)
+        assert np.array_equal(fit_junction_law(cols, columns, dp[:, 1]), stacked[:, 1])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros(50), "column 'Q' is identically zero"),
+    (np.full(50, 2.0), "rank-deficient design matrix"),
+])
+def test_batched_fit_names_the_first_failing_matrix(bad, message):
+    from vascrom.datagen import fit_junction_law
+
+    t = np.linspace(0.0, 1.0, 50)
+    q = np.array([np.sin(3 * t) + 1, bad, np.cos(2 * t), bad])
+    cols = {"Q": q, "Q|Q|": q * np.abs(q)}
+    with pytest.raises(UnderdeterminedFitError, match=message) as err:
+        fit_junction_law(cols, ("Q", "Q|Q|"), np.ones_like(q))
+    assert err.value.index == 1
