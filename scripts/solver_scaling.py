@@ -4,11 +4,11 @@
 Each line holds the vessel count, the seconds of a steady standard solve, of
 a steady rri solve and of its kkt_report (best of --repeat calls each), the
 standard solve's work counters (the Jacobian's stored entries and the L and U
-entries of its factor), the rri solve's least-squares evaluation count, the
-tracemalloc peak of one kkt_report call, and the peak RSS of the process so
-far.  The trees are
-symmetric, with leaf resistance 1e5 * 2^(depth - 6), estimated flow splits
-and the same RRI coefficients at every outlet (r_lin 50, r_quad 2, l 0.5).
+entries of its factor), the rri solve's least-squares evaluation and Jacobian
+counts, the tracemalloc peak of one kkt_report call, and the peak RSS of the
+process so far.  The trees are symmetric, with leaf resistance
+1e5 * 2^(depth - 6), estimated flow splits and the same RRI coefficients at
+every outlet (r_lin 50, r_quad 2, l 0.5).
 
 Usage (from the root of a checkout; it imports vascrom from src/):
     python scripts/solver_scaling.py --depths 6 7 8 9 10 --repeat 3
@@ -74,6 +74,7 @@ def main():
             "nnz_factor": standard.diagnostics[0]["nnz_factor"],
             "rri_s": round(rri_s, 6),
             "rri_nfev": rri.diagnostics[0]["nfev"],
+            "rri_njev": rri.diagnostics[0]["njev"],
             "kkt_s": round(kkt_s, 6),
             "kkt_traced_peak_mb": round(kkt_peak / 1e6, 3),
             "process_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3, 1),

@@ -171,8 +171,11 @@ def fit_tree_coefficients(
 
     RRI: dP = R_lin*Q + R_quad*Q|Q| (needs >= 2 solutions);
     RI: dP = R_lin*Q (needs >= 1).  Inductance is neglected (steady data).
-    Returns {(junction id, outlet vessel id): CoefficientSet}.
+    Returns {(junction id, outlet vessel id): CoefficientSet}.  A network
+    without junctions has nothing to fit and raises.
     """
+    if not network.junctions:
+        raise AnalysisError("the network has no junction outlets to fit")
     if mode not in ("RRI", "RI"):
         raise AnalysisError(f"unknown fit mode {mode!r}")
     need = 2 if mode == "RRI" else 1
@@ -204,7 +207,10 @@ def resolve_with_fits(
     references: Optional[list[Solution]] = None,
 ) -> list[dict]:
     """Re-solve the tree with fitted coefficients at each sweep inflow and
-    report inlet-pressure errors vs the reference solutions (if given)."""
+    report inlet-pressure errors vs the reference solutions (if given).  A
+    network without junctions has no fits to use and raises."""
+    if not network.junctions:
+        raise AnalysisError("the network has no junction outlets to fit")
     engine = "rri" if next(iter(fits.values())).kind == "RRI" else "ri"
     ensure_flow_splits(network)
     for j in network.junctions:

@@ -185,7 +185,10 @@ def cmd_fit_tree(args) -> None:
     for q in inflows:
         with net.steady_inflow(q):
             solutions.append(solve_opt(net, SolverConfig(mode="steady"), engine="rri"))
-    fits = fit_tree_coefficients(net, solutions, mode=args.kind)
+    try:
+        fits = fit_tree_coefficients(net, solutions, mode=args.kind)
+    except AnalysisError as e:
+        raise AnalysisError(f"{args.network}: {e}") from e
     errors = resolve_with_fits(net, fits, inflows, references=solutions)
     rows = [
         {"junction": jid, "outlet": vid, "r_lin": c.r_lin, "r_quad": c.r_quad, "l": c.l}

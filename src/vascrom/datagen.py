@@ -17,10 +17,10 @@ from .nondim import (
     DimensionlessGeometry,
     NondimError,
     characteristic_scales,
+    check_geometry,
     feature_matrix,
     fit_znorm,
     float_pow,
-    invalid_geometry,
     apply_znorm,
     nondimensionalize_values,
     redimensionalize_values,
@@ -332,6 +332,7 @@ def ingest_timeseries_csv(path) -> TimeSeries:
 
 
 RE_MAX = 5500.0  # peak Reynolds number of the systolic inlet waveform
+COHORT_CHUNK = 256  # junctions per fit in build_cohort; bounds its memory, not its result
 
 
 @dataclass(frozen=True)
@@ -368,25 +369,29 @@ def build_cohort(
                 for pair in ([0, 1], [1, 0], [2, 3], [4, 5], [5, 4], [6, 7])]
     geometry[2] = geometry[2] * np.array(LAMBDA_FRACTIONS)
     rows = [np.broadcast_to(g, geometry[2].shape).ravel() for g in geometry]
-    invalid = invalid_geometry(rows[0], rows[1], rows[2], rows[5])
-    if invalid is not None:
-        raise invalid[1]
+    check_geometry(rows[0], rows[1], rows[2], rows[5])
     coeffs = redimensionalize_values(*_oracle_values(*geometry), scales)
 
     # the length fractions of an outlet share its flow, and so its design
-    # matrices: one stack of matrices per column set, (2n, T, c), and one
-    # right-hand side per row, (2n, 7, T)
-    q_out = junctions[:, 6:].reshape(-1, 1) * q_inlet
-    qq, qdot = _flow_columns(t, q_out)
-    dp = _pressure_drop(*(c.reshape(2 * n, -1, 1) for c in coeffs),
-                        q_out[:, None], qq[:, None], qdot[:, None])
-    if noise_sigma > 0:  # one draw per junction, from its own stream
-        for j, noise_seed in enumerate(np.random.SeedSequence(seed).spawn(n)):
-            dp[2 * j:2 * j + 2] += np.random.default_rng(noise_seed).normal(
-                0.0, noise_sigma, (2,) + dp.shape[1:])
-    cols = {"Q": q_out, "Q|Q|": qq, "Qdot": qdot}
-    rri, ri = (fit_junction_law(cols, columns, dp).reshape(-1, len(columns))
-               for columns in (_RRI_COLUMNS, _RI_COLUMNS))
+    # matrices: per chunk of k junctions, one stack of matrices per column
+    # set, (2k, T, c), and one right-hand side per row, (2k, 7, T)
+    phi = junctions[:, 6:].reshape(-1, 1)
+    coeffs = [c.reshape(2 * n, -1, 1) for c in coeffs]
+    noise_seeds = np.random.SeedSequence(seed).spawn(n) if noise_sigma > 0 else None
+    rri, ri = [], []
+    for start in range(0, n, COHORT_CHUNK):
+        chunk = slice(2 * start, 2 * (start + COHORT_CHUNK))
+        q_out = phi[chunk] * q_inlet
+        qq, qdot = _flow_columns(t, q_out)
+        dp = _pressure_drop(*(c[chunk] for c in coeffs), q_out[:, None], qq[:, None], qdot[:, None])
+        if noise_sigma > 0:  # one draw per junction, from its own stream
+            for j, noise_seed in enumerate(noise_seeds[start:start + COHORT_CHUNK]):
+                dp[2 * j:2 * j + 2] += np.random.default_rng(noise_seed).normal(
+                    0.0, noise_sigma, (2,) + dp.shape[1:])
+        cols = {"Q": q_out, "Q|Q|": qq, "Qdot": qdot}
+        rri.append(fit_junction_law(cols, _RRI_COLUMNS, dp))
+        ri.append(fit_junction_law(cols, _RI_COLUMNS, dp))
+    rri, ri = np.concatenate(rri).reshape(-1, 3), np.concatenate(ri).reshape(-1, 2)
 
     x = feature_matrix(*rows)
     rri_rlin, rri_rquad, rri_l = nondimensionalize_values(rri[:, 0], rri[:, 1], rri[:, 2], scales)

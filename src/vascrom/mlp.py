@@ -22,9 +22,9 @@ from .nondim import (
     apply_znorm,
     base_descriptors,
     characteristic_scales,
+    check_geometry,
     feature_matrix,
     float_pow,
-    invalid_geometry,
     invert_znorm,
     redimensionalize_values,
     scale_fields,
@@ -426,24 +426,32 @@ def train_models(
     one Adam step on the joint parameter vector.  Each tag keeps its own
     random stream for its initial weights and its batch order, its own early
     stop, and the models and reports equal those of training each tag on its
-    own, bit for bit.  The error raised is the one that training the tags one
-    after another, in `tags` order, meets first.
+    own, bit for bit.
+
+    The first failure stops the run: a tag without an architecture before
+    any model is built, a non-finite loss before that batch's Adam step, a
+    non-finite validation MSE at the end of its epoch.  Where several tags
+    fail at once, the error names the first of them in `tags` order.
 
     Returns (models dict, report dict with per-epoch train/val loss curves).
     """
     architectures = architectures or DEFAULT_ARCHITECTURES
     tags = list(dict.fromkeys(tags or dataset.targets))
-    error = None  # the error of the first failing tag; the tags after it never train
-    for j, tag in enumerate(tags):
+    for tag in tags:
         if tag not in architectures:
-            error = ModelError(f"no architecture for coefficient tag {tag!r}")
-            tags = tags[:j]
-            break
+            raise ModelError(f"no architecture for coefficient tag {tag!r}")
     rngs = {tag: _tag_rng(config.seed, tag) for tag in tags}
     n_inputs = dataset.inputs.shape[1]
     init = [init_model(tag, n_inputs, *architectures[tag], rngs[tag]) for tag in tags]
     # deepest first, so that each stacked layer covers a leading run of models
     stack = _Stack(sorted(init, key=lambda m: -len(m.weights)), config)
+
+    def first_nonfinite(values):
+        """The first tag of the stack, in `tags` order, whose value is not
+        finite, and that value; or None."""
+        bad = [(tags.index(tag), tag, v) for tag, v in zip(stack.tags, values)
+               if not math.isfinite(v)]
+        return min(bad)[1:] if bad else None
 
     x_train = dataset.inputs[dataset.train_idx]
     x_val = dataset.inputs[dataset.val_idx]
@@ -461,28 +469,17 @@ def train_models(
         losses = np.empty((len(batches), len(stack.tags)))
         for i, batch in enumerate(batches):
             # every tag's batch in one gather; the epoch's inputs are never all copied
-            x = x_train[order[:, batch]]
-            stack.gradients(x, y[:, batch], losses[i])
-            if not all(map(math.isfinite, losses[i].tolist())):
-                first = min(
-                    (tag for tag, loss in zip(stack.tags, losses[i].tolist())
-                     if not math.isfinite(loss)),
-                    key=tags.index,
-                )
-                error = ModelError(f"model {first}: divergent loss at epoch {epoch}, batch {i}")
-                # the tags before it in `tags` order go on, as they would alone
-                keep = [k for k, tag in enumerate(stack.tags) if tags.index(tag) < tags.index(first)]
-                stack, x, order, y = stack.take(keep), x[keep], order[keep], y[keep]
-                losses = losses[:, keep]
-                if not keep:
-                    break
-                stack.gradients(x, y[:, batch], losses[i])
+            stack.gradients(x_train[order[:, batch]], y[:, batch], losses[i])
+            bad = first_nonfinite(losses[i].tolist())
+            if bad:
+                raise ModelError(f"model {bad[0]}: divergent loss at epoch {epoch}, batch {i}")
             stack.opt.step(stack.params, stack.grads)
-        if not stack.tags:
-            break
         # the sums run in batch order, as a running Python sum would
         train_loss = (np.cumsum(losses, axis=0)[-1] / len(batches)).tolist()
         val_mse = stack.val_mse(x_val, np.array([y_val[tag] for tag in stack.tags]))
+        bad = first_nonfinite(val_mse)
+        if bad:  # a huge validation target; the report is strict JSON
+            raise ModelError(f"model {bad[0]}: validation MSE {bad[1]} at epoch {epoch}")
         keep = []
         for k, tag in enumerate(stack.tags):
             curves[tag][0].append(train_loss[k])
@@ -495,21 +492,16 @@ def train_models(
             stack = stack.take(keep)
     for k, tag in enumerate(stack.tags):
         models[tag] = stack.model(k)
-    if error is not None:
-        raise error
 
-    report = {}
-    for tag in tags:
-        train_curve, val_curve = curves[tag]
-        bad = [k for k, mse in enumerate(val_curve) if not math.isfinite(mse)]
-        if bad:  # a huge validation target; the report is strict JSON
-            raise ModelError(f"model {tag}: validation MSE {val_curve[bad[0]]} at epoch {bad[0]}")
-        report[tag] = {
+    report = {
+        tag: {
             "train_loss": train_curve,
             "val_mse": val_curve,
             "epochs_run": len(train_curve),
             "final_val_mse": val_curve[-1],
         }
+        for tag, (train_curve, val_curve) in curves.items()
+    }
     return {tag: models[tag] for tag in tags}, report
 
 
@@ -659,44 +651,38 @@ def outlet_features(network: VascularNetwork):
     """The dimensionless geometry of every junction outlet of a network, read
     in junction order.
 
-    Returns the (junction, outlet) pairs, a namespace of arrays over them
-    (the inlet radius l_c, the six base descriptors of base_descriptors with
-    lam_self unclamped, the outlet area and the residual segment length) and
-    the error of the first missing input, or None.  Reading stops at that
-    input, so that a caller can let the outlets before it fail first.
+    Returns the (junction, outlet) pairs and a namespace of arrays over them:
+    the inlet radius l_c, the six base descriptors of base_descriptors with
+    lam_self unclamped, the outlet area and the residual segment length.  The
+    first junction without flow splits or without a bifurcation definition
+    raises.
     """
     outlets, rows = [], []
-
-    def result(missing=None):
-        l_c, area, area_other, length, theta, theta_other, phi, residual = (
-            np.array(rows, float).reshape(-1, 8).T
-        )
-        features = SimpleNamespace(
-            l_c=l_c,
-            **base_descriptors(l_c, area, area_other, length, theta, theta_other, phi),
-            area=area,
-            residual=residual,
-        )
-        return outlets, features, missing
-
     for junction in network.junctions:
         if any(o.flow_split is None for o in junction.outlets):
-            return result(ModelError(
+            raise ModelError(
                 f"junction {junction.id}: flow splits not set; run split estimation first"
-            ))
+            )
+        if any(o.attributed_length is None for o in junction.outlets):
+            raise ModelError(f"junction {junction.id}: bifurcation definition not applied")
         l_c = network.vessels[junction.inlet_vessel].radius
         for outlet, other in zip(junction.outlets, junction.outlets[::-1]):
-            if outlet.attributed_length is None:
-                return result(ModelError(
-                    f"junction {junction.id}: bifurcation definition not applied"
-                ))
             outlets.append((junction, outlet))
             rows.append((
                 l_c, network.vessels[outlet.vessel_id].area, network.vessels[other.vessel_id].area,
                 outlet.attributed_length, outlet.angle, other.angle, outlet.flow_split,
                 outlet.residual_length or 0.0,
             ))
-    return result()
+    l_c, area, area_other, length, theta, theta_other, phi, residual = (
+        np.array(rows, float).reshape(-1, 8).T
+    )
+    features = SimpleNamespace(
+        l_c=l_c,
+        **base_descriptors(l_c, area, area_other, length, theta, theta_other, phi),
+        area=area,
+        residual=residual,
+    )
+    return outlets, features
 
 
 @np.errstate(all="ignore")  # the CoefficientSet checks reject a value that overflowed
@@ -706,7 +692,8 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
     Clamps the features of all outlets, runs one forward per model, then
     redimensionalises and adds the Poiseuille corrections as array
     expressions, each the same operations in the same order as for a single
-    outlet.
+    outlet.  Each check runs over all outlets, in the stage order of
+    predict_network.
     """
     ranges = bundle.feature_ranges
     scales = scale_fields(features.l_c, fluid, bundle.re_c)
@@ -717,15 +704,7 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
     feats["lam_self"] = np.clip(lam, lam_lo, lam_hi)
     clamped = {feat: feats[feat] != raw[feat] for feat in _CLAMPED_FEATURES}
 
-    invalid = invalid_geometry(
-        feats["alpha_self"], feats["alpha_other"], feats["lam_self"], feats["phi_self"]
-    )
-    if invalid is not None:
-        k, error = invalid
-        if k:  # the outlets before it may fail first
-            head = SimpleNamespace(**{name: value[:k] for name, value in raw.items()})
-            _predict_rows(bundle, fluid, outlets[:k], head, tags)
-        raise error
+    check_geometry(feats["alpha_self"], feats["alpha_other"], feats["lam_self"], feats["phi_self"])
 
     try:
         x = feature_matrix(
@@ -765,7 +744,7 @@ def _predict_rows(bundle: ModelBundle, fluid: Fluid, outlets, features, tags):
     r_lin, l = r_lin + delta_r, l + delta_l
 
     # a non-finite value at any stage stays non-finite, so the CoefficientSet
-    # checks raise where the outlet-by-outlet stages would
+    # checks raise at the first outlet where any stage overflowed
     kind = "RI" if r_quad is None else "RRI"
     quads = [None] * len(outlets) if r_quad is None else r_quad.tolist()
     coeffs = [CoefficientSet(kind=kind, r_lin=c_lin, l=c_l, r_quad=c_quad)
@@ -802,23 +781,23 @@ def predict_network(
     other out-of-range features are clamped and flagged in the report.
 
     Every outlet is predicted and checked before any coefficient is attached,
-    so a failure leaves the network unchanged.  The error is the one that
-    predicting outlet by outlet, in junction order, meets first.
+    so a failure leaves the network unchanged.  Each stage runs over all
+    outlets and raises at its first failure, in this order: the bundle's own
+    checks, a missing split or bifurcation definition (first junction),
+    invalid geometry (first outlet), feature overflow, and a non-finite
+    coefficient (first outlet).
     """
     tags = ("rri_rlin", "rri_rquad", "rri_l") if kind == "RRI" else ("ri_rlin", "ri_l")
-    if network.junctions:
-        # the bundle's own checks, which the first junction meets first
-        inlet = network.vessels[network.junctions[0].inlet_vessel]
-        characteristic_scales(inlet.radius, network.fluid, bundle.re_c)
-        for tag in tags:
-            if tag not in bundle.models:
-                raise ModelError(f"bundle lacks model for {tag!r}")
-    outlets, features, missing = outlet_features(network)
-    coeffs, reports = [], []
-    if outlets:
-        coeffs, reports = _predict_rows(bundle, network.fluid, outlets, features, tags)
-    if missing is not None:
-        raise missing
+    if not network.junctions:
+        return []
+    # the bundle's own checks, which the first junction meets first
+    inlet = network.vessels[network.junctions[0].inlet_vessel]
+    characteristic_scales(inlet.radius, network.fluid, bundle.re_c)
+    for tag in tags:
+        if tag not in bundle.models:
+            raise ModelError(f"bundle lacks model for {tag!r}")
+    outlets, features = outlet_features(network)
+    coeffs, reports = _predict_rows(bundle, network.fluid, outlets, features, tags)
     for (_, outlet), c in zip(outlets, coeffs):
         outlet.coefficients = c
     return reports

@@ -51,7 +51,7 @@ class ConnectivityError(NetworkError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fluid:
     mu: float = DEFAULT_MU
     rho: float = DEFAULT_RHO
@@ -93,7 +93,7 @@ def stenosis_resistance(area: float, stenosis_area: float, kt: float, rho: float
     return (kt * rho / (2.0 * area**2)) * (area / stenosis_area - 1.0) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vessel:
     id: str
     length: float
@@ -132,7 +132,7 @@ class Vessel:
         return stenosis_resistance(self.area, self.stenosis_area, kt, fluid.rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryCondition:
     """Inflow (FLOW) or resistance (RESISTANCE) boundary condition.
 
@@ -172,7 +172,7 @@ class BoundaryCondition:
         return float(self.value)
 
 
-@dataclass
+@dataclass(slots=True)
 class JunctionOutlet:
     vessel_id: str
     angle: float
@@ -188,7 +188,7 @@ class JunctionOutlet:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Junction:
     id: str
     inlet_vessel: str

@@ -101,9 +101,7 @@ class DimensionlessGeometry:
     )
 
     def __post_init__(self):
-        invalid = invalid_geometry(self.alpha_self, self.alpha_other, self.lam_self, self.phi_self)
-        if invalid is not None:
-            raise invalid[1]
+        check_geometry(self.alpha_self, self.alpha_other, self.lam_self, self.phi_self)
 
     def vector(self) -> np.ndarray:
         base = (self.alpha_self, self.alpha_other, self.lam_self,
@@ -148,21 +146,20 @@ def base_descriptors(l_c, area_self, area_other, length_self, theta_self,
     }
 
 
-def invalid_geometry(alpha_self, alpha_other, lam_self, phi_self):
-    """The first outlet whose descriptors DimensionlessGeometry rejects, as
-    (index, InvalidGeometryError), or None if it takes them all: the ratios
-    must be positive and the flow split in (0, 1).  Floats for one outlet,
-    or n-vectors."""
+def check_geometry(alpha_self, alpha_other, lam_self, phi_self) -> None:
+    """Raise the InvalidGeometryError of the first outlet whose descriptors
+    DimensionlessGeometry rejects: the ratios must be positive and the flow
+    split in (0, 1).  Floats for one outlet, or n-vectors."""
     nonpositive = (alpha_self <= 0) | (alpha_other <= 0) | (lam_self <= 0)
     # operators that floats and arrays share; phi != phi rejects a NaN split
     outside = (phi_self <= 0.0) | (phi_self >= 1.0) | (phi_self != phi_self)
     bad = np.flatnonzero(nonpositive | outside)
     if not bad.size:
-        return None
+        return
     k = int(bad[0])
     if np.ravel(nonpositive)[k]:
-        return k, InvalidGeometryError("area and length ratios must be positive")
-    return k, InvalidGeometryError(f"flow split must lie in (0, 1), got {np.ravel(phi_self)[k]}")
+        raise InvalidGeometryError("area and length ratios must be positive")
+    raise InvalidGeometryError(f"flow split must lie in (0, 1), got {np.ravel(phi_self)[k]}")
 
 
 def nondimensionalize_geometry(
@@ -188,7 +185,7 @@ def nondimensionalize_geometry(
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientSet:
     """RRI triple (r_lin, r_quad, l) or RI pair (r_lin, l).
 

@@ -369,3 +369,12 @@ def test_tree_fit_names_the_junction_and_outlet_it_cannot_fit(mode, flows, messa
         s.states[:, s.index(o.vessel_id, "q_in")] = flows
     with pytest.raises(AnalysisError, match=f"^{message} for junction {j.id} outlet {o.vessel_id}$"):
         fit_tree_coefficients(net, sols, mode=mode)
+
+
+def test_tree_fit_and_resolve_reject_a_network_without_junctions():
+    net = make_single_vessel()
+    sols = [solve_opt(net, SolverConfig(mode="steady"), engine="rri") for _ in range(2)]
+    with pytest.raises(AnalysisError, match="^the network has no junction outlets to fit$"):
+        fit_tree_coefficients(net, sols)
+    with pytest.raises(AnalysisError, match="^the network has no junction outlets to fit$"):
+        resolve_with_fits(net, {}, [10.0])

@@ -331,6 +331,17 @@ def test_only_formats_reads_and_writes_files():
     assert _file_access(_tree(PACKAGE / "formats.py"))
 
 
+def test_tree_classes_hold_no_instance_dict():
+    """A tree holds one of these per vessel, outlet or junction, so they are
+    slotted: no field added later may bring the per-instance dict back."""
+    from vascrom.network import BoundaryCondition, Fluid, Junction, JunctionOutlet, Vessel
+    from vascrom.nondim import CoefficientSet
+
+    classes = (Fluid, Vessel, BoundaryCondition, JunctionOutlet, Junction, CoefficientSet)
+    assert {cls.__name__: cls.__dictoffset__ for cls in classes} == {
+        cls.__name__: 0 for cls in classes}
+
+
 def test_solver_scaling_script_runs():
     """scripts/ counts as a user of the package, so its one script must run."""
     result = subprocess.run(
@@ -341,5 +352,5 @@ def test_solver_scaling_script_runs():
     (line,) = result.stdout.splitlines()
     assert set(json.loads(line)) == {
         "depth", "vessels", "standard_s", "nnz_jacobian", "nnz_factor", "rri_s", "rri_nfev",
-        "kkt_s", "kkt_traced_peak_mb", "process_peak_rss_mb",
+        "rri_njev", "kkt_s", "kkt_traced_peak_mb", "process_peak_rss_mb",
     }

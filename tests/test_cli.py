@@ -539,6 +539,15 @@ def test_fit_tree_rejects_bad_re_sweep(tmp_path, capsys, re_sweep):
     assert not out.exists()
 
 
+def test_fit_tree_rejects_a_network_without_junctions(tmp_path, capsys):
+    net_path = _write_single_vessel(tmp_path / "net.json")
+    out = tmp_path / "fits.json"
+    assert main(["fit-tree", "--network", net_path, "--re", "600,1300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {net_path}: the network has no junction outlets to fit\n")
+    assert not out.exists()
+
+
 def test_compare_identical_solutions(tmp_path, capsys):
     net_path = _write_single_vessel(tmp_path / "net.json")
     for name in ("s1", "s2"):

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,32 @@ def test_cohort_equals_per_row_reference_at_benchmark_sizes(n, seed, noise_sigma
     """The same at the benchmark bundle's cohort (n = 60, seed 7) and at the
     CLI's default size, n = 200."""
     _assert_cohort_equals_per_row_reference(n, seed, noise_sigma)
+
+
+def test_cohort_chunks_leave_its_files_byte_identical(tmp_path, monkeypatch):
+    """build_cohort fits COHORT_CHUNK junctions at a time; chunks of 3, the
+    last one short, write the same dataset.csv and stats.json as one chunk."""
+    import vascrom.datagen as datagen
+    from vascrom.mlp import save_dataset
+
+    save_dataset(build_cohort(n=10, noise_sigma=0.5)[0], tmp_path / "whole")
+    monkeypatch.setattr(datagen, "COHORT_CHUNK", 3)
+    save_dataset(build_cohort(n=10, noise_sigma=0.5)[0], tmp_path / "chunked")
+    for name in ("dataset.csv", "stats.json"):
+        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_cohort_traced_peak_stays_bounded():
+    """With one fit over all junctions the traced peak at n = 2000 was
+    126 MB, and it grew with n; fitting COHORT_CHUNK junctions at a time, it
+    measured 27.8 MB."""
+    tracemalloc.start()
+    try:
+        build_cohort(n=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def _assert_cohort_equals_per_row_reference(n, seed, noise_sigma):

@@ -691,8 +691,7 @@ def test_outlet_features_are_the_acceptance_descriptors_on_many_trees():
     for seed in range(300):
         net = random_shape_tree(seed)
         estimate_flow_splits(net)
-        outlets, features, missing = outlet_features(net)
-        assert missing is None
+        outlets, features = outlet_features(net)
         assert [o for _, o in outlets] == [o for j in net.junctions for o in j.outlets]
         for k, (junction, outlet) in enumerate(outlets):
             pair = junction.outlets
@@ -758,10 +757,26 @@ _BREAKS = {
 }
 
 
+# the stage of predict_network that meets each break
+_STAGES = {"model": 0, "split": 1, "definition": 1, "geometry": 2, "nonfinite": 3}
+
+
 def _raised(fn, *args):
     with pytest.raises(Exception) as info:
         fn(*args)
     return type(info.value), str(info.value)
+
+
+def _stage_order_error(bundle, net, breaks):
+    """The error of predict_network, which runs each stage over all outlets:
+    the outlet-by-outlet code's error on the breaks of the earliest stage
+    alone, each placed as (break, junction index)."""
+    stage = min(_STAGES[name] for name, _ in breaks)
+    bundle, net = copy.deepcopy(bundle), copy.deepcopy(net)
+    for name, k in breaks:
+        if _STAGES[name] == stage:
+            _BREAKS[name](bundle, net, net.junctions[k])
+    return _raised(_reference_predict_network, bundle, net)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -769,8 +784,10 @@ def _raised(fn, *args):
 @pytest.mark.parametrize("second", [None] + sorted(_BREAKS))
 def test_failed_prediction_leaves_network_unchanged(trained_bundle, first, second):
     """A bad junction in the middle of the tree (and maybe a second one
-    further on): the same error as the outlet-by-outlet code, which names the
-    first bad junction, and no coefficient attached anywhere."""
+    further on): the error of the earliest stage that fails, which names its
+    first bad junction, and no coefficient attached anywhere.  Where the two
+    breaks meet the same stage, or the first one an earlier stage, that is
+    the outlet-by-outlet code's error."""
     from tests.conftest import random_shape_tree
 
     bundle, _ = trained_bundle
@@ -782,11 +799,14 @@ def test_failed_prediction_leaves_network_unchanged(trained_bundle, first, secon
         for o in j.outlets:
             o.coefficients = marker
     middle = len(net.junctions) // 2
-    _BREAKS[first](bundle, net, net.junctions[middle])
-    if second is not None:
-        _BREAKS[second](bundle, net, net.junctions[-1])
+    breaks = [(first, middle)] + ([] if second is None else [(second, len(net.junctions) - 1)])
+    expected = _stage_order_error(bundle, net, breaks)
+    for name, k in breaks:
+        _BREAKS[name](bundle, net, net.junctions[k])
     ref_error = _raised(_reference_predict_network, bundle, copy.deepcopy(net))
-    assert _raised(predict_network, bundle, net) == ref_error
+    if second is None or _STAGES[first] <= _STAGES[second]:
+        assert expected == ref_error
+    assert _raised(predict_network, bundle, net) == expected
     assert all(o.coefficients is marker for j in net.junctions for o in j.outlets)
     if first in ("split", "definition") and second != "model":
         assert net.junctions[middle].id in ref_error[1]
@@ -979,21 +999,77 @@ def _first_batch_rows(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES)
     return dataset.train_idx[rng.permutation(dataset.train_idx.size)]
 
 
+def _count_adam_steps(monkeypatch):
+    """A list that gets one entry per Adam step from now on."""
+    from vascrom import mlp
+
+    calls = []
+    step = mlp.Adam.step
+
+    def counting_step(self, params, grads):
+        calls.append(params.size)
+        step(self, params, grads)
+
+    monkeypatch.setattr(mlp.Adam, "step", counting_step)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_lockstep_divergence_raises_the_per_tag_error(small_cohort):
+def test_lockstep_divergence_raises_at_the_first_divergent_batch(monkeypatch, small_cohort):
     # ri_l diverges in the first batch, rri_l only in the last batch of the
-    # epoch; training the tags one by one meets rri_l's error first
+    # epoch; the run stops at the first batch, before its Adam step
     dataset, _ = small_cohort
     config = TrainingConfig(epochs=3, seed=0)
     poisoned = copy.deepcopy(dataset)
     poisoned.targets["ri_l"][_first_batch_rows(dataset, config, "ri_l")[0]] = np.inf
     poisoned.targets["rri_l"][_first_batch_rows(dataset, config, "rri_l")[-1]] = np.nan
-    with pytest.raises(ModelError) as ref:
-        _reference_train_all(poisoned, config, ALL_TAGS)
-    assert str(ref.value) == "model rri_l: divergent loss at epoch 0, batch 15"
+    steps = _count_adam_steps(monkeypatch)
     with pytest.raises(ModelError) as got:
         train_models(poisoned, config=config)
-    assert str(got.value) == str(ref.value)
+    assert str(got.value) == "model ri_l: divergent loss at epoch 0, batch 0"
+    assert steps == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_stops_training_before_the_failing_step(monkeypatch, small_cohort):
+    # rri_l diverges in the last batch of the first epoch: its error is the
+    # per-tag one, after one Adam step per batch before it
+    dataset, _ = small_cohort
+    config = TrainingConfig(epochs=3, seed=0)
+    poisoned = copy.deepcopy(dataset)
+    poisoned.targets["rri_l"][_first_batch_rows(dataset, config, "rri_l")[-1]] = np.nan
+    with pytest.raises(ModelError) as ref:
+        _reference_train_all(poisoned, config, ALL_TAGS)
+    steps = _count_adam_steps(monkeypatch)
+    with pytest.raises(ModelError) as got:
+        train_models(poisoned, config=config)
+    n_batches = math.ceil(dataset.train_idx.size / config.batch_size)
+    assert str(got.value) == str(ref.value) == (
+        f"model rri_l: divergent loss at epoch 0, batch {n_batches - 1}")
+    assert len(steps) == n_batches - 1
+
+
+def test_unknown_tag_fails_before_any_model_is_built(monkeypatch, small_cohort):
+    from vascrom import mlp
+
+    dataset, _ = small_cohort
+    built = []
+    monkeypatch.setattr(mlp, "init_model", lambda *args: built.append(args))
+    steps = _count_adam_steps(monkeypatch)
+    with pytest.raises(ModelError, match="no architecture for coefficient tag 'other'"):
+        train_models(dataset, architectures={"rri_l": (1, 4)}, tags=["rri_l", "other"])
+    assert built == steps == []
+
+
+def test_nonfinite_validation_mse_stops_at_its_epoch(monkeypatch, small_cohort):
+    # a finite target whose square overflows: the first epoch's validation fails
+    dataset, _ = small_cohort
+    huge = copy.deepcopy(dataset)
+    huge.targets["rri_rquad"][dataset.val_idx[0]] = 1e200
+    steps = _count_adam_steps(monkeypatch)
+    with pytest.raises(ModelError, match="model rri_rquad: validation MSE inf at epoch 0"):
+        train_models(huge, config=TrainingConfig(epochs=50, seed=0))
+    assert len(steps) == math.ceil(dataset.train_idx.size / 50)
 
 
 def test_lockstep_tag_subset_in_given_order(small_cohort):
@@ -1018,17 +1094,8 @@ def test_lockstep_custom_architectures(small_cohort, architectures):
 
 
 def test_one_adam_step_per_batch_for_all_tags(monkeypatch, small_cohort):
-    from vascrom import mlp
-
     dataset, _ = small_cohort
-    calls = []
-    step = mlp.Adam.step
-
-    def counting_step(self, params, grads):
-        calls.append(params.size)
-        step(self, params, grads)
-
-    monkeypatch.setattr(mlp.Adam, "step", counting_step)
+    calls = _count_adam_steps(monkeypatch)
     config = TrainingConfig(epochs=3, seed=0)
     models, _ = train_models(dataset, config=config)
     n_batches = math.ceil(dataset.train_idx.size / config.batch_size)
