@@ -3,10 +3,11 @@
 
 Each line holds the vessel count, the seconds of a steady standard solve, of
 a steady rri solve and of its kkt_report (best of --repeat calls each), the
-standard solve's work counters (the Jacobian's stored entries and the L and U
-entries of its factor), the rri solve's least-squares evaluation and Jacobian
-counts, the tracemalloc peak of one kkt_report call, and the peak RSS of the
-process so far.  The trees are symmetric, with leaf resistance
+standard solve's work counters (Newton iterations, the Jacobian's stored
+entries and the L and U entries of its last factor: null when Newton takes 0
+iterations from its tree start, as on these linear trees), the rri solve's
+least-squares evaluation and Jacobian counts, the tracemalloc peak of one
+kkt_report call, and the peak RSS of the process so far.  The trees are symmetric, with leaf resistance
 1e5 * 2^(depth - 6), estimated flow splits and the same RRI coefficients at
 every outlet (r_lin 50, r_quad 2, l 0.5).
 
@@ -70,6 +71,7 @@ def main():
             "depth": depth,
             "vessels": len(net.vessels),
             "standard_s": round(standard_s, 6),
+            "std_iterations": standard.diagnostics[0]["iterations"],
             "nnz_jacobian": standard.diagnostics[0]["nnz_jacobian"],
             "nnz_factor": standard.diagnostics[0]["nnz_factor"],
             "rri_s": round(rri_s, 6),

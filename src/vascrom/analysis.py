@@ -208,10 +208,14 @@ def resolve_with_fits(
 ) -> list[dict]:
     """Re-solve the tree with fitted coefficients at each sweep inflow and
     report inlet-pressure errors vs the reference solutions (if given).  A
-    network without junctions has no fits to use and raises."""
+    network without junctions, or an outlet without a fit, raises."""
     if not network.junctions:
         raise AnalysisError("the network has no junction outlets to fit")
-    engine = "rri" if next(iter(fits.values())).kind == "RRI" else "ri"
+    keys = [(j.id, o.vessel_id) for j in network.junctions for o in j.outlets]
+    missing = next((key for key in keys if key not in fits), None)
+    if missing is not None:
+        raise AnalysisError(f"junction {missing[0]}: outlet {missing[1]} has no fitted coefficients")
+    engine = "rri" if fits[keys[0]].kind == "RRI" else "ri"
     ensure_flow_splits(network)
     for j in network.junctions:
         for o in j.outlets:

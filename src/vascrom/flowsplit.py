@@ -30,14 +30,20 @@ class SplitEstimate:
     resistances: dict[str, float]
 
 
-def _reduce(network: VascularNetwork) -> np.ndarray:
+def _reduce(network: VascularNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Series-parallel effective resistance of every vessel, including the
-    vessel itself, by state position, reduced level by level from the leaves."""
+    vessel itself, by state position, reduced level by level from the leaves,
+    and the flow splits phi_1 = R_2/(R_1 + R_2), phi_2 = 1 - phi_1 of every
+    junction, as (junctions, 2)."""
     topo, r_vessel = network.topology, network.topology.elements[:, 0]
     leaf_r = np.full(r_vessel.size, np.nan)  # NaN: no resistance BC
     for b in network.boundary_conditions:
         if b.kind == "RESISTANCE":
             leaf_r[topo.position[b.vessel_id]] = b.r
+    # reduced in units of a power of two near the largest resistance, which
+    # scale exactly, so sums past the float range still give the splits
+    unit = np.ldexp(1.0, np.frexp(np.nanmax(np.append(r_vessel, leaf_r)))[1] - 1)
+    r_vessel, leaf_r = r_vessel / unit, leaf_r / unit
     r_eff = r_vessel + leaf_r  # a junction inlet's entry is set by its level
     for js in reversed(topo.levels()):
         r1, r2 = r_eff[topo.outlets[js]].T
@@ -50,7 +56,10 @@ def _reduce(network: VascularNetwork) -> np.ndarray:
             v = fed[v][1] if np.isnan(r_eff[fed[v][1]]) else fed[v][0]
         raise UnsupportedConfigurationError(
             f"vessel {topo.vessel_ids[v]} does not end in a resistance BC")
-    return r_eff
+    r1, r2 = r_eff[topo.outlets].T
+    phi1 = r2 / (r1 + r2)
+    with np.errstate(over="ignore"):  # an effective resistance past the float range
+        return r_eff * unit, np.stack([phi1, 1.0 - phi1], axis=1)
 
 
 def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
@@ -64,17 +73,15 @@ def estimate_flow_splits(network: VascularNetwork) -> SplitEstimate:
                 f"nonzero distal pressure on {bc.vessel_id}; the split estimate "
                 "assumes equal (zero) distal pressures"
             )
-    r_eff, position = _reduce(network).tolist(), network.topology.position
+    r_eff, phi = _reduce(network)
     splits: dict[str, tuple[float, float]] = {}
     resistances: dict[str, float] = {}
-    for junction in network.junctions:
-        r1, r2 = (r_eff[position[o.vessel_id]] for o in junction.outlets)
-        phi1 = r2 / (r1 + r2)
-        splits[junction.id] = (phi1, 1.0 - phi1)
-        resistances[junction.outlets[0].vessel_id] = r1
-        resistances[junction.outlets[1].vessel_id] = r2
-        junction.outlets[0].flow_split = phi1
-        junction.outlets[1].flow_split = 1.0 - phi1
+    for junction, r, p in zip(network.junctions, r_eff[network.topology.outlets].tolist(),
+                              phi.tolist()):
+        splits[junction.id] = tuple(p)
+        for o, r_o, p_o in zip(junction.outlets, r, p):
+            resistances[o.vessel_id] = r_o
+            o.flow_split = p_o
     return SplitEstimate(splits=splits, resistances=resistances)
 
 

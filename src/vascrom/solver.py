@@ -14,6 +14,11 @@ Two engines:
     tree; no matrix factorization is needed.  Each flow unknown is scaled by
     its junction's share of the inflow.
 
+Both engines start from ``_tree_start``, the steady state that is exact for
+linear flow on a tree: a steady standard solve of a tree without stenoses
+takes 0 Newton iterations and factors nothing (``nnz_factor`` None), and
+rri/ri take their step-0 start and pressure scale from it.
+
 The linear constraints of both engines are the rows of one sparse matrix,
 ``_LinearConstraints``: the standard residual, the rri/ri diagnostics,
 ``kkt_report`` and the mass check each read their rows of ``A @ x - b``.
@@ -43,8 +48,9 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .flowsplit import _reduce
 from .formats import write_csv, write_json
-from .network import VascularNetwork
+from .network import Topology, VascularNetwork
 
 
 class SolverError(Exception):
@@ -226,6 +232,34 @@ class _LinearConstraints:
         return self.residual(x)[..., self.mass_rows]
 
 
+def _shares(topology: Topology, phi: np.ndarray) -> np.ndarray:
+    """Each vessel's share of the inflow, by state position: the product of
+    the flow splits phi (junctions, 2) from the root down to it, one depth
+    level at a time."""
+    share = np.ones(len(topology.vessel_ids))
+    for js in topology.levels():
+        share[topology.outlets[js]] = share[topology.inlet[js], None] * phi[js]
+    return share
+
+
+def _tree_start(network: VascularNetwork, constraints, inflow: float) -> np.ndarray:
+    """The steady state that is exact for linear flow on a tree: the inflow
+    split by the series-parallel resistances, each leaf at ``R_leaf*q + Pd``
+    and each vessel adding ``R*q + Rs*q|q|`` from the leaves up.  A junction
+    takes its first outlet's pressure; a stenosis or unequal distal
+    pressures make its outlets differ."""
+    topo, c = network.topology, constraints
+    q = inflow * _shares(topo, _reduce(network)[1])
+    r, _, rs, _ = topo.elements.T
+    drop = r * q + rs * q * np.abs(q)
+    p_out = np.zeros(q.size)
+    p_out[c.leaf] = c.leaf_r * q[c.leaf] + c.leaf_pd
+    for js in reversed(topo.levels()):
+        first = topo.outlets[js, 0]
+        p_out[topo.inlet[js]] = p_out[first] + drop[first]
+    return np.stack([p_out + drop, p_out, q, q], axis=1).ravel()
+
+
 def mass_conservation_error(solution: Solution) -> float:
     """Largest junction or vessel mass-balance violation over all stored states."""
     return float(np.max(np.abs(_LinearConstraints(solution.network).mass(solution.states))))
@@ -340,8 +374,7 @@ def _solve_standard(network: VascularNetwork, config: SolverConfig, mode: str) -
         raise SolverError(f"config.mode must be {mode!r}")
     times, inflows = _time_grid(network, config)
     system = _StandardSystem(network)
-    # Newton starts from the inflow through every vessel at zero pressure
-    x0 = np.tile([0.0, 0.0, inflows[0], inflows[0]], len(network.topology.vessel_ids))
+    x0 = _tree_start(network, system.constraints, inflows[0])
     states, diags = _march(
         lambda inflow, x_prev, dt, x: _newton(system, x, x_prev, dt, inflow, config),
         x0, times, inflows, config.dt,
@@ -410,13 +443,8 @@ class _OptProblem:
         self.phi = np.array([o.flow_split for _, o in outlets])
         self._tree_basis()
 
-        # each first outlet's share of the inflow: the product of the flow
-        # splits from the root down to it, one depth level at a time
-        share, phi = np.ones(len(topo.vessel_ids)), self.phi.reshape(-1, 2)
-        for js in topo.levels():
-            share[topo.outlets[js]] = share[topo.inlet[js], None] * phi[js]
-        self.share = np.abs(share[topo.outlets[:, 0]])
-        # a zero share would zero the flow column and the warm start's divisor
+        self.share = np.abs(_shares(topo, self.phi.reshape(-1, 2))[topo.outlets[:, 0]])
+        # a zero share would zero the flow column and the start's divisor
         self.share[self.share == 0.0] = 1.0
 
     def _tree_basis(self):
@@ -532,8 +560,8 @@ class _OptProblem:
             "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
 
-    def solve_step(self, inflow, x_prev, dt, config, x_start=None):
-        z = np.zeros(self.free.size) if x_start is None else x_start[self.free] / self.scale
+    def solve_step(self, inflow, x_prev, dt, config, x_start):
+        z = x_start[self.free] / self.scale
         lm = {"nfev": 0, "njev": 0, "status": None, "message": "no free unknowns"}
         if z.size:
             result = scipy.optimize.least_squares(
@@ -564,13 +592,6 @@ class _OptProblem:
         return x, diag
 
 
-def _standard_warm_start(network):
-    try:
-        return solve_steady_standard(network).states[0]
-    except SolverError:
-        return None
-
-
 def solve_opt(
     network: VascularNetwork,
     config: SolverConfig = SolverConfig(),
@@ -583,17 +604,16 @@ def solve_opt(
     residuals are minimized over the feasible subspace.
     """
     problem = _OptProblem(network, engine)
-    warm = _standard_warm_start(network)
     times, inflows = _time_grid(network, config)
-    # peak inflow scales the objective and the flow unknowns
+    x0 = _tree_start(network, problem.constraints, inflows[0])
+    # peak inflow scales the objective and the flow unknowns, and the start's
+    # largest pressure the pressure unknowns
     q_scale = float(np.max(np.abs(inflows))) or 1.0
-    p_var = max(1.0, q_scale)
-    if warm is not None:
-        p_var = max(p_var, float(np.max(np.abs(warm.reshape(-1, 4)[:, :2]))))
+    p_var = max(1.0, q_scale, float(np.max(np.abs(x0.reshape(-1, 4)[:, :2]))))
     problem.set_variable_scales(q_scale, p_var)
     states, diags = _march(
-        lambda inflow, x_prev, dt, x: problem.solve_step(inflow, x_prev, dt, config, x_start=x),
-        warm, times, inflows, config.dt,
+        lambda inflow, x_prev, dt, x: problem.solve_step(inflow, x_prev, dt, config, x),
+        x0, times, inflows, config.dt,
     )
     return Solution(times=times, states=states, index=problem.idx, network=network,
                     engine=engine, config=config, diagnostics=diags,

@@ -378,3 +378,13 @@ def test_tree_fit_and_resolve_reject_a_network_without_junctions():
         fit_tree_coefficients(net, sols)
     with pytest.raises(AnalysisError, match="^the network has no junction outlets to fit$"):
         resolve_with_fits(net, {}, [10.0])
+
+
+@pytest.mark.parametrize("kept,missing", [((), "v0"), (("v0",), "v1")],
+                         ids=["empty", "without-v1"])
+def test_resolve_names_the_first_outlet_without_a_fit(kept, missing):
+    net = generate_symmetric_tree(depth=1)  # junction jv, outlets v0 and v1
+    fits = {("jv", vid): rri_coeffs(1.0, 0.01, 0.0) for vid in kept}
+    with pytest.raises(AnalysisError,
+                       match=f"^junction jv: outlet {missing} has no fitted coefficients$"):
+        resolve_with_fits(net, fits, [1.0])

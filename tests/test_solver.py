@@ -327,21 +327,26 @@ def test_steady_standard_memory_is_linear_in_vessels():
 FACTOR_FILL_PER_VESSEL = 22.5
 
 
-def _stenosed(net):
+def _stenosed(net, vessel_ids=None):
+    """The network with the given vessels (all by default) stenosed to 60 %."""
     data = network_to_dict(net)
     for v in data["vessels"]:
-        v["stenosis_area"] = 0.6 * v["area"]
+        if vessel_ids is None or v["id"] in vessel_ids:
+            v["stenosis_area"] = 0.6 * v["area"]
     return network_from_dict(data)
 
 
 def test_standard_factor_fill_and_newton_iterations_stay_flat_with_depth():
-    """The work counters of a steady standard solve: the factor fill per
-    vessel stays bounded from 127 to 8191 vessels, and the Newton iteration
-    count does not grow with depth (stenosed symmetric trees, so Q|Q| terms
-    make the system nonlinear, and linear random trees about 20 levels deep)."""
+    """The work counters of a steady standard solve from the tree start: the
+    factor fill per vessel stays bounded from 127 to 8191 vessels, and the
+    Newton iteration count does not grow with depth.  Symmetric trees get a
+    stenosis on the first outlet of every junction, so Q|Q| terms make the
+    system nonlinear and the split differs from the series-parallel one; the
+    random trees are about 20 levels deep, linear ones solve at the start."""
     iterations = []
     for depth in range(6, 13):
-        net = _stenosed(generate_symmetric_tree(depth, leaf_resistance=1e5 * 2.0 ** (depth - 6)))
+        net = generate_symmetric_tree(depth, leaf_resistance=1e5 * 2.0 ** (depth - 6))
+        net = _stenosed(net, {j.outlets[0].vessel_id for j in net.junctions})
         diag = solve_steady_standard(net).diagnostics[0]
         assert diag["nnz_jacobian"] / len(net.vessels) <= 12.5
         assert diag["nnz_factor"] / len(net.vessels) < FACTOR_FILL_PER_VESSEL
@@ -351,8 +356,33 @@ def test_standard_factor_fill_and_newton_iterations_stay_flat_with_depth():
         net = random_shape_tree(seed, max_depth=30, n_junctions=1000)
         assert net.topology.depth.max() >= 16
         diag = solve_steady_standard(net).diagnostics[0]
+        assert diag["iterations"] == 0
+        assert diag["nnz_factor"] is None
+        diag = solve_steady_standard(_stenosed(net)).diagnostics[0]
         assert diag["nnz_factor"] / len(net.vessels) < FACTOR_FILL_PER_VESSEL
-        assert diag["iterations"] <= 2  # one step, and one more for roundoff
+        # the flat start took 9 iterations on these trees
+        assert diag["iterations"] <= 5
+
+
+def test_tree_start_solves_a_tree_whose_series_resistance_overflows():
+    """Vessel and leaf resistances near 1e308 at a tiny inflow: every
+    pressure is finite, but the series sums of the split estimate pass the
+    float range.  The start still splits the flow and solves the tree."""
+    data = network_to_dict(generate_symmetric_tree(depth=2, inflow=1e-10))
+    for v in data["vessels"]:
+        v["length"], v["area"] = 9e307, 1.0
+    for bc in data["boundary_conditions"]:
+        if bc["kind"] == "RESISTANCE":
+            bc["value"]["R"] = 1e308
+    net = network_from_dict(data)
+    sol = solve_steady_standard(net)
+    assert sol.diagnostics[0]["iterations"] == 0
+    leaves = [b.vessel_id for b in net.boundary_conditions if b.kind == "RESISTANCE"]
+    assert [sol.q(vid)[0] for vid in leaves] == [2.5e-11] * 4
+    # the inflow through the root, half of it through each daughter, a
+    # quarter through each leaf and its resistance
+    r = float(net.topology.elements[0, 0])
+    assert sol.inlet_pressure[0] == pytest.approx(1.75e-10 * r + 2.5e-11 * 1e308, rel=1e-14)
 
 
 def test_transient_constant_inflow_matches_steady():
@@ -749,6 +779,24 @@ def test_opt_transient_constant_inflow_matches_steady():
         net, SolverConfig(mode="transient", dt=1e-3, n_steps=10), engine="rri"
     )
     assert np.allclose(trans.states[-1], steady.states[0], rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("engine", ["rri", "ri"])
+def test_opt_never_runs_the_standard_engine(monkeypatch, engine):
+    """solve_opt starts from the tree start: steady and transient solves
+    reach no standard Newton solve and give the same states without one."""
+    import vascrom.solver as solver
+
+    net = _coefficient_tree(2, 8, r_quad=3.0)
+    configs = (SolverConfig(mode="steady"), SolverConfig(mode="transient", dt=1e-3, n_steps=4))
+    expected = [solve_opt(net, cfg, engine=engine).states for cfg in configs]
+
+    def newton(*args, **kwargs):
+        raise AssertionError("the standard engine ran")
+
+    monkeypatch.setattr(solver, "_newton", newton)
+    for cfg, states in zip(configs, expected):
+        assert np.array_equal(solve_opt(net, cfg, engine=engine).states, states)
 
 
 def test_opt_objective_invariant_under_inflow_rescaling():
