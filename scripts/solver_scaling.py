@@ -11,6 +11,11 @@ kkt_report call, and the peak RSS of the process so far.  The trees are symmetri
 1e5 * 2^(depth - 6), estimated flow splits and the same RRI coefficients at
 every outlet (r_lin 50, r_quad 2, l 0.5).
 
+Each line also holds the cost of one backward-Euler step: a transient rri
+solve over one 0.7 s cycle of 14 steps, whose inflow dips below zero in
+diastole (best of --repeat), as milliseconds per solved time point, and its
+mean least-squares evaluations and Jacobians per step after step 0.
+
 Usage (from the root of a checkout; it imports vascrom from src/):
     python scripts/solver_scaling.py --depths 6 7 8 9 10 --repeat 3
 """
@@ -21,7 +26,10 @@ import resource
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -38,6 +46,21 @@ def scaling_tree(depth):
     for j in net.junctions:
         for o in j.outlets:
             o.coefficients = coeffs
+    return net
+
+
+TRANSIENT = SolverConfig(mode="transient", dt=0.05, n_steps=14)
+
+
+def with_pulsatile_inflow(net):
+    """Swap the tree's inflow for one cycle around it, sampled on the
+    transient grid: 0.5 + sin + 0.3 sin(2x) times the steady inflow."""
+    t = TRANSIENT.dt * np.arange(TRANSIENT.n_steps + 1)
+    w = 2 * np.pi * t / t[-1]
+    q = net.inflow_bc.steady_flow() * (0.5 + np.sin(w) + 0.3 * np.sin(2 * w))
+    net.boundary_conditions = [
+        replace(b, value=(t, q)) if b.kind == "FLOW" else b for b in net.boundary_conditions
+    ]
     return net
 
 
@@ -67,6 +90,9 @@ def main():
             kkt_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        step_s, pulsatile = best_of(args.repeat, solve_opt, with_pulsatile_inflow(net),
+                                    TRANSIENT, "rri")
+        later = pulsatile.diagnostics[1:]
         print(json.dumps({
             "depth": depth,
             "vessels": len(net.vessels),
@@ -79,6 +105,9 @@ def main():
             "rri_njev": rri.diagnostics[0]["njev"],
             "kkt_s": round(kkt_s, 6),
             "kkt_traced_peak_mb": round(kkt_peak / 1e6, 3),
+            "step_ms": round(1e3 * step_s / len(pulsatile.times), 3),
+            "step_nfev": round(sum(d["nfev"] for d in later) / len(later), 3),
+            "step_njev": round(sum(d["njev"] for d in later) / len(later), 3),
             "process_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3, 1),
         }), flush=True)
 

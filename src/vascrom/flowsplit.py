@@ -6,6 +6,7 @@ stenosis and quadratic elements are ignored (a documented approximation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,12 @@ def ensure_flow_splits(network: VascularNetwork) -> None:
 
 
 def write_split_report(estimate: SplitEstimate, path) -> None:
+    """Write the splits and effective resistances as JSON; an effective
+    resistance past the float range (the splits can still be finite) has no
+    JSON form, so it raises, naming the first such vessel."""
+    for vid, r in estimate.resistances.items():
+        if not math.isfinite(r):
+            raise FlowSplitError(f"vessel {vid}: effective resistance {r} is past the float range")
     out = {
         "junctions": [
             {"id": jid, "phi_1": phi[0], "phi_2": phi[1]}

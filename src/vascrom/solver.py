@@ -17,7 +17,12 @@ Two engines:
 Both engines start from ``_tree_start``, the steady state that is exact for
 linear flow on a tree: a steady standard solve of a tree without stenoses
 takes 0 Newton iterations and factors nothing (``nnz_factor`` None), and
-rri/ri take their step-0 start and pressure scale from it.
+rri/ri take their step-0 start and pressure scale from it.  Each later
+backward-Euler step of the standard engine starts from the state before;
+one of rri/ri starts from a predicted state (``_OptProblem.step_start``):
+the previous flows plus the inflow's change split by the given splits, and
+the pressures that meet the junction law, inertance term included, on every
+first outlet, which about halves the least-squares Jacobians of a step.
 
 The linear constraints of both engines are the rows of one sparse matrix,
 ``_LinearConstraints``: the standard residual, the rri/ri diagnostics,
@@ -144,9 +149,10 @@ def _time_grid(network: VascularNetwork, config: SolverConfig):
 
 def _march(step, x0, times, inflows, dt):
     """States and diagnostics of a steady step 0 from x0, then one
-    backward-Euler step per later time, each starting from the state before.
-    ``step(inflow, x_prev, dt, x_start)`` returns one state and its
-    diagnostics; x_prev and dt are None in the steady step."""
+    backward-Euler step per later time.  ``step(inflow, x_prev, dt, x_start)``
+    returns one state and its diagnostics; x_prev and dt are None in the
+    steady step, and a later step gets the state before as both x_prev and
+    x_start (a step may predict its own start from x_prev)."""
     x, diag = step(inflows[0], None, None, x0)
     states, diags = [x], [diag]
     for k in range(1, len(times)):
@@ -441,9 +447,12 @@ class _OptProblem:
         self.r_quad = np.array([o.coefficients.quad() if use_quad else 0.0 for _, o in outlets])
         self.l = np.array([o.coefficients.l for _, o in outlets])
         self.phi = np.array([o.flow_split for _, o in outlets])
+        self.i_inflow = 4 * self.idx.position[network.inflow_bc.vessel_id] + Q_IN
         self._tree_basis()
 
-        self.share = np.abs(_shares(topo, self.phi.reshape(-1, 2))[topo.outlets[:, 0]])
+        # each vessel's share of the inflow under the given splits
+        self.vessel_share = _shares(topo, self.phi.reshape(-1, 2))
+        self.share = np.abs(self.vessel_share[topo.outlets[:, 0]])
         # a zero share would zero the flow column and the start's divisor
         self.share[self.share == 0.0] = 1.0
 
@@ -528,13 +537,37 @@ class _OptProblem:
         s[c.leaf, P_IN] = s[c.leaf, P_OUT] = c.leaf_r * s[c.leaf, Q_OUT] + c.leaf_pd
         return x
 
+    def _drop(self, q, x_prev, dt):
+        """The junction law's pressure drop at outlet flows q."""
+        qdot = 0.0 if dt is None else (q - x_prev[self.i_q]) / dt
+        return self.r_lin * q + self.r_quad * q * np.abs(q) + self.l * qdot
+
+    def _law_state(self, q, x_prev, dt):
+        """The state with vessel flows q (by position) whose leaves sit at
+        ``R*q + Pd`` and whose junctions meet the junction law on their first
+        outlet, summed in one pass from the leaves up."""
+        topo, c = self.network.topology, self.constraints
+        drop = self._drop(q[topo.outlets.ravel()], x_prev, dt)[::2]
+        p = np.zeros(q.size)
+        p[c.leaf] = c.leaf_r * q[c.leaf] + c.leaf_pd
+        for js in reversed(topo.levels()):
+            p[topo.inlet[js]] = p[topo.outlets[js, 0]] + drop[js]
+        return np.stack([p, p, q, q], axis=1).ravel()
+
+    def step_start(self, x_prev, inflow, dt):
+        """The predicted start of a backward-Euler step from the state
+        before: the previous flows plus the inflow's change split by the
+        given splits, with the pressures of ``_law_state``.  It meets every
+        first outlet's junction law, so only the second outlets' pressure
+        rows and the previous step's flow-split rows are left."""
+        q = x_prev[Q_IN::4] + (inflow - x_prev[self.i_inflow]) * self.vessel_share
+        return self._law_state(q, x_prev, dt)
+
     def residuals(self, x, x_prev, dt):
         """Junction pressure-law residuals, then flow-split residuals."""
         q = x[self.i_q]
-        qdot = 0.0 if dt is None else (q - x_prev[self.i_q]) / dt
-        dp_model = self.r_lin * q + self.r_quad * q * np.abs(q) + self.l * qdot
         return np.concatenate([
-            (x[self.i_pj] - x[self.i_po] - dp_model) / self.q_scale**2,
+            (x[self.i_pj] - x[self.i_po] - self._drop(q, x_prev, dt)) / self.q_scale**2,
             (self.phi * x[self.i_qj] - q) / self.q_scale,
         ])
 
@@ -601,7 +634,9 @@ def solve_opt(
 
     Mass conservation, wire continuity, and boundary conditions are satisfied
     to machine precision by construction; the junction pressure and flow-split
-    residuals are minimized over the feasible subspace.
+    residuals are minimized over the feasible subspace.  Step 0 starts from
+    the tree start, and each later step from ``_OptProblem.step_start``,
+    the state predicted from the one before.
     """
     problem = _OptProblem(network, engine)
     times, inflows = _time_grid(network, config)
@@ -611,10 +646,13 @@ def solve_opt(
     q_scale = float(np.max(np.abs(inflows))) or 1.0
     p_var = max(1.0, q_scale, float(np.max(np.abs(x0.reshape(-1, 4)[:, :2]))))
     problem.set_variable_scales(q_scale, p_var)
-    states, diags = _march(
-        lambda inflow, x_prev, dt, x: problem.solve_step(inflow, x_prev, dt, config, x),
-        x0, times, inflows, config.dt,
-    )
+
+    def step(inflow, x_prev, dt, x):
+        if x_prev is not None:
+            x = problem.step_start(x_prev, inflow, dt)
+        return problem.solve_step(inflow, x_prev, dt, config, x)
+
+    states, diags = _march(step, x0, times, inflows, config.dt)
     return Solution(times=times, states=states, index=problem.idx, network=network,
                     engine=engine, config=config, diagnostics=diags,
                     meta={"q_scale": q_scale, "p_var": p_var})

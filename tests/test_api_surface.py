@@ -352,5 +352,6 @@ def test_solver_scaling_script_runs():
     (line,) = result.stdout.splitlines()
     assert set(json.loads(line)) == {
         "depth", "vessels", "standard_s", "std_iterations", "nnz_jacobian", "nnz_factor",
-        "rri_s", "rri_nfev", "rri_njev", "kkt_s", "kkt_traced_peak_mb", "process_peak_rss_mb",
+        "rri_s", "rri_nfev", "rri_njev", "kkt_s", "kkt_traced_peak_mb", "step_ms", "step_nfev",
+        "step_njev", "process_peak_rss_mb",
     }

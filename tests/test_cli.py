@@ -291,6 +291,28 @@ def test_make_tree_and_estimate_splits(tmp_path):
     )
 
 
+def test_estimate_splits_with_resistances_past_the_float_range_exits_1(tmp_path, capsys):
+    """Vessel and leaf resistances near 1e308 pass validation, and the splits
+    stay finite, but the effective resistances do not: the split report has
+    no JSON form.  This ended in a ValueError traceback from the JSON
+    writer."""
+    data = network_to_dict(generate_symmetric_tree(depth=2, inflow=1e-10))
+    for v in data["vessels"]:
+        v["length"], v["area"] = 9e307, 1.0
+    for bc in data["boundary_conditions"]:
+        if bc["kind"] == "RESISTANCE":
+            bc["value"]["R"] = 1e308
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(data))
+    splits = tmp_path / "splits.json"
+    assert main(["estimate-splits", "--network", str(net_path), "--out", str(splits),
+                 "--network-out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: vessel v0: effective resistance inf")
+    assert "Traceback" not in err
+    assert not splits.exists() and not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("option", ["--murray-exponent", "--inlet-radius",
                                     "--length-over-radius"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

@@ -728,6 +728,56 @@ def test_opt_transient_matches_backward_euler_root_finder(depth, seed):
             assert sol.p(vid)[k] == pytest.approx(pressures[vid], rel=1e-6)
 
 
+def _pulsatile_njev(net, engine, sign):
+    """Mean least-squares Jacobians per backward-Euler step after step 0 of
+    one solve under a sinusoidal inflow that turns negative (times sign),
+    after checking every step's constraint and stationarity gates."""
+    dt, n_steps = 0.05, 14
+    ts = dt * np.arange(n_steps + 1)
+    inflows = sign * 100.0 * (0.3 + np.sin(2 * np.pi * ts / ts[-1]))
+    assert inflows.min() < 0 < inflows.max()
+    net.boundary_conditions = [
+        replace(b, value=(ts, inflows)) if b.kind == "FLOW" else b for b in net.boundary_conditions
+    ]
+    cfg = SolverConfig(mode="transient", dt=dt, n_steps=n_steps)
+    sol = solve_opt(net, cfg, engine=engine)
+    for diag in sol.diagnostics:
+        assert diag["constraint_violation"] <= cfg.constraint_tol
+        assert (diag["stationarity"] <= cfg.stationarity_tol
+                or diag["objective"] <= cfg.stationarity_tol**2)
+    return sum(diag["njev"] for diag in sol.diagnostics[1:]) / n_steps
+
+
+@pytest.mark.parametrize("engine,random_bound,symmetric_bound", [
+    ("rri", 4.0, 1.1), ("ri", 2.1, 1.1),
+])
+def test_opt_transient_steps_start_from_the_predicted_state(engine, random_bound, symmetric_bound):
+    """Each step after step 0 starts from the previous flows plus the inflow
+    change split by the given splits, with the junction law's pressures.
+    On a symmetric tree with the same coefficients at every outlet that
+    start is the solution, so a step takes one Jacobian (rri and ri), and
+    the random trees take 3.8 (rri) and 2.0 (ri).  Starting from the
+    previous state took 3.9 and 2.8 per step on the symmetric trees, and 4.7
+    and 2.2 on the random ones.  The bounds hold for the mean over many
+    trees, since one solve's count can flip with the last bits of its input."""
+    random_trees, symmetric_trees = [], []
+    for seed in range(1, 11):
+        for sign in (1.0, -1.0):
+            random_trees.append(_pulsatile_njev(_coefficient_tree(None, seed, 3.0), engine, sign))
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        coeffs = rri_coeffs(rng.uniform(50.0, 500.0), rng.uniform(1.0, 5.0), rng.uniform(0.1, 1.0))
+        for sign in (1.0, -1.0):
+            net = generate_symmetric_tree(depth=4)
+            estimate_flow_splits(net)
+            for j in net.junctions:
+                for o in j.outlets:
+                    o.coefficients = coeffs
+            symmetric_trees.append(_pulsatile_njev(net, engine, sign))
+    assert np.mean(random_trees) <= random_bound
+    assert np.mean(symmetric_trees) <= symmetric_bound
+
+
 def test_opt_ill_posed_quadratic_pair_stays_feasible():
     # equal and opposite quadratic coefficients admit no exact solution; the
     # solver must still return a feasible point with a positive objective
