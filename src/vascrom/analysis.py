@@ -39,21 +39,28 @@ def impedance(q: np.ndarray, dp: np.ndarray, period: float, dt: float) -> Impeda
     """Z(w_k) = F(dP)_k / F(Q)_k at harmonics of 2*pi/period.
 
     Harmonics where |F(Q)| falls below 1e-10*max|F(Q)| are dropped to avoid
-    noise amplification.
+    noise amplification.  The series must hold a whole number of periods,
+    at least one.
     """
     if not (math.isfinite(period) and period > 0):
         raise AnalysisError(f"period must be finite and > 0, got {period}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise AnalysisError(f"dt must be finite and > 0, got {dt}")
     q = np.asarray(q, float)
     dp = np.asarray(dp, float)
     if q.size != dp.size or q.size < 2:
         raise AnalysisError("Q and dP must have equal length >= 2")
     duration = q.size * dt
     n_periods = duration / period
-    if abs(n_periods - round(n_periods)) > 1e-6:
+    if not math.isfinite(n_periods) or abs(n_periods - round(n_periods)) > 1e-6:
         raise AnalysisError(
             f"series duration {duration:.6g} is not an integer number of periods"
         )
-    n_periods = int(round(n_periods))
+    n_periods = round(n_periods)
+    if n_periods == 0:
+        raise AnalysisError(
+            f"series duration {duration:.6g} holds no whole period of {period:.6g}"
+        )
     qh = np.fft.rfft(q)
     ph = np.fft.rfft(dp)
     if np.max(np.abs(qh)) == 0:

@@ -94,10 +94,12 @@ def systolic_waveform(
     """Half-sine inlet flow over one systolic period.
 
     Q_max is the plug flow at Reynolds number re_max through a circular
-    section of radius l_c.
+    section of radius l_c.  A period past about 5.7e307 is rejected: pi * t
+    would overflow.
     """
-    if re_max < 0 or period <= 0 or l_c <= 0:
-        raise DatagenError("need re_max >= 0, period > 0, l_c > 0")
+    if not (re_max >= 0 and l_c > 0 and period > 0 and math.isfinite(math.pi * period)):
+        raise DatagenError(f"need re_max >= 0, l_c > 0 and a period > 0 with pi * period "
+                           f"finite, got re_max={re_max}, l_c={l_c}, period={period}")
     t = np.linspace(0.0, period, n_steps)
     q_max = plug_flow(re_max, l_c, fluid)
     return t, q_max * np.sin(math.pi * t / period)
@@ -269,7 +271,8 @@ def fit_junction_law(cols: dict[str, np.ndarray], columns: tuple[str, ...],
     Each matrix gets a column-scaled SVD after a zero-column and a rank
     check; the index of an UnderdeterminedFitError is the first that fails.
     The products are matrix-vector products, so each fit rounds exactly as a
-    fit of its matrix alone."""
+    fit of its matrix alone.  A product that overflows gives inf or nan
+    silently: every caller checks that the coefficients are finite."""
     a = np.stack([cols[c] for c in columns], axis=-1)
     # Column scaling keeps the rank check meaningful across units.
     scale = np.linalg.norm(a, axis=1)
@@ -285,8 +288,9 @@ def fit_junction_law(cols: dict[str, np.ndarray], columns: tuple[str, ...],
         raise UnderdeterminedFitError(f"rank-deficient design matrix; deficient direction "
                                       f"dominated by {direction!r}", k)
     rhs = (dp if dp.ndim == 3 else dp[:, None])[..., None]
-    w = np.matmul(u.transpose(0, 2, 1)[:, None], rhs) / s[:, None, :, None]
-    coef = np.matmul(vt.transpose(0, 2, 1)[:, None], w)[..., 0] / scale[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.matmul(u.transpose(0, 2, 1)[:, None], rhs) / s[:, None, :, None]
+        coef = np.matmul(vt.transpose(0, 2, 1)[:, None], w)[..., 0] / scale[:, None]
     return coef if dp.ndim == 3 else coef[:, 0]
 
 

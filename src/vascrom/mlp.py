@@ -32,8 +32,9 @@ from .nondim import (
 
 BUNDLE_VERSION = 1
 
-# Hidden-layer count and width per coefficient (single outlet-construction
-# type by default; alternate types can be registered under their own tags).
+# Hidden-layer count and width per coefficient tag.  Every width is at least
+# the 10 features, so a batch of two or more rows trains on `_Stack`'s
+# stacked layers.
 DEFAULT_ARCHITECTURES = {
     "rri_rlin": (2, 15),
     "rri_rquad": (2, 30),
@@ -129,10 +130,12 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
 
 
 class Adam:
-    """Adam (Kingma & Ba 2015) on one flat parameter vector."""
+    """Adam (Kingma & Ba 2015) on one flat parameter vector, with that paper's
+    default step size and decay rates."""
 
-    def __init__(self, params: np.ndarray, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
@@ -175,13 +178,13 @@ class _Stack:
     A product gives the bits a single model gets on its own when it is a
     matrix-matrix product for the model alone.  Each model's output layer is
     a matrix-vector product, whose rounding BLAS changes when the length is
-    padded, so it runs at the model's own width.  A batch of one row, a
-    hidden width of 1 or a single input turns hidden-layer products into
-    matrix-vector ones too; such batches run every model's products at its
-    own widths.
+    padded, so it runs at the model's own width.  A batch of one row turns
+    the hidden-layer products into matrix-vector ones too, so it runs every
+    model's products at its own widths.  No other batch does: every
+    architecture is at least 10 units wide over the 10 features.
     """
 
-    def __init__(self, models: list[MlpModel], config: "TrainingConfig"):
+    def __init__(self, models: list[MlpModel]):
         self.models = models
         self.tags = [m.tag for m in models]
         depths = [len(m.weights) - 1 for m in models]
@@ -190,8 +193,6 @@ class _Stack:
         self.pads = [max(m.weights[l].shape[0] for m in models[:k]) for l, k in enumerate(self.ks)]
         heads = [m.weights[-1].shape[1] for m in models]
         fan_in = [models[0].n_inputs if models else 0] + self.pads
-        hidden = [w.shape[0] for m in models for w in m.weights[:-1]]
-        self.stackable = min(fan_in[:1] + hidden) > 1
         self.shapes = (
             [(k, p, f) for k, p, f in zip(self.ks, self.pads, fan_in)]
             + [(k, p) for k, p in zip(self.ks, self.pads)]
@@ -221,9 +222,7 @@ class _Stack:
                 dst[...] = src
             m.weights, m.biases = own[: len(m.weights)], own[len(m.weights) :]
         self.model_grads = [self._own(self.grads, i) for i in range(len(models))]
-        self.config = config
-        self.opt = Adam(self.params, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                        eps=config.eps)
+        self.opt = Adam(self.params)
 
     def _own(self, flat: np.ndarray, i: int) -> list[np.ndarray]:
         """Model i's weights, then its biases, as views into a flat vector of
@@ -241,7 +240,7 @@ class _Stack:
 
     def take(self, keep: list[int]) -> "_Stack":
         """A stack of the models at `keep`, with their parameters and Adam state."""
-        new = _Stack([self.models[i] for i in keep], self.config)
+        new = _Stack([self.models[i] for i in keep])
         for j, i in enumerate(keep):
             for old, cur in ((self.opt.m, new.opt.m), (self.opt.v, new.opt.v)):
                 for src, dst in zip(self._own(old, i), new._own(cur, j)):
@@ -254,17 +253,13 @@ class _Stack:
         m = self.models[i]
         return MlpModel(m.tag, [w.copy() for w in m.weights], [b.copy() for b in m.biases])
 
-    def _stacked(self, n: int) -> bool:
-        """Whether batches of n rows run on the stacked layers."""
-        return n > 1 and self.stackable
-
     def forward(self, x: np.ndarray):
         """Every model's predictions (k, n) for inputs x (k, n, n_inputs); also
         the inputs of the hidden layers and of each model's output layer,
         which a per-model batch leaves None.
         """
         pred = np.empty(x.shape[:2])
-        if not self._stacked(x.shape[1]):
+        if x.shape[1] == 1:
             for m, xi, out in zip(self.models, x, pred):
                 out[:] = mlp_forward(m, xi)
             return pred, None, None
@@ -286,7 +281,7 @@ class _Stack:
 
         x is (k, n, n_inputs) and y is (k, n): each model's own batch.
         """
-        if not self._stacked(y.shape[1]):
+        if y.shape[1] == 1:
             for i, (m, own) in enumerate(zip(self.models, self.model_grads)):
                 loss[i], gw, gb = loss_and_grads(m, x[i], y[i])
                 for dst, src in zip(own, gw + gb):
@@ -379,30 +374,18 @@ def _dataset_header(n_inputs: int, tags: list[str]) -> list[str]:
 # -- training -------------------------------------------------------------
 
 
+BATCH_SIZE = 50  # training rows per Adam step; an epoch's last batch may be shorter
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 500
-    batch_size: int = 50
     seed: int = 0
     stop_val_mse: Optional[float] = None  # optional early stop once reached
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ModelError(
-                f"need epochs >= 1 and batch_size >= 1, got {self.epochs}, {self.batch_size}"
-            )
-        for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ModelError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ModelError(f"{name} must lie in [0, 1), got {value}")
+        if self.epochs < 1:
+            raise ModelError(f"need epochs >= 1, got {self.epochs}")
         stop = self.stop_val_mse
         if stop is not None and not (math.isfinite(stop) and stop >= 0):
             raise ModelError(f"stop_val_mse must be finite and >= 0, got {stop}")
@@ -412,13 +395,9 @@ def _tag_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(tag.encode())]))
 
 
-def train_models(
-    dataset: TrainingDataset,
-    architectures: Optional[dict[str, tuple[int, int]]] = None,
-    config: TrainingConfig = TrainingConfig(),
-    tags: Optional[list[str]] = None,
-):
-    """Train one model per coefficient tag.  Deterministic for a fixed seed.
+def train_models(dataset: TrainingDataset, config: TrainingConfig = TrainingConfig()):
+    """Train one model per target of the dataset, in its order, with the
+    DEFAULT_ARCHITECTURES and BATCH_SIZE.  Deterministic for a fixed seed.
 
     All tags train in lockstep: one step loop in which each batch is one
     forward and backward pass over the stacked hidden layers of every model
@@ -431,24 +410,23 @@ def train_models(
     The first failure stops the run: a tag without an architecture before
     any model is built, a non-finite loss before that batch's Adam step, a
     non-finite validation MSE at the end of its epoch.  Where several tags
-    fail at once, the error names the first of them in `tags` order.
+    fail at once, the error names the first of them in the dataset's order.
 
     Returns (models dict, report dict with per-epoch train/val loss curves).
     """
-    architectures = architectures or DEFAULT_ARCHITECTURES
-    tags = list(dict.fromkeys(tags or dataset.targets))
+    tags = list(dataset.targets)
     for tag in tags:
-        if tag not in architectures:
+        if tag not in DEFAULT_ARCHITECTURES:
             raise ModelError(f"no architecture for coefficient tag {tag!r}")
     rngs = {tag: _tag_rng(config.seed, tag) for tag in tags}
     n_inputs = dataset.inputs.shape[1]
-    init = [init_model(tag, n_inputs, *architectures[tag], rngs[tag]) for tag in tags]
+    init = [init_model(tag, n_inputs, *DEFAULT_ARCHITECTURES[tag], rngs[tag]) for tag in tags]
     # deepest first, so that each stacked layer covers a leading run of models
-    stack = _Stack(sorted(init, key=lambda m: -len(m.weights)), config)
+    stack = _Stack(sorted(init, key=lambda m: -len(m.weights)))
 
     def first_nonfinite(values):
-        """The first tag of the stack, in `tags` order, whose value is not
-        finite, and that value; or None."""
+        """The first tag of the stack, in the dataset's order, whose value is
+        not finite, and that value; or None."""
         bad = [(tags.index(tag), tag, v) for tag, v in zip(stack.tags, values)
                if not math.isfinite(v)]
         return min(bad)[1:] if bad else None
@@ -460,7 +438,7 @@ def train_models(
     curves = {tag: ([], []) for tag in tags}
     models: dict[str, MlpModel] = {}
     n = x_train.shape[0]
-    batches = [slice(start, start + config.batch_size) for start in range(0, n, config.batch_size)]
+    batches = [slice(start, start + BATCH_SIZE) for start in range(0, n, BATCH_SIZE)]
     for epoch in range(config.epochs):
         if not stack.tags:
             break

@@ -14,6 +14,11 @@ Two engines:
     tree; no matrix factorization is needed.  Each flow unknown is scaled by
     its junction's share of the inflow.
 
+``SolverConfig`` holds only the time grid (``mode``, ``dt``, ``n_steps``).
+The convergence gates are module constants: ``NEWTON_TOL`` on the standard
+engine's scaled residual, ``CONSTRAINT_TOL`` and ``STATIONARITY_TOL`` on each
+rri/ri step.
+
 Both engines start from ``_tree_start``, the steady state that is exact for
 linear flow on a tree: a steady standard solve of a tree without stenoses
 takes 0 Newton iterations and factors nothing (``nnz_factor`` None), and
@@ -71,9 +76,6 @@ class SolverConfig:
     mode: str = "steady"  # "steady" | "transient"
     dt: float = 1e-3
     n_steps: int = 100
-    newton_tol: float = 1e-10  # residual inf-norm
-    constraint_tol: float = 1e-8
-    stationarity_tol: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in ("steady", "transient"):
@@ -85,9 +87,6 @@ class SolverConfig:
                 "transient mode needs a finite dt > 0 and n_steps >= 1, "
                 f"got dt={self.dt}, n_steps={self.n_steps}"
             )
-        tols = (self.newton_tol, self.constraint_tol, self.stationarity_tol)
-        if not all(math.isfinite(t) and t > 0 for t in tols):
-            raise SolverError(f"tolerances must be finite and positive, got {tols}")
 
 
 # offsets of the quantities in the (vessel, quantity) view of a state
@@ -348,15 +347,18 @@ def _scaled_norm(res, jac, x):
 
 
 MAX_NEWTON_ITERATIONS = 50
+NEWTON_TOL = 1e-10  # the standard engine's scaled residual inf-norm
+CONSTRAINT_TOL = 1e-8  # an rri/ri step's largest constraint violation
+STATIONARITY_TOL = 1e-6  # and its stationarity, or an objective below its square
 
 
-def _newton(system, x0, x_prev, dt, inflow, config):
+def _newton(system, x0, x_prev, dt, inflow):
     x, lu = x0.copy(), None
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         res = system.residual(x, x_prev, dt, inflow)
         jac = system.jacobian(x, x_prev, dt)
         norm = _scaled_norm(res, jac, x)
-        if norm <= config.newton_tol:
+        if norm <= NEWTON_TOL:
             # work counters: the Jacobian's stored entries and the entries of
             # the last factorisation's L and U (SuperLU's own nnz counts its
             # supernodal storage, not the factors)
@@ -382,7 +384,7 @@ def _solve_standard(network: VascularNetwork, config: SolverConfig, mode: str) -
     system = _StandardSystem(network)
     x0 = _tree_start(network, system.constraints, inflows[0])
     states, diags = _march(
-        lambda inflow, x_prev, dt, x: _newton(system, x, x_prev, dt, inflow, config),
+        lambda inflow, x_prev, dt, x: _newton(system, x, x_prev, dt, inflow),
         x0, times, inflows, config.dt,
     )
     return Solution(times=times, states=states, index=VarIndex(network), network=network,
@@ -593,7 +595,7 @@ class _OptProblem:
             "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
 
-    def solve_step(self, inflow, x_prev, dt, config, x_start):
+    def solve_step(self, inflow, x_prev, dt, x_start):
         z = x_start[self.free] / self.scale
         lm = {"nfev": 0, "njev": 0, "status": None, "message": "no free unknowns"}
         if z.size:
@@ -610,16 +612,16 @@ class _OptProblem:
         x = self.state(inflow, z)
         diag = {**self.diagnostics(x, inflow, x_prev, dt), **lm}
         violation, z_val = diag["constraint_violation"], diag["objective"]
-        if violation > config.constraint_tol:
+        if violation > CONSTRAINT_TOL:
             raise ConvergenceError(
-                f"constraint violation {violation:.3e} exceeds {config.constraint_tol:.1e}"
+                f"constraint violation {violation:.3e} exceeds {CONSTRAINT_TOL:.1e}"
             )
         # an objective below tol^2 means normalized residuals below tol, which
         # is convergence regardless of the (scale-sensitive) gradient norm
         stationarity = diag["stationarity"]
-        if stationarity > config.stationarity_tol and z_val > config.stationarity_tol**2:
+        if stationarity > STATIONARITY_TOL and z_val > STATIONARITY_TOL**2:
             raise ConvergenceError(
-                f"stationarity {stationarity:.3e} exceeds {config.stationarity_tol:.1e} "
+                f"stationarity {stationarity:.3e} exceeds {STATIONARITY_TOL:.1e} "
                 f"(objective {z_val:.3e}; {diag['nfev']} evaluations: {diag['message']})"
             )
         return x, diag
@@ -650,7 +652,7 @@ def solve_opt(
     def step(inflow, x_prev, dt, x):
         if x_prev is not None:
             x = problem.step_start(x_prev, inflow, dt)
-        return problem.solve_step(inflow, x_prev, dt, config, x)
+        return problem.solve_step(inflow, x_prev, dt, x)
 
     states, diags = _march(step, x0, times, inflows, config.dt)
     return Solution(times=times, states=states, index=problem.idx, network=network,

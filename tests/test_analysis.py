@@ -88,6 +88,21 @@ def test_impedance_rejects_bad_period(period):
         impedance(q, 3.0 * q, period=period, dt=dt)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_impedance_rejects_bad_time_step(dt):
+    q = 4.0 + np.sin(np.linspace(0.0, 6.0, 20))
+    with pytest.raises(AnalysisError, match=f"^dt must be finite and > 0, got {dt}$"):
+        impedance(q, 3.0 * q, period=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("period", [1e8, 1e300])
+def test_impedance_rejects_a_series_shorter_than_one_period(period):
+    # 20 samples 0.01 apart are within 1e-6 of 0 periods, not of 1
+    q = 4.0 + np.sin(np.linspace(0.0, 6.0, 20))
+    with pytest.raises(AnalysisError, match=r"^series duration 0\.2 holds no whole period of "):
+        impedance(q, 3.0 * q, period=period, dt=0.01)
+
+
 def test_impedance_multi_period_series():
     t, dt = _grid(n=128, n_periods=3)
     q = 4.0 + np.sin(2 * np.pi * t)

@@ -446,14 +446,18 @@ def test_series_commands_reject_numbers_whose_squares_overflow(tmp_path, capsys,
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("period", ["0", "inf", "nan", "-1"])
+@pytest.mark.parametrize("period", ["0", "inf", "nan", "-1", "1e8"])
 def test_impedance_rejects_bad_period(tmp_path, capsys, period):
+    # the series lasts 1 s: a period of 1e8 s is within 1e-6 of 0 periods
     series = _write_series(tmp_path / "series.csv")
     out = tmp_path / "out" / "z.csv"
     rc = main(["impedance", "--series", series, "--period", period, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: period must be finite and > 0, got {float(period)}\n"
+    if period == "1e8":
+        assert err == "error: series duration 1 holds no whole period of 1e+08\n"
+    else:
+        assert err == f"error: period must be finite and > 0, got {float(period)}\n"
     assert not out.parent.exists()
 
 
@@ -482,6 +486,24 @@ def test_generate_data_reproducible(tmp_path):
     manifest = json.loads((dirs[0] / "cohort_manifest.json").read_text())
     assert manifest["n_rows"] == 4 * 14
     assert manifest["waveform"] == {"re_max": 5500.0, "period": 0.4, "n_steps": 200}
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--period", "1e308"], "need re_max >= 0, l_c > 0 and a period > 0 with pi * period "
+                                "finite, got re_max=5500.0, l_c=0.5641895835477563, period=1e+308"),
+        (["--noise-sigma", "1e308"], "coefficients must be finite"),
+    ],
+    ids=["period", "noise-sigma"],
+)
+def test_generate_data_overflow_is_one_error_line(tmp_path, capsys, option, message):
+    """A period whose pi multiple overflows, or noise whose fit overflows,
+    exits 1 with its error line and nothing else printed."""
+    outdir = tmp_path / "cohort"
+    assert main(["generate-data", "--n", "2", *option, "--out", str(outdir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
@@ -667,8 +689,8 @@ def test_train_predict_solve_pipeline(tmp_path, capsys):
 @pytest.mark.parametrize(
     "option, message",
     [
-        (["--epochs", "0"], "need epochs >= 1 and batch_size >= 1, got 0, 50"),
-        (["--epochs", "-3"], "need epochs >= 1 and batch_size >= 1, got -3, 50"),
+        (["--epochs", "0"], "need epochs >= 1, got 0"),
+        (["--epochs", "-3"], "need epochs >= 1, got -3"),
         (["--stop-val-mse", "nan"], "stop_val_mse must be finite and >= 0, got nan"),
     ],
 )
@@ -681,6 +703,49 @@ def test_train_rejects_invalid_options(tmp_path, capsys, option, message):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not models.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config_name, options",
+    [
+        ("solve", "SolverConfig", {"--mode": "transient", "--dt": "0.25", "--steps": "7"}),
+        ("train", "TrainingConfig", {"--epochs": "3", "--seed": "7", "--stop-val-mse": "0.5"}),
+    ],
+)
+def test_each_config_field_is_set_by_exactly_one_option(tmp_path, monkeypatch, command,
+                                                       config_name, options):
+    """The fields of the solver and training configs are the options of their
+    commands, one field per option: a field that no option sets would be a
+    setting that only tests can change."""
+    import dataclasses
+
+    from vascrom import cli
+
+    config_class, made = getattr(cli, config_name), []
+
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        made.append(config_class(*args, **kwargs))
+        raise Built  # the command stops once its config is built
+
+    monkeypatch.setattr(cli, config_name, build)
+    inputs = (["--network", _write_single_vessel(tmp_path / "net.json")] if command == "solve"
+              else ["--data", str(tmp_path / "data")])
+
+    def config(*option):
+        with pytest.raises(Built):
+            main([command, *inputs, *option, "--out", str(tmp_path / "out")])
+        return made.pop()
+
+    default, names, set_by = config(), [f.name for f in dataclasses.fields(config_class)], {}
+    for option, value in options.items():
+        got = config(option, value)
+        changed = [name for name in names if getattr(got, name) != getattr(default, name)]
+        assert len(changed) == 1, (option, changed)
+        set_by[changed[0]] = option
+    assert sorted(set_by) == sorted(names)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

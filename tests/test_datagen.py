@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,19 @@ def test_waveform_zero_re_is_zero():
 def test_waveform_nonnegative():
     _, q = systolic_waveform(2000.0, 0.3, FLUID)
     assert np.all(q >= -1e-12)
+
+
+@pytest.mark.parametrize("period", [1e308, 5.8e307, math.inf, math.nan, 0.0])
+def test_waveform_rejects_bad_period(period):
+    message = rf"period > 0 with pi \* period finite, .*period={re.escape(str(period))}$"
+    with pytest.raises(DatagenError, match=message):
+        systolic_waveform(5500.0, 0.5, FLUID, period=period)
+
+
+def test_waveform_keeps_the_largest_period():
+    period = np.nextafter(sys.float_info.max / math.pi, 0.0)
+    t, q = systolic_waveform(5500.0, 0.5, FLUID, period=period, n_steps=3)
+    assert np.isfinite(q).all() and q[1] == pytest.approx(163.00716598814964, rel=1e-10)
 
 
 # -- sampling --------------------------------------------------------------
@@ -372,7 +386,6 @@ def test_timeseries_rejects_nonuniform_grid():
         TimeSeries(t=np.array([0.0, 0.1, 0.3]), q=np.zeros(3), dp=np.zeros(3))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cohort_rejects_non_finite_targets():
     from vascrom.nondim import NondimError
 

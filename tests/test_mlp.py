@@ -9,8 +9,11 @@ import pytest
 from vascrom.network import Fluid, generate_symmetric_tree
 from vascrom.nondim import ZNormStats, characteristic_scales
 from vascrom.flowsplit import estimate_flow_splits
+from vascrom import mlp
 from vascrom.mlp import (
+    BATCH_SIZE,
     DEFAULT_ARCHITECTURES,
+    Adam,
     MlpModel,
     ModelBundle,
     ModelError,
@@ -148,23 +151,19 @@ def _toy_dataset(n=200, seed=0, target_fn=None):
     )
 
 
-def test_constant_target_trains_below_1e6():
+def test_constant_target_trains_below_1e6(monkeypatch):
     dataset = _toy_dataset()
-    models, report = train_models(
-        dataset, config=TrainingConfig(epochs=200, seed=0, lr=0.1),
-        tags=["rri_rlin"],
-    )
+    monkeypatch.setattr(Adam, "lr", 0.1)
+    models, report = train_models(dataset, config=TrainingConfig(epochs=200, seed=0))
     assert report["rri_rlin"]["final_val_mse"] < 1e-6
 
 
-def test_constant_target_loss_non_increasing():
+def test_constant_target_loss_non_increasing(monkeypatch):
     # full batch so the loss curve is free of minibatch resampling noise
     dataset = _toy_dataset()
-    _, report = train_models(
-        dataset,
-        config=TrainingConfig(epochs=60, seed=0, lr=1e-2, batch_size=180),
-        tags=["rri_rlin"],
-    )
+    monkeypatch.setattr(Adam, "lr", 1e-2)
+    monkeypatch.setattr(mlp, "BATCH_SIZE", dataset.train_idx.size)
+    _, report = train_models(dataset, config=TrainingConfig(epochs=60, seed=0))
     curve = np.array(report["rri_rlin"]["train_loss"])
     assert np.all(np.diff(curve) <= 1e-12)
 
@@ -172,8 +171,8 @@ def test_constant_target_loss_non_increasing():
 def test_training_deterministic_bitwise():
     dataset = _toy_dataset(target_fn=lambda x: np.sin(x[:, 0]))
     cfg = TrainingConfig(epochs=20, seed=5)
-    m1, r1 = train_models(dataset, config=cfg, tags=["rri_rlin"])
-    m2, r2 = train_models(dataset, config=cfg, tags=["rri_rlin"])
+    m1, r1 = train_models(dataset, config=cfg)
+    m2, r2 = train_models(dataset, config=cfg)
     assert r1["rri_rlin"]["train_loss"] == r2["rri_rlin"]["train_loss"]
     assert r1["rri_rlin"]["val_mse"] == r2["rri_rlin"]["val_mse"]
     for w1, w2 in zip(m1["rri_rlin"].weights, m2["rri_rlin"].weights):
@@ -185,15 +184,14 @@ def test_divergent_loss_aborts():
     dataset = _toy_dataset(target_fn=lambda x: x[:, 0])
     dataset.targets["rri_rlin"][3] = np.inf  # poisons the loss immediately
     with pytest.raises(ModelError, match="divergent"):
-        train_models(
-            dataset, config=TrainingConfig(epochs=50, seed=0), tags=["rri_rlin"]
-        )
+        train_models(dataset, config=TrainingConfig(epochs=50, seed=0))
 
 
 def test_missing_architecture_rejected():
     dataset = _toy_dataset()
+    dataset.targets = {"other": dataset.targets["rri_rlin"]}
     with pytest.raises(ModelError, match="architecture"):
-        train_models(dataset, architectures={"other": (1, 5)}, tags=["rri_rlin"])
+        train_models(dataset)
 
 
 def test_empty_split_rejected():
@@ -325,8 +323,9 @@ def test_load_models_rejects_malformed_norm_block(tmp_path, trained_bundle, edit
 # -- prediction pipeline ---------------------------------------------------
 
 
-def test_memorization_of_training_row(small_cohort):
-    """A model trained to convergence on 10 rows reproduces those rows."""
+def test_memorization_of_training_row(monkeypatch, small_cohort):
+    """A model trained to convergence on 10 rows, one batch, reproduces
+    those rows."""
     dataset, _ = small_cohort
     idx = np.arange(10)
     tiny = TrainingDataset(
@@ -339,12 +338,8 @@ def test_memorization_of_training_row(small_cohort):
         feature_ranges=dataset.feature_ranges,
         re_c=dataset.re_c,
     )
-    models, report = train_models(
-        tiny,
-        architectures={"rri_rlin": (2, 20)},
-        config=TrainingConfig(epochs=4000, seed=1, batch_size=10),
-        tags=["rri_rlin"],
-    )
+    monkeypatch.setitem(DEFAULT_ARCHITECTURES, "rri_rlin", (2, 20))
+    models, report = train_models(tiny, config=TrainingConfig(epochs=4000, seed=1))
     train_loss = report["rri_rlin"]["train_loss"][-1]
     preds = mlp_forward(models["rri_rlin"], tiny.inputs[idx])
     resid = np.abs(preds - tiny.targets["rri_rlin"][idx])
@@ -822,6 +817,18 @@ def test_default_architectures_documented():
     }
 
 
+def test_optimizer_constants_documented():
+    assert (Adam.lr, Adam.beta1, Adam.beta2, Adam.eps) == (1e-3, 0.9, 0.999, 1e-8)
+    assert BATCH_SIZE == 50
+
+
+def _only(dataset, tags):
+    """The dataset with the targets of tags alone, in that order."""
+    subset = copy.copy(dataset)
+    subset.targets = {tag: dataset.targets[tag] for tag in tags}
+    return subset
+
+
 # -- flat-parameter training against the list-based reference --------------
 
 
@@ -847,18 +854,19 @@ def _reference_loss_and_grads(model, x, y):
     return loss, gw, gb
 
 
-def _reference_train(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
+def _reference_train(dataset, config, tag):
     """One tag on its own: Adam over a list of separate layer arrays, one
-    update per array."""
+    update per array.  It reads the architecture, batch size and Adam
+    constants when called, as train_models does."""
     from vascrom.mlp import _tag_rng
 
-    n_hidden, width = architectures[tag]
+    n_hidden, width = mlp.DEFAULT_ARCHITECTURES[tag]
     rng = _tag_rng(config.seed, tag)
     model = init_model(tag, dataset.inputs.shape[1], n_hidden, width, rng)
     params = model.weights + model.biases
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
-    b1, b2 = config.beta1, config.beta2
+    b1, b2, batch_size = Adam.beta1, Adam.beta2, mlp.BATCH_SIZE
     x_train = dataset.inputs[dataset.train_idx]
     y_train = dataset.targets[tag][dataset.train_idx]
     x_val = dataset.inputs[dataset.val_idx]
@@ -868,8 +876,8 @@ def _reference_train(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
             loss, gw, gb = _reference_loss_and_grads(model, x_train[idx], y_train[idx])
             if not math.isfinite(loss):
                 raise ModelError(f"model {tag}: divergent loss at epoch {epoch}, batch {n_batches}")
@@ -881,7 +889,7 @@ def _reference_train(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
                 v += (1 - b2) * g**2
                 mhat = m / (1 - b1**t)
                 vhat = v / (1 - b2**t)
-                p -= config.lr * mhat / (np.sqrt(vhat) + config.eps)
+                p -= Adam.lr * mhat / (np.sqrt(vhat) + Adam.eps)
             epoch_loss += loss
             n_batches += 1
         val_mse = float(np.mean((mlp_forward(model, x_val) - y_val) ** 2))
@@ -898,17 +906,19 @@ def _reference_train(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
     return model, report
 
 
-def _reference_train_all(dataset, config, tags, architectures=DEFAULT_ARCHITECTURES):
-    """The tags one after another, in order; the first error stops the run."""
+def _reference_train_all(dataset, config):
+    """The dataset's tags one after another, in order; the first error stops
+    the run."""
     models, report = {}, {}
-    for tag in tags:
-        models[tag], report[tag] = _reference_train(dataset, config, tag, architectures)
+    for tag in dataset.targets:
+        models[tag], report[tag] = _reference_train(dataset, config, tag)
     return models, report
 
 
-def _assert_equals_reference(dataset, config, tags, architectures=DEFAULT_ARCHITECTURES):
-    models, report = train_models(dataset, architectures, config, tags)
-    ref_models, ref_report = _reference_train_all(dataset, config, tags, architectures)
+def _assert_equals_reference(dataset, config):
+    models, report = train_models(dataset, config)
+    ref_models, ref_report = _reference_train_all(dataset, config)
+    tags = list(dataset.targets)
     assert list(models) == list(report) == tags
     assert report == ref_report
     for tag in tags:
@@ -946,8 +956,7 @@ def test_flat_training_equals_list_reference(tmp_path, small_cohort):
 
 def test_loss_and_grads_returns_fresh_arrays(small_cohort):
     dataset, _ = small_cohort
-    models, _ = train_models(dataset, config=TrainingConfig(epochs=1, seed=0),
-                             tags=["rri_rquad"])
+    models, _ = train_models(_only(dataset, ["rri_rquad"]), config=TrainingConfig(epochs=1, seed=0))
     m = models["rri_rquad"]
     x, y = dataset.inputs[:20], dataset.targets["rri_rquad"][:20]
     loss, gw, gb = loss_and_grads(m, x, y)
@@ -969,40 +978,39 @@ ALL_TAGS = list(DEFAULT_ARCHITECTURES)
 
 def test_lockstep_training_equals_per_tag_reference(small_cohort):
     dataset, _ = small_cohort
-    assert dataset.train_idx.size % 50 != 0  # the last batch is a short one
-    _assert_equals_reference(dataset, TrainingConfig(epochs=20, seed=6), ALL_TAGS)
+    assert dataset.train_idx.size % BATCH_SIZE != 0  # the last batch is a short one
+    _assert_equals_reference(dataset, TrainingConfig(epochs=20, seed=6))
 
 
-def test_lockstep_single_row_batches_and_validation_set(small_cohort):
+def test_lockstep_single_row_batches_and_validation_set(monkeypatch, small_cohort):
     # one-row products are matrix-vector ones, whose bits change with padding
     dataset, _ = small_cohort
     one_val = copy.copy(dataset)
     one_val.val_idx = dataset.val_idx[:1]
     assert dataset.train_idx.size % 151 == 1
-    _assert_equals_reference(one_val, TrainingConfig(epochs=4, seed=2, batch_size=151), ALL_TAGS)
+    monkeypatch.setattr(mlp, "BATCH_SIZE", 151)
+    _assert_equals_reference(one_val, TrainingConfig(epochs=4, seed=2))
 
 
 def test_lockstep_early_stop_of_some_tags(small_cohort):
     dataset, _ = small_cohort
     config = TrainingConfig(epochs=30, seed=3, stop_val_mse=0.05)
-    report = _assert_equals_reference(dataset, config, ALL_TAGS)
+    report = _assert_equals_reference(dataset, config)
     epochs_run = sorted(rep["epochs_run"] for rep in report.values())
     assert epochs_run[0] < epochs_run[1] < epochs_run[-1] == config.epochs
 
 
-def _first_batch_rows(dataset, config, tag, architectures=DEFAULT_ARCHITECTURES):
+def _first_batch_rows(dataset, config, tag):
     """The training rows of the tag's first epoch, in batch order."""
     from vascrom.mlp import _tag_rng
 
     rng = _tag_rng(config.seed, tag)
-    init_model(tag, dataset.inputs.shape[1], *architectures[tag], rng)
+    init_model(tag, dataset.inputs.shape[1], *DEFAULT_ARCHITECTURES[tag], rng)
     return dataset.train_idx[rng.permutation(dataset.train_idx.size)]
 
 
 def _count_adam_steps(monkeypatch):
     """A list that gets one entry per Adam step from now on."""
-    from vascrom import mlp
-
     calls = []
     step = mlp.Adam.step
 
@@ -1039,25 +1047,24 @@ def test_divergence_stops_training_before_the_failing_step(monkeypatch, small_co
     poisoned = copy.deepcopy(dataset)
     poisoned.targets["rri_l"][_first_batch_rows(dataset, config, "rri_l")[-1]] = np.nan
     with pytest.raises(ModelError) as ref:
-        _reference_train_all(poisoned, config, ALL_TAGS)
+        _reference_train_all(poisoned, config)
     steps = _count_adam_steps(monkeypatch)
     with pytest.raises(ModelError) as got:
         train_models(poisoned, config=config)
-    n_batches = math.ceil(dataset.train_idx.size / config.batch_size)
+    n_batches = math.ceil(dataset.train_idx.size / BATCH_SIZE)
     assert str(got.value) == str(ref.value) == (
         f"model rri_l: divergent loss at epoch 0, batch {n_batches - 1}")
     assert len(steps) == n_batches - 1
 
 
 def test_unknown_tag_fails_before_any_model_is_built(monkeypatch, small_cohort):
-    from vascrom import mlp
-
-    dataset, _ = small_cohort
+    dataset = _only(small_cohort[0], ["rri_l"])
+    dataset.targets["other"] = dataset.targets["rri_l"]
     built = []
     monkeypatch.setattr(mlp, "init_model", lambda *args: built.append(args))
     steps = _count_adam_steps(monkeypatch)
     with pytest.raises(ModelError, match="no architecture for coefficient tag 'other'"):
-        train_models(dataset, architectures={"rri_l": (1, 4)}, tags=["rri_l", "other"])
+        train_models(dataset)
     assert built == steps == []
 
 
@@ -1069,13 +1076,13 @@ def test_nonfinite_validation_mse_stops_at_its_epoch(monkeypatch, small_cohort):
     steps = _count_adam_steps(monkeypatch)
     with pytest.raises(ModelError, match="model rri_rquad: validation MSE inf at epoch 0"):
         train_models(huge, config=TrainingConfig(epochs=50, seed=0))
-    assert len(steps) == math.ceil(dataset.train_idx.size / 50)
+    assert len(steps) == math.ceil(dataset.train_idx.size / BATCH_SIZE)
 
 
 def test_lockstep_tag_subset_in_given_order(small_cohort):
     dataset, _ = small_cohort
-    _assert_equals_reference(dataset, TrainingConfig(epochs=5, seed=1),
-                             ["ri_l", "rri_rquad", "rri_l"])
+    _assert_equals_reference(_only(dataset, ["ri_l", "rri_rquad", "rri_l"]),
+                             TrainingConfig(epochs=5, seed=1))
 
 
 @pytest.mark.parametrize(
@@ -1087,10 +1094,10 @@ def test_lockstep_tag_subset_in_given_order(small_cohort):
     ],
     ids=["one tag", "three depths", "equal widths"],
 )
-def test_lockstep_custom_architectures(small_cohort, architectures):
+def test_lockstep_custom_architectures(monkeypatch, small_cohort, architectures):
     dataset, _ = small_cohort
-    _assert_equals_reference(dataset, TrainingConfig(epochs=5, seed=8),
-                             list(architectures), architectures)
+    monkeypatch.setattr(mlp, "DEFAULT_ARCHITECTURES", architectures)
+    _assert_equals_reference(_only(dataset, list(architectures)), TrainingConfig(epochs=5, seed=8))
 
 
 def test_one_adam_step_per_batch_for_all_tags(monkeypatch, small_cohort):
@@ -1098,7 +1105,7 @@ def test_one_adam_step_per_batch_for_all_tags(monkeypatch, small_cohort):
     calls = _count_adam_steps(monkeypatch)
     config = TrainingConfig(epochs=3, seed=0)
     models, _ = train_models(dataset, config=config)
-    n_batches = math.ceil(dataset.train_idx.size / config.batch_size)
+    n_batches = math.ceil(dataset.train_idx.size / BATCH_SIZE)
     assert len(calls) == config.epochs * n_batches
     n_params = sum(a.size for m in models.values() for a in m.weights + m.biases)
     assert calls[0] >= n_params  # one vector holds every model
@@ -1109,17 +1116,6 @@ def test_one_adam_step_per_batch_for_all_tags(monkeypatch, small_cohort):
     [
         ("epochs", 0, "epochs >= 1"),
         ("epochs", -3, "epochs >= 1"),
-        ("batch_size", 0, "batch_size >= 1"),
-        ("lr", 0.0, "lr must be finite and > 0"),
-        ("lr", -1e-3, "lr must be finite and > 0"),
-        ("lr", math.inf, "lr must be finite and > 0"),
-        ("lr", math.nan, "lr must be finite and > 0"),
-        ("eps", 0.0, "eps must be finite and > 0"),
-        ("eps", math.inf, "eps must be finite and > 0"),
-        ("beta1", -0.1, r"beta1 must lie in \[0, 1\)"),
-        ("beta1", 1.0, r"beta1 must lie in \[0, 1\)"),
-        ("beta1", math.nan, r"beta1 must lie in \[0, 1\)"),
-        ("beta2", 1.0, r"beta2 must lie in \[0, 1\)"),
         ("stop_val_mse", math.nan, "stop_val_mse must be finite and >= 0"),
         ("stop_val_mse", math.inf, "stop_val_mse must be finite and >= 0"),
         ("stop_val_mse", -0.1, "stop_val_mse must be finite and >= 0"),
@@ -1131,7 +1127,7 @@ def test_training_config_rejects_invalid_values(field, value, message):
 
 
 def test_training_config_accepts_boundary_values():
-    TrainingConfig(epochs=1, batch_size=1, beta1=0.0, beta2=0.0, stop_val_mse=0.0)
+    TrainingConfig(epochs=1, stop_val_mse=0.0)
 
 
 def test_save_dataset_bytes_match_row_writer(tmp_path, small_cohort):
