@@ -274,12 +274,18 @@ def fit_junction_law(cols: dict[str, np.ndarray], columns: tuple[str, ...],
     fit of its matrix alone.  A product that overflows gives inf or nan
     silently: every caller checks that the coefficients are finite."""
     a = np.stack([cols[c] for c in columns], axis=-1)
-    # Column scaling keeps the rank check meaningful across units.
-    scale = np.linalg.norm(a, axis=1)
-    zero = scale == 0
+    zero = ~a.any(axis=1)
     if zero.any():
         k, c = np.argwhere(zero)[0].tolist()
         raise UnderdeterminedFitError(f"design matrix column {columns[c]!r} is identically zero", k)
+    # Column scaling keeps the rank check meaningful across units.  The norm
+    # of a column below about 1e-162 underflows to 0: only such a column is
+    # scaled by its largest entry first, so every other fit keeps its bits.
+    scale = np.linalg.norm(a, axis=1)
+    tiny = scale == 0
+    if tiny.any():
+        peak = np.max(np.abs(a), axis=1, keepdims=True)
+        scale[tiny] = (np.linalg.norm(a / peak, axis=1) * peak[:, 0])[tiny]
     u, s, vt = np.linalg.svd(a / scale[:, None], full_matrices=False)
     deficient = s[:, -1] < 1e-10 * s[:, 0]
     if deficient.any():
@@ -411,7 +417,7 @@ def build_cohort(
     train_idx, val_idx = np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
     input_stats = fit_znorm(x[train_idx], names=DimensionlessGeometry.FEATURE_NAMES)
-    target_stats = {tag: fit_znorm(y[tag][train_idx]) for tag in COEFFICIENT_TAGS}
+    target_stats = {tag: fit_znorm(y[tag][train_idx], names=(tag,)) for tag in COEFFICIENT_TAGS}
     xz = apply_znorm(x, input_stats)
     yz = {tag: apply_znorm(y[tag], target_stats[tag]).ravel() for tag in COEFFICIENT_TAGS}
 

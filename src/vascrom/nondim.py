@@ -269,12 +269,15 @@ def fit_znorm(data: np.ndarray, names: Optional[tuple[str, ...]] = None) -> ZNor
     x = np.asarray(data, float)
     if x.ndim == 1:
         x = x[:, None]  # a 1-D array is one feature, not one sample
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)  # population std
-    if np.any(std == 0):
-        bad = int(np.argmax(std == 0))
-        label = names[bad] if names else str(bad)
-        raise DegenerateFeatureError(f"zero-variance entry {label!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)  # population std
+    finite = np.isfinite(mean) & np.isfinite(std)
+    for bad, message in ((~finite, "entry {!r} has a non-finite mean or std"),
+                         (std == 0, "zero-variance entry {!r}")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DegenerateFeatureError(message.format(names[k] if names else str(k)))
     return ZNormStats(mean=mean, std=std)
 
 

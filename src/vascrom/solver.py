@@ -19,6 +19,13 @@ The convergence gates are module constants: ``NEWTON_TOL`` on the standard
 engine's scaled residual, ``CONSTRAINT_TOL`` and ``STATIONARITY_TOL`` on each
 rri/ri step.
 
+Each engine's problem is built whole from the network and the config: it
+holds the time grid (``_time_grid``), the start and a ``step``, and one
+driver, ``_solve``, walks the grid with one step loop, ``_march``: a steady
+step 0, then one backward-Euler step per later time.  An rri/ri problem sets
+its variable scales as it is built, so ``kkt_report`` rebuilds the solve's
+problem from the solution alone, scales and inflows included.
+
 Both engines start from ``_tree_start``, the steady state that is exact for
 linear flow on a tree: a steady standard solve of a tree without stenoses
 takes 0 Newton iterations and factors nothing (``nnz_factor`` None), and
@@ -32,17 +39,14 @@ first outlet, which about halves the least-squares Jacobians of a step.
 The linear constraints of both engines are the rows of one sparse matrix,
 ``_LinearConstraints``: the standard residual, the rri/ri diagnostics,
 ``kkt_report`` and the mass check each read their rows of ``A @ x - b``.
-Every solver and ``kkt_report`` take their times and inflows from one time
-grid, ``_time_grid``, and walk it with one step loop, ``_march``: a steady
-step 0, then one backward-Euler step per later time; ``kkt_report`` so
-recomputes each step at the solve's own inflow.  One builder,
-``_fixed_pattern``, lays out every fixed sparse pattern from index arrays:
-that matrix, the standard engine's CSC Jacobian (the vessel blocks over the
-linear rows) and the rri/ri engines' CSR Jacobian, whose flow-split rows are
-constant.  Each engine builds its Jacobian's structure once per solve;
-Newton and Levenberg-Marquardt iterations refill only the values that depend
-on the state.  The rri/ri Jacobian stays sparse in the diagnostics and
-``kkt_report``; only MINPACK's Levenberg-Marquardt gets a dense copy.
+One builder, ``_fixed_pattern``, lays out every fixed sparse pattern from
+index arrays: that matrix, the standard engine's CSC Jacobian (the vessel
+blocks over the linear rows) and the rri/ri engines' CSR Jacobian, whose
+flow-split rows are constant.  Each engine builds its Jacobian's structure
+once per solve; Newton and Levenberg-Marquardt iterations refill only the
+values that depend on the state.  The rri/ri Jacobian stays sparse in the
+diagnostics and ``kkt_report``; only MINPACK's Levenberg-Marquardt gets a
+dense copy.
 """
 
 from __future__ import annotations
@@ -121,7 +125,6 @@ class Solution:
     engine: str
     config: SolverConfig
     diagnostics: list[dict] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def p(self, vessel_id: str, end: str = "in") -> np.ndarray:
         return self.states[:, self.index(vessel_id, f"p_{end}")]
@@ -274,16 +277,18 @@ def mass_conservation_error(solution: Solution) -> float:
 
 
 class _StandardSystem:
-    """The standard engine's equations on one network: the two vessel
-    equations, then its rows of the linear constraints: junction mass
+    """The standard engine's equations on one network and time grid: the two
+    vessel equations, then its rows of the linear constraints: junction mass
     balance, equal pressure across each junction, the inflow and the leaf
     BCs.  The vessel elements are the topology's; the Jacobian's sparsity
     pattern with the linear rows' values is built on the first
     ``jacobian()``, and each call then writes only the vessel blocks."""
 
-    def __init__(self, network: VascularNetwork):
+    def __init__(self, network: VascularNetwork, config: SolverConfig):
         self.R, self.L, self.Rs, self.C = network.topology.elements.T
         self.constraints = _LinearConstraints(network)
+        self.times, self.inflows = _time_grid(network, config)
+        self.x0 = _tree_start(network, self.constraints, self.inflows[0])
 
     @cached_property
     def _jac_pattern(self):
@@ -338,6 +343,9 @@ class _StandardSystem:
         jac.data[slots] = block.ravel()
         return jac
 
+    def step(self, inflow, x_prev, dt, x):
+        return _newton(self, x, x_prev, dt, inflow)
+
 
 def _scaled_norm(res, jac, x):
     # residual relative to the magnitude of each equation's own terms, so
@@ -377,37 +385,36 @@ def _newton(system, x0, x_prev, dt, inflow):
     )
 
 
-def _solve_standard(network: VascularNetwork, config: SolverConfig, mode: str) -> Solution:
+def _solve(network: VascularNetwork, config: SolverConfig, engine: str, mode: str) -> Solution:
+    """March the engine's problem over its time grid from its start; the
+    config must be of the given mode."""
     if config.mode != mode:
         raise SolverError(f"config.mode must be {mode!r}")
-    times, inflows = _time_grid(network, config)
-    system = _StandardSystem(network)
-    x0 = _tree_start(network, system.constraints, inflows[0])
-    states, diags = _march(
-        lambda inflow, x_prev, dt, x: _newton(system, x, x_prev, dt, inflow),
-        x0, times, inflows, config.dt,
-    )
-    return Solution(times=times, states=states, index=VarIndex(network), network=network,
-                    engine="standard", config=config, diagnostics=diags)
+    problem = (_StandardSystem(network, config) if engine == "standard"
+               else _OptProblem(network, engine, config))
+    states, diags = _march(problem.step, problem.x0, problem.times, problem.inflows, config.dt)
+    return Solution(times=problem.times, states=states, index=VarIndex(network),
+                    network=network, engine=engine, config=config, diagnostics=diags)
 
 
 def solve_steady_standard(
     network: VascularNetwork, config: SolverConfig = SolverConfig()
 ) -> Solution:
-    return _solve_standard(network, config, "steady")
+    return _solve(network, config, "standard", "steady")
 
 
 def solve_transient_standard(
     network: VascularNetwork, config: SolverConfig
 ) -> Solution:
-    return _solve_standard(network, config, "transient")
+    return _solve(network, config, "standard", "transient")
 
 
 # -- RRI / RI optimization engine -----------------------------------------
 
 
 class _OptProblem:
-    """Junction residuals of one network/engine pair over its feasible set.
+    """Junction residuals of one network/engine pair over its feasible set,
+    and the time grid, start and variable scales of its solve.
 
     On a tree the linear constraints (wire continuity, mass balance, inflow,
     leaf resistance BCs) leave two free entries of the state per junction:
@@ -415,15 +422,12 @@ class _OptProblem:
     Every feasible state is ``inflow * x_unit + basis @ (scale * z)`` with
     ``z`` those entries divided by their scales, and leaf pressures then set
     to ``R * q + Pd``.  A unit flow entering a vessel leaves through second
-    outlets down to a leaf, where it raises the leaf pressure by R.
+    outlets down to a leaf, where it raises the leaf pressure by R.  Rebuilt
+    from a solution's network, engine and config, it has the solve's bits.
     """
 
-    def __init__(self, network: VascularNetwork, engine: str):
-        if engine not in ("rri", "ri"):
-            raise SolverError(f"unknown optimization engine {engine!r}")
+    def __init__(self, network: VascularNetwork, engine: str, config: SolverConfig):
         self.network = network
-        self.engine = engine
-        self.idx = VarIndex(network)
         outlets = []
         for j in network.junctions:
             for o in j.outlets:
@@ -435,7 +439,10 @@ class _OptProblem:
                     raise SolverError(
                         f"junction {j.id}: outlet {o.vessel_id} has no flow split"
                     )
-                outlets.append((j, o))
+                if engine == "rri" and o.coefficients.kind == "RI":
+                    raise SolverError(f"junction {j.id}: outlet {o.vessel_id} has RI "
+                                      "coefficients; the rri engine needs RRI ones")
+                outlets.append(o)
         self.constraints = _LinearConstraints(network)
 
         # per outlet: junction pressure, outlet pressure, outlet flow, junction
@@ -445,11 +452,11 @@ class _OptProblem:
         self.i_pj, self.i_po = inlet + P_OUT, outlet + P_IN
         self.i_q, self.i_qj = outlet + Q_IN, inlet + Q_OUT
         use_quad = engine == "rri"
-        self.r_lin = np.array([o.coefficients.r_lin for _, o in outlets])
-        self.r_quad = np.array([o.coefficients.quad() if use_quad else 0.0 for _, o in outlets])
-        self.l = np.array([o.coefficients.l for _, o in outlets])
-        self.phi = np.array([o.flow_split for _, o in outlets])
-        self.i_inflow = 4 * self.idx.position[network.inflow_bc.vessel_id] + Q_IN
+        self.r_lin = np.array([o.coefficients.r_lin for o in outlets])
+        self.r_quad = np.array([o.coefficients.quad() if use_quad else 0.0 for o in outlets])
+        self.l = np.array([o.coefficients.l for o in outlets])
+        self.phi = np.array([o.flow_split for o in outlets])
+        self.i_inflow = 4 * topo.position[network.inflow_bc.vessel_id] + Q_IN
         self._tree_basis()
 
         # each vessel's share of the inflow under the given splits
@@ -458,11 +465,22 @@ class _OptProblem:
         # a zero share would zero the flow column and the start's divisor
         self.share[self.share == 0.0] = 1.0
 
+        self.times, self.inflows = _time_grid(network, config)
+        self.x0 = _tree_start(network, self.constraints, self.inflows[0])
+        # unscaled, LM stalls far from the attainable objective on deep trees:
+        # the peak inflow scales the residuals, and times each share (about
+        # 2^-depth; LM stops on xtol without it) the flows; the start's
+        # largest pressure scales the pressures
+        self.q_scale = float(np.max(np.abs(self.inflows))) or 1.0
+        p_var = max(1.0, self.q_scale, float(np.max(np.abs(self.x0.reshape(-1, 4)[:, :2]))))
+        self.scale = np.concatenate([self.q_scale * self.share, np.full(self.share.size, p_var)])
+        self._jacobian_pattern()
+
     def _tree_basis(self):
         """The basis and x_unit, following the second-outlet links from every
         junction's two outlets and from the inflow vessel as one frontier."""
         con, topo, n_j = self.constraints, self.network.topology, len(self.network.junctions)
-        n_v = len(self.idx.vessel_ids)
+        n_v = len(topo.vessel_ids)
         leaf_r = np.zeros(n_v)  # by vessel position
         leaf_r[con.leaf] = con.leaf_r
         second = np.full(n_v, -1)  # each vessel's second outlet; -1 at a leaf
@@ -471,7 +489,7 @@ class _OptProblem:
         # one (column k), and into the inflow vessel (column 2 n_j, x_unit)
         j = np.arange(n_j)
         vessel = np.concatenate([topo.outlets[:, 0], topo.outlets[:, 1],
-                                 [self.idx.position[self.network.inflow_bc.vessel_id]]])
+                                 [topo.position[self.network.inflow_bc.vessel_id]]])
         col = np.concatenate([j, j, [2 * n_j]])
         sign = np.concatenate([np.ones(n_j), -np.ones(n_j), [1.0]])
         path = []  # (vessel, column, sign) at every vessel a unit flow passes
@@ -491,25 +509,18 @@ class _OptProblem:
         vals = np.concatenate([sign, sign, r, r, np.ones(2 * n_j)])
         unit = cols == 2 * n_j
         self.basis = scipy.sparse.csr_matrix(
-            (vals[~unit], (rows[~unit], cols[~unit])), shape=(self.idx.n, 2 * n_j)
+            (vals[~unit], (rows[~unit], cols[~unit])), shape=(4 * n_v, 2 * n_j)
         )
         self.free = np.concatenate([4 * topo.outlets[:, 0] + Q_IN, 4 * topo.inlet + P_OUT])
-        self.x_unit = np.zeros(self.idx.n)
+        self.x_unit = np.zeros(4 * n_v)
         self.x_unit[rows[unit]] = vals[unit]
 
-    def set_variable_scales(self, q_scale: float, p_var: float) -> None:
-        """Column-scale the basis so flow and pressure unknowns are comparable
-        in the reduced least-squares problem; without this the optimizer
-        stalls far from the attainable objective on deep trees.  A flow is
-        scaled by q_scale times its share of the inflow (about 2^-depth):
-        with q_scale alone LM stops on xtol above the stationarity gate.
-        q_scale also normalizes the residuals."""
-        self.q_scale = q_scale
-        self.scale = np.concatenate([q_scale * self.share, np.full(self.share.size, p_var)])
-        # the Jacobian's fixed CSR pattern: each outlet's pressure-drop row on
-        # the union of the entries of its basis rows b_pj, b_po and b_q, then
-        # its constant flow-split row on the union of b_qj's and b_q's
-        n_out, n = self.i_q.size, self.scale.size
+    def _jacobian_pattern(self):
+        """The Jacobian's fixed CSR pattern: each outlet's pressure-drop row on
+        the union of the entries of its basis rows b_pj, b_po and b_q, then
+        its constant flow-split row, with its values, on the union of b_qj's
+        and b_q's."""
+        n_out, n, q_scale = self.i_q.size, self.scale.size, self.q_scale
         b = self.basis[np.concatenate([self.i_pj, self.i_po, self.i_q, self.i_qj])].tocoo()
         part, k = np.divmod(b.row, max(n_out, 1))  # b_pj, b_po, b_q or b_qj; the outlet
         pj, po, q, qj = (part == i for i in range(4))
@@ -595,7 +606,10 @@ class _OptProblem:
             "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
 
-    def solve_step(self, inflow, x_prev, dt, x_start):
+    def step(self, inflow, x_prev, dt, x_start):
+        """One least-squares step, from ``step_start`` after step 0."""
+        if x_prev is not None:
+            x_start = self.step_start(x_prev, inflow, dt)
         z = x_start[self.free] / self.scale
         lm = {"nfev": 0, "njev": 0, "status": None, "message": "no free unknowns"}
         if z.size:
@@ -640,42 +654,26 @@ def solve_opt(
     the tree start, and each later step from ``_OptProblem.step_start``,
     the state predicted from the one before.
     """
-    problem = _OptProblem(network, engine)
-    times, inflows = _time_grid(network, config)
-    x0 = _tree_start(network, problem.constraints, inflows[0])
-    # peak inflow scales the objective and the flow unknowns, and the start's
-    # largest pressure the pressure unknowns
-    q_scale = float(np.max(np.abs(inflows))) or 1.0
-    p_var = max(1.0, q_scale, float(np.max(np.abs(x0.reshape(-1, 4)[:, :2]))))
-    problem.set_variable_scales(q_scale, p_var)
-
-    def step(inflow, x_prev, dt, x):
-        if x_prev is not None:
-            x = problem.step_start(x_prev, inflow, dt)
-        return problem.solve_step(inflow, x_prev, dt, x)
-
-    states, diags = _march(step, x0, times, inflows, config.dt)
-    return Solution(times=times, states=states, index=problem.idx, network=network,
-                    engine=engine, config=config, diagnostics=diags,
-                    meta={"q_scale": q_scale, "p_var": p_var})
+    if engine not in ("rri", "ri"):
+        raise SolverError(f"unknown optimization engine {engine!r}")
+    return _solve(network, config, engine, config.mode)
 
 
 def kkt_report(solution: Solution) -> list[dict]:
     """Recompute per-step objective, constraint violation, and stationarity
-    from the stored states (independent of the solve's own diagnostics), at
-    the inflows and steps the solve marched through."""
+    from the stored states (independent of the solve's own diagnostics).  The
+    problem is rebuilt from the solution's network, engine and config alone,
+    so each step is recomputed at the solve's own inflow and scales."""
     if solution.engine not in ("rri", "ri"):
         raise SolverError("kkt_report applies to optimization-engine solutions")
-    problem = _OptProblem(solution.network, solution.engine)
-    problem.set_variable_scales(solution.meta["q_scale"], solution.meta["p_var"])
+    problem = _OptProblem(solution.network, solution.engine, solution.config)
     stored = iter(solution.states)
 
     def step(inflow, x_prev, dt, _):
         x = next(stored)
         return x, problem.diagnostics(x, inflow, x_prev, dt)
 
-    config = solution.config
-    _, diags = _march(step, None, *_time_grid(solution.network, config), config.dt)
+    _, diags = _march(step, None, problem.times, problem.inflows, solution.config.dt)
     return [{"t": float(t), **diag} for t, diag in zip(solution.times, diags)]
 
 
@@ -694,7 +692,6 @@ def export_solution(solution: Solution, outdir) -> None:
         {
             "engine": solution.engine,
             "mode": solution.config.mode,
-            "meta": solution.meta,
             "steps": solution.diagnostics,
         },
         outdir / "diagnostics.json",

@@ -506,6 +506,16 @@ def test_generate_data_overflow_is_one_error_line(tmp_path, capsys, option, mess
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_data_names_the_target_whose_spread_overflows(tmp_path, capsys):
+    """At a period of 5e307 every Qdot sample is below 1e-300.  Its fit
+    column is not zero, so the fit runs, and the fitted inertances then
+    overflow the target statistics: one error line names the target."""
+    outdir = tmp_path / "cohort"
+    assert main(["generate-data", "--n", "4", "--period", "5e307", "--out", str(outdir)]) == 1
+    assert capsys.readouterr().err == "error: entry 'rri_l' has a non-finite mean or std\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
 def test_generate_data_rejects_bad_noise_sigma(tmp_path, capsys, sigma):
     outdir = tmp_path / "cohort"
@@ -684,6 +694,25 @@ def test_train_predict_solve_pipeline(tmp_path, capsys):
                  "--out", str(outdir)]) == 0
     header, values = _read_solution(outdir)
     assert values[0][header.index("P_v_in")] > 0
+
+
+def test_solve_rri_rejects_ri_coefficients(tmp_path, capsys, cli_inputs):
+    """After ``predict --kind RI`` the rri engine exits 1 naming the first
+    outlet, as it would otherwise run the RI model under the rri label; the
+    ri engine still solves the network."""
+    predicted = tmp_path / "tree_ri.json"
+    assert main(["predict", "--network", str(cli_inputs / "tree.json"), "--models",
+                 str(cli_inputs / "models.json"), "--kind", "RI", "--out", str(predicted)]) == 0
+    first = load_network(predicted).junctions[0]
+    capsys.readouterr()
+    assert main(["solve", "--network", str(predicted), "--engine", "rri",
+                 "--out", str(tmp_path / "rri")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: junction {first.id}: outlet {first.outlets[0].vessel_id} has RI coefficients; "
+        "the rri engine needs RRI ones\n"
+    )
+    assert main(["solve", "--network", str(predicted), "--engine", "ri",
+                 "--out", str(tmp_path / "ri")]) == 0
 
 
 @pytest.mark.parametrize(

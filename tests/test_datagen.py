@@ -507,6 +507,23 @@ def test_batched_fit_equals_one_fit_per_matrix():
         assert np.array_equal(fit_junction_law(cols, columns, dp[:, 1]), stacked[:, 1])
 
 
+def test_fit_of_a_column_whose_norm_underflows():
+    """A column of entries near 1e-170 has a norm that underflows to 0, yet
+    it is not zero: it fits as the same column scaled up does.  A column of
+    zeros still raises."""
+    from vascrom.datagen import fit_junction_law
+
+    t = np.linspace(0.0, 1.0, 50)
+    q = np.sin(3 * t) + 1.5
+    qdot = np.cos(2 * t)
+    dp = 2.0 * q + 3.0 * qdot
+    assert np.linalg.norm(1e-170 * qdot) == 0.0
+    coef = fit_junction_law({"Q": q[None], "Qdot": 1e-170 * qdot[None]}, ("Q", "Qdot"), dp[None])
+    assert coef[0] == pytest.approx([2.0, 3e170], rel=1e-12)
+    with pytest.raises(UnderdeterminedFitError, match="column 'Qdot' is identically zero"):
+        fit_junction_law({"Q": q[None], "Qdot": 0.0 * qdot[None]}, ("Q", "Qdot"), dp[None])
+
+
 @pytest.mark.parametrize("bad, message", [
     (np.zeros(50), "column 'Q' is identically zero"),
     (np.full(50, 2.0), "rank-deficient design matrix"),

@@ -320,6 +320,15 @@ def test_znorm_constant_column_rejected():
         fit_znorm(np.array([[1.0, 2.0], [1.0, 3.0]]), names=("width", "height"))
 
 
+@pytest.mark.parametrize("height", [[3e300, -3e300], [1e308, 1e308]], ids=["std", "mean"])
+def test_znorm_rejects_a_spread_that_overflows(height):
+    """A std (or a mean) past the float range names its entry, with no
+    overflow warning."""
+    x = np.array([[1.0, height[0]], [2.0, height[1]]])
+    with pytest.raises(DegenerateFeatureError, match="entry 'height' has a non-finite mean"):
+        fit_znorm(x, names=("width", "height"))
+
+
 def test_znorm_applied_training_set_is_standardized():
     rng = np.random.default_rng(1)
     x = rng.normal(3.0, 2.5, size=(500, 4))
