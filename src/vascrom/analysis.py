@@ -124,47 +124,41 @@ def depth_statistics(
     reference: Optional[Solution] = None,
 ) -> list[dict]:
     """Per-junction flow/Reynolds statistics (normalized by tree-inlet values)
-    at the last time, grouped by depth = number of upstream bifurcations."""
-    fluid = network.fluid
-    x = solution.states[-1]
-    idx = solution.index
-    root = network.inflow_bc.vessel_id
-    q0 = x[idx(root, "q_in")]
-    r0 = network.vessels[root].radius
-    re0 = fluid.rho * (q0 / network.vessels[root].area) * 2 * r0 / fluid.mu
+    at the last time, grouped by depth = number of upstream bifurcations.  A
+    ratio over a zero flow or Reynolds number is NaN."""
+    fluid, topo, nan = network.fluid, network.topology, float("nan")
+
+    def reynolds(q, vessel):
+        return fluid.rho * (q / vessel.area) * 2 * vessel.radius / fluid.mu
+
+    def junction_rows(sol):  # last inlet rows (junctions, 4); outlet dP/Q (junctions, 2)
+        s = sol.states[-1].reshape(-1, 4)
+        q = s[topo.outlets, Q_IN]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (s[topo.inlet, P_OUT, None] - s[topo.outlets, P_IN]) / q
+        return s[topo.inlet], np.where(q != 0, r, nan)
+
+    root = network.inlet_vessel
+    q0 = solution.states[-1][4 * topo.position[root.id] + Q_IN]
+    re0 = reynolds(q0, root)
+    inlet, r = junction_rows(solution)
+    if reference is not None:
+        inlet_ref, r_ref = junction_rows(reference)
+        p_error = (np.abs(inlet[:, P_IN] - inlet_ref[:, P_IN]) / MMHG_TO_BA).tolist()
+        r_error = (r - r_ref).tolist()
     records = []
-    for j, depth in zip(network.junctions, network.topology.depth.tolist()):
-        v_in = network.vessels[j.inlet_vessel]
-        q = x[idx(j.inlet_vessel, "q_in")]
-        re = fluid.rho * (q / v_in.area) * 2 * v_in.radius / fluid.mu
+    for k, (j, depth) in enumerate(zip(network.junctions, topo.depth.tolist())):
+        q, outlets = inlet[k, Q_IN], [o.vessel_id for o in j.outlets]
         rec = {
             "junction": j.id,
             "depth": depth,
-            "normalized_flow": q / q0 if q0 else float("nan"),
-            "normalized_re": re / re0 if re0 else float("nan"),
-            "outlet_resistances": {},
+            "normalized_flow": q / q0 if q0 else nan,
+            "normalized_re": reynolds(q, network.vessels[j.inlet_vessel]) / re0 if re0 else nan,
+            "outlet_resistances": dict(zip(outlets, r[k].tolist())),
         }
-        p_in = x[idx(j.inlet_vessel, "p_out")]
-        for o in j.outlets:
-            dp = p_in - x[idx(o.vessel_id, "p_in")]
-            q_out = x[idx(o.vessel_id, "q_in")]
-            rec["outlet_resistances"][o.vessel_id] = dp / q_out if q_out else float("nan")
         if reference is not None:
-            xr = reference.states[-1]
-            ir = reference.index
-            rec["pressure_error_mmhg"] = (
-                abs(x[idx(j.inlet_vessel, "p_in")] - xr[ir(j.inlet_vessel, "p_in")])
-                / MMHG_TO_BA
-            )
-            p_in_r = xr[ir(j.inlet_vessel, "p_out")]
-            rec["resistance_error"] = {}
-            for o in j.outlets:
-                dp_r = p_in_r - xr[ir(o.vessel_id, "p_in")]
-                q_r = xr[ir(o.vessel_id, "q_in")]
-                r_ref = dp_r / q_r if q_r else float("nan")
-                rec["resistance_error"][o.vessel_id] = (
-                    rec["outlet_resistances"][o.vessel_id] - r_ref
-                )
+            rec["pressure_error_mmhg"] = p_error[k]
+            rec["resistance_error"] = dict(zip(outlets, r_error[k]))
         records.append(rec)
     return records
 

@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .formats import read_csv
+from .mlp import TrainingDataset
 from .network import Fluid, circle_radius
 from .nondim import (
     DEFAULT_RE_C,
@@ -361,8 +362,6 @@ def build_cohort(
     outlet-length fractions), in blood (the default Fluid) at the reference
     Reynolds number DEFAULT_RE_C.  Returns (TrainingDataset, manifest dict).
     """
-    from .mlp import TrainingDataset  # deferred, avoids import cycle
-
     if not 0.0 <= noise_sigma < math.inf:
         raise DatagenError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     fluid, re_c = Fluid(), DEFAULT_RE_C

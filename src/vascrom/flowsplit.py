@@ -46,7 +46,7 @@ def _reduce(network: VascularNetwork) -> tuple[np.ndarray, np.ndarray]:
     unit = np.ldexp(1.0, np.frexp(np.nanmax(np.append(r_vessel, leaf_r)))[1] - 1)
     r_vessel, leaf_r = r_vessel / unit, leaf_r / unit
     r_eff = r_vessel + leaf_r  # a junction inlet's entry is set by its level
-    for js in reversed(topo.levels()):
+    for js in reversed(topo.levels):
         r1, r2 = r_eff[topo.outlets[js]].T
         r_eff[topo.inlet[js]] = r_vessel[topo.inlet[js]] + 1.0 / (1.0 / r1 + 1.0 / r2)
     if np.isnan(r_eff).any():

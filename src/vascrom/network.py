@@ -218,12 +218,9 @@ class Topology:
     inlet: np.ndarray  # per junction: the position of its inlet vessel
     outlets: np.ndarray  # per junction: the positions of its two outlets, (junctions, 2)
     depth: np.ndarray  # per junction: the number of junctions upstream
+    levels: tuple[np.ndarray, ...]  # the junctions at each depth, ascending, root first
     # per vessel: Poiseuille R and L, stenosis R (0 without one), capacitance
     elements: np.ndarray  # (vessels, 4)
-
-    def levels(self) -> list[np.ndarray]:
-        """The junctions at each depth, as indices into ``inlet``, root first."""
-        return [np.flatnonzero(self.depth == d) for d in range(self.depth.max(initial=-1) + 1)]
 
 
 @dataclass
@@ -338,12 +335,11 @@ class VascularNetwork:
                            dtype=int).reshape(-1, 2)
         fed = np.full(len(order), -1)  # the junction each vessel feeds, -1 at a leaf
         fed[inlet] = np.arange(inlet.size)
-        depth = np.full(inlet.size, -1)
-        level, d = fed[[position[root]]], 0
-        while level.size:  # one depth level at a time, from the root down
-            level = level[level >= 0]
-            depth[level] = d
-            level, d = fed[outlets[level].ravel()], d + 1
+        depth, levels, level = np.full(inlet.size, -1), [], fed[[position[root]]]
+        while (level := np.sort(level[level >= 0])).size:  # from the root down
+            depth[level] = len(levels)
+            levels.append(level)
+            level = fed[outlets[level].ravel()]
         missing = sorted(set(order) - {root} - {order[v] for v in outlets[depth >= 0].flat})
         if missing:
             raise ConnectivityError(f"disconnected vessels: {missing}")
@@ -376,9 +372,9 @@ class VascularNetwork:
                 f"quadratic resistance {r_quad:.6g} (of a vessel, leaf or junction outlet)")
         if 0 < q and q * q < np.finfo(float).tiny:
             raise InvalidGeometryError(f"peak inflow {q:.6g}: its square underflows")
-        for a in (inlet, outlets, depth, elements):
+        for a in (inlet, outlets, depth, elements, *levels):
             a.setflags(write=False)
-        self.topology = Topology(order, position, inlet, outlets, depth, elements)
+        self.topology = Topology(order, position, inlet, outlets, depth, tuple(levels), elements)
 
 
 def apply_bifurcation_definition(network: VascularNetwork) -> VascularNetwork:

@@ -6,47 +6,29 @@ Two engines:
     Jacobian factored with SuperLU;
   * rri / ri: vessels act as wires, junctions carry fitted/predicted
     coefficients, solved as an equality-constrained least-squares problem.
-    All constraints (mass conservation, wire continuity, boundary conditions)
-    are linear and are eliminated along the tree: the free unknowns are the
-    first-outlet flow and the inlet pressure of each junction, read straight
-    off the state, and the junction residuals are minimized over them with
-    Levenberg-Marquardt.  The null-space basis is built in one pass over the
-    tree; no matrix factorization is needed.  Each flow unknown is scaled by
-    its junction's share of the inflow.
+    The linear constraints are eliminated along the tree: the free unknowns
+    are each junction's first-outlet flow and inlet pressure, and the
+    junction residuals are minimized over them with Levenberg-Marquardt.
 
-``SolverConfig`` holds only the time grid (``mode``, ``dt``, ``n_steps``).
-The convergence gates are module constants: ``NEWTON_TOL`` on the standard
-engine's scaled residual, ``CONSTRAINT_TOL`` and ``STATIONARITY_TOL`` on each
-rri/ri step.
+Both read the tree's structure only from ``network.topology``: positions,
+element arrays and depth levels.  A state lists each vessel's p_in, p_out,
+q_in and q_out in the topology's order.  ``SolverConfig`` holds only the
+time grid; the convergence gates are module constants.
 
-Each engine's problem is built whole from the network and the config: it
-holds the time grid (``_time_grid``), the start and a ``step``, and one
-driver, ``_solve``, walks the grid with one step loop, ``_march``: a steady
-step 0, then one backward-Euler step per later time.  An rri/ri problem sets
-its variable scales as it is built, so ``kkt_report`` rebuilds the solve's
-problem from the solution alone, scales and inflows included.
-
-Both engines start from ``_tree_start``, the steady state that is exact for
-linear flow on a tree: a steady standard solve of a tree without stenoses
-takes 0 Newton iterations and factors nothing (``nnz_factor`` None), and
-rri/ri take their step-0 start and pressure scale from it.  Each later
-backward-Euler step of the standard engine starts from the state before;
-one of rri/ri starts from a predicted state (``_OptProblem.step_start``):
-the previous flows plus the inflow's change split by the given splits, and
-the pressures that meet the junction law, inertance term included, on every
-first outlet, which about halves the least-squares Jacobians of a step.
+Each engine's problem is built whole from the network and the config and
+owns its start.  ``step(inflow, x_prev, dt)`` starts the steady step 0 from
+``x0`` (``_tree_start``, exact for linear flow on a tree), and each later
+backward-Euler step from the state before (standard) or from
+``_OptProblem.step_start`` (rri/ri: the previous flows moved by the inflow's
+change, and pressures that meet every first outlet's junction law).  One
+driver, ``_march``, walks the time grid; ``kkt_report`` rebuilds the problem
+from a solution and replays its stored states.
 
 The linear constraints of both engines are the rows of one sparse matrix,
-``_LinearConstraints``: the standard residual, the rri/ri diagnostics,
-``kkt_report`` and the mass check each read their rows of ``A @ x - b``.
-One builder, ``_fixed_pattern``, lays out every fixed sparse pattern from
-index arrays: that matrix, the standard engine's CSC Jacobian (the vessel
-blocks over the linear rows) and the rri/ri engines' CSR Jacobian, whose
-flow-split rows are constant.  Each engine builds its Jacobian's structure
-once per solve; Newton and Levenberg-Marquardt iterations refill only the
-values that depend on the state.  The rri/ri Jacobian stays sparse in the
-diagnostics and ``kkt_report``; only MINPACK's Levenberg-Marquardt gets a
-dense copy.
+``_LinearConstraints``.  ``_fixed_pattern`` lays out every fixed sparse
+pattern from index arrays, so iterations refill only the values that depend
+on the state.  ``VarIndex`` names state positions for callers that read a
+``Solution`` by (vessel, quantity).
 """
 
 from __future__ import annotations
@@ -108,8 +90,7 @@ class VarIndex:
     _OFFSET = {q: k for k, q in enumerate(QUANTITIES)}
 
     def __init__(self, network: VascularNetwork):
-        self.vessel_ids = list(network.topology.vessel_ids)
-        self.position = network.topology.position
+        self.vessel_ids, self.position = network.topology.vessel_ids, network.topology.position
         self.n = 4 * len(self.vessel_ids)
 
     def __call__(self, vessel_id: str, quantity: str) -> int:
@@ -120,11 +101,14 @@ class VarIndex:
 class Solution:
     times: np.ndarray
     states: np.ndarray  # (n_times, n_vars)
-    index: VarIndex
     network: VascularNetwork
     engine: str
     config: SolverConfig
     diagnostics: list[dict] = field(default_factory=list)
+
+    @property
+    def index(self) -> VarIndex:
+        return VarIndex(self.network)
 
     def p(self, vessel_id: str, end: str = "in") -> np.ndarray:
         return self.states[:, self.index(vessel_id, f"p_{end}")]
@@ -149,17 +133,15 @@ def _time_grid(network: VascularNetwork, config: SolverConfig):
     return times, np.full(times.size, float(bc.value))
 
 
-def _march(step, x0, times, inflows, dt):
-    """States and diagnostics of a steady step 0 from x0, then one
-    backward-Euler step per later time.  ``step(inflow, x_prev, dt, x_start)``
-    returns one state and its diagnostics; x_prev and dt are None in the
-    steady step, and a later step gets the state before as both x_prev and
-    x_start (a step may predict its own start from x_prev)."""
-    x, diag = step(inflows[0], None, None, x0)
+def _march(step, times, inflows, dt):
+    """States and diagnostics of a steady step 0, then one backward-Euler
+    step per later time.  ``step(inflow, x_prev, dt)`` returns one state and
+    its diagnostics; x_prev and dt are None in the steady step."""
+    x, diag = step(inflows[0], None, None)
     states, diags = [x], [diag]
     for k in range(1, len(times)):
         try:
-            x, diag = step(inflows[k], x, dt, x)
+            x, diag = step(inflows[k], x, dt)
         except ConvergenceError as e:
             raise ConvergenceError(f"step {k} (t={times[k]:.6g}): {e}") from e
         states.append(x)
@@ -245,26 +227,31 @@ def _shares(topology: Topology, phi: np.ndarray) -> np.ndarray:
     the flow splits phi (junctions, 2) from the root down to it, one depth
     level at a time."""
     share = np.ones(len(topology.vessel_ids))
-    for js in topology.levels():
+    for js in topology.levels:
         share[topology.outlets[js]] = share[topology.inlet[js], None] * phi[js]
     return share
 
 
+def _leaves_up(topology: Topology, constraints, q: np.ndarray, rise: np.ndarray) -> np.ndarray:
+    """Vessel outlet pressures at vessel flows q (by position): each leaf at
+    ``R_leaf*q + Pd``, then each junction's inlet at its first outlet's
+    pressure plus its ``rise``, one depth level at a time from the leaves up."""
+    p, c = np.zeros(q.size), constraints
+    p[c.leaf] = c.leaf_r * q[c.leaf] + c.leaf_pd
+    for js in reversed(topology.levels):
+        p[topology.inlet[js]] = p[topology.outlets[js, 0]] + rise[js]
+    return p
+
+
 def _tree_start(network: VascularNetwork, constraints, inflow: float) -> np.ndarray:
     """The steady state that is exact for linear flow on a tree: the inflow
-    split by the series-parallel resistances, each leaf at ``R_leaf*q + Pd``
-    and each vessel adding ``R*q + Rs*q|q|`` from the leaves up.  A junction
-    takes its first outlet's pressure; a stenosis or unequal distal
-    pressures make its outlets differ."""
-    topo, c = network.topology, constraints
+    split by the series-parallel resistances, and each vessel adding
+    ``R*q + Rs*q|q|`` to the pressures of ``_leaves_up``."""
+    topo = network.topology
     q = inflow * _shares(topo, _reduce(network)[1])
     r, _, rs, _ = topo.elements.T
     drop = r * q + rs * q * np.abs(q)
-    p_out = np.zeros(q.size)
-    p_out[c.leaf] = c.leaf_r * q[c.leaf] + c.leaf_pd
-    for js in reversed(topo.levels()):
-        first = topo.outlets[js, 0]
-        p_out[topo.inlet[js]] = p_out[first] + drop[first]
+    p_out = _leaves_up(topo, constraints, q, drop[topo.outlets[:, 0]])
     return np.stack([p_out + drop, p_out, q, q], axis=1).ravel()
 
 
@@ -343,8 +330,9 @@ class _StandardSystem:
         jac.data[slots] = block.ravel()
         return jac
 
-    def step(self, inflow, x_prev, dt, x):
-        return _newton(self, x, x_prev, dt, inflow)
+    def step(self, inflow, x_prev, dt):
+        """One Newton solve, from x0 in step 0 and from x_prev after it."""
+        return _newton(self, self.x0 if x_prev is None else x_prev, x_prev, dt, inflow)
 
 
 def _scaled_norm(res, jac, x):
@@ -386,15 +374,15 @@ def _newton(system, x0, x_prev, dt, inflow):
 
 
 def _solve(network: VascularNetwork, config: SolverConfig, engine: str, mode: str) -> Solution:
-    """March the engine's problem over its time grid from its start; the
-    config must be of the given mode."""
+    """March the engine's problem over its time grid; the config must be of
+    the given mode."""
     if config.mode != mode:
         raise SolverError(f"config.mode must be {mode!r}")
     problem = (_StandardSystem(network, config) if engine == "standard"
                else _OptProblem(network, engine, config))
-    states, diags = _march(problem.step, problem.x0, problem.times, problem.inflows, config.dt)
-    return Solution(times=problem.times, states=states, index=VarIndex(network),
-                    network=network, engine=engine, config=config, diagnostics=diags)
+    states, diags = _march(problem.step, problem.times, problem.inflows, config.dt)
+    return Solution(times=problem.times, states=states, network=network, engine=engine,
+                    config=config, diagnostics=diags)
 
 
 def solve_steady_standard(
@@ -428,34 +416,25 @@ class _OptProblem:
 
     def __init__(self, network: VascularNetwork, engine: str, config: SolverConfig):
         self.network = network
-        outlets = []
+        law = []  # per outlet: r_lin, r_quad, l and the flow split
         for j in network.junctions:
             for o in j.outlets:
-                if o.coefficients is None:
-                    raise SolverError(
-                        f"junction {j.id}: outlet {o.vessel_id} has no coefficients"
-                    )
+                c, where = o.coefficients, f"junction {j.id}: outlet {o.vessel_id}"
+                if c is None:
+                    raise SolverError(f"{where} has no coefficients")
                 if o.flow_split is None:
-                    raise SolverError(
-                        f"junction {j.id}: outlet {o.vessel_id} has no flow split"
-                    )
-                if engine == "rri" and o.coefficients.kind == "RI":
-                    raise SolverError(f"junction {j.id}: outlet {o.vessel_id} has RI "
-                                      "coefficients; the rri engine needs RRI ones")
-                outlets.append(o)
+                    raise SolverError(f"{where} has no flow split")
+                if engine == "rri" and c.kind == "RI":
+                    raise SolverError(f"{where} has RI coefficients; the rri engine needs RRI ones")
+                law.append((c.r_lin, c.quad() if engine == "rri" else 0.0, c.l, o.flow_split))
+        self.r_lin, self.r_quad, self.l, self.phi = np.reshape(law, (-1, 4)).T.copy()
         self.constraints = _LinearConstraints(network)
 
-        # per outlet: junction pressure, outlet pressure, outlet flow, junction
-        # inflow, and the junction-law coefficients
+        # per outlet: junction pressure, outlet pressure, outlet flow, junction inflow
         topo = network.topology
         inlet, outlet = 4 * np.repeat(topo.inlet, 2), 4 * topo.outlets.ravel()
         self.i_pj, self.i_po = inlet + P_OUT, outlet + P_IN
         self.i_q, self.i_qj = outlet + Q_IN, inlet + Q_OUT
-        use_quad = engine == "rri"
-        self.r_lin = np.array([o.coefficients.r_lin for o in outlets])
-        self.r_quad = np.array([o.coefficients.quad() if use_quad else 0.0 for o in outlets])
-        self.l = np.array([o.coefficients.l for o in outlets])
-        self.phi = np.array([o.flow_split for o in outlets])
         self.i_inflow = 4 * topo.position[network.inflow_bc.vessel_id] + Q_IN
         self._tree_basis()
 
@@ -555,26 +534,18 @@ class _OptProblem:
         qdot = 0.0 if dt is None else (q - x_prev[self.i_q]) / dt
         return self.r_lin * q + self.r_quad * q * np.abs(q) + self.l * qdot
 
-    def _law_state(self, q, x_prev, dt):
-        """The state with vessel flows q (by position) whose leaves sit at
-        ``R*q + Pd`` and whose junctions meet the junction law on their first
-        outlet, summed in one pass from the leaves up."""
-        topo, c = self.network.topology, self.constraints
-        drop = self._drop(q[topo.outlets.ravel()], x_prev, dt)[::2]
-        p = np.zeros(q.size)
-        p[c.leaf] = c.leaf_r * q[c.leaf] + c.leaf_pd
-        for js in reversed(topo.levels()):
-            p[topo.inlet[js]] = p[topo.outlets[js, 0]] + drop[js]
-        return np.stack([p, p, q, q], axis=1).ravel()
-
     def step_start(self, x_prev, inflow, dt):
         """The predicted start of a backward-Euler step from the state
         before: the previous flows plus the inflow's change split by the
-        given splits, with the pressures of ``_law_state``.  It meets every
-        first outlet's junction law, so only the second outlets' pressure
-        rows and the previous step's flow-split rows are left."""
+        given splits, and the pressures of ``_leaves_up`` with each junction
+        rising by its first outlet's junction-law drop.  Only the second
+        outlets' pressure rows and the previous step's flow-split rows are
+        left."""
         q = x_prev[Q_IN::4] + (inflow - x_prev[self.i_inflow]) * self.vessel_share
-        return self._law_state(q, x_prev, dt)
+        topo = self.network.topology
+        p = _leaves_up(topo, self.constraints, q,
+                       self._drop(q[topo.outlets.ravel()], x_prev, dt)[::2])
+        return np.stack([p, p, q, q], axis=1).ravel()
 
     def residuals(self, x, x_prev, dt):
         """Junction pressure-law residuals, then flow-split residuals."""
@@ -606,10 +577,10 @@ class _OptProblem:
             "stationarity": float(np.max(np.abs(grad), initial=0.0)),
         }
 
-    def step(self, inflow, x_prev, dt, x_start):
-        """One least-squares step, from ``step_start`` after step 0."""
-        if x_prev is not None:
-            x_start = self.step_start(x_prev, inflow, dt)
+    def step(self, inflow, x_prev, dt):
+        """One least-squares step, from x0 in step 0 and from ``step_start``
+        after it."""
+        x_start = self.x0 if x_prev is None else self.step_start(x_prev, inflow, dt)
         z = x_start[self.free] / self.scale
         lm = {"nfev": 0, "njev": 0, "status": None, "message": "no free unknowns"}
         if z.size:
@@ -626,14 +597,14 @@ class _OptProblem:
         x = self.state(inflow, z)
         diag = {**self.diagnostics(x, inflow, x_prev, dt), **lm}
         violation, z_val = diag["constraint_violation"], diag["objective"]
-        if violation > CONSTRAINT_TOL:
+        if not violation <= CONSTRAINT_TOL:  # NaN fails too
             raise ConvergenceError(
                 f"constraint violation {violation:.3e} exceeds {CONSTRAINT_TOL:.1e}"
             )
         # an objective below tol^2 means normalized residuals below tol, which
         # is convergence regardless of the (scale-sensitive) gradient norm
         stationarity = diag["stationarity"]
-        if stationarity > STATIONARITY_TOL and z_val > STATIONARITY_TOL**2:
+        if not (stationarity <= STATIONARITY_TOL or z_val <= STATIONARITY_TOL**2):
             raise ConvergenceError(
                 f"stationarity {stationarity:.3e} exceeds {STATIONARITY_TOL:.1e} "
                 f"(objective {z_val:.3e}; {diag['nfev']} evaluations: {diag['message']})"
@@ -669,11 +640,11 @@ def kkt_report(solution: Solution) -> list[dict]:
     problem = _OptProblem(solution.network, solution.engine, solution.config)
     stored = iter(solution.states)
 
-    def step(inflow, x_prev, dt, _):
+    def step(inflow, x_prev, dt):
         x = next(stored)
         return x, problem.diagnostics(x, inflow, x_prev, dt)
 
-    _, diags = _march(step, None, problem.times, problem.inflows, solution.config.dt)
+    _, diags = _march(step, problem.times, problem.inflows, solution.config.dt)
     return [{"t": float(t), **diag} for t, diag in zip(solution.times, diags)]
 
 
@@ -683,7 +654,7 @@ def kkt_report(solution: Solution) -> list[dict]:
 def export_solution(solution: Solution, outdir) -> None:
     outdir = Path(outdir)
     header = ["t"]
-    for vid in solution.index.vessel_ids:
+    for vid in solution.network.topology.vessel_ids:
         header += [f"P_{vid}_in", f"P_{vid}_out", f"Q_{vid}_in", f"Q_{vid}_out"]
     # a state already lists each vessel's p_in, p_out, q_in, q_out in order
     write_csv(outdir / "solution.csv", header,

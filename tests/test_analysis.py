@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tests.conftest import make_single_junction, make_single_vessel, rri_coeffs
+from tests.conftest import make_single_junction, make_single_vessel, random_shape_tree, rri_coeffs
 from vascrom.analysis import (
     AnalysisError,
     depth_statistics,
@@ -13,6 +14,7 @@ from vascrom.analysis import (
     resolve_with_fits,
     write_impedance_csv,
 )
+from vascrom.flowsplit import estimate_flow_splits
 from vascrom.network import (
     MMHG_TO_BA,
     BoundaryCondition,
@@ -216,6 +218,79 @@ def test_depth_statistics_against_self_reference():
         assert rec["pressure_error_mmhg"] == 0.0
         for v in rec["resistance_error"].values():
             assert v == 0.0
+
+
+def _depth_statistics_reference(net, x, xr):
+    """depth_statistics of the last states x and xr (the reference), one
+    junction and one scalar at a time, each value read by vessel id."""
+    ids, fluid, nan = sorted(net.vessels), net.fluid, float("nan")
+    parent = {o.vessel_id: j.inlet_vessel for j in net.junctions for o in j.outlets}
+
+    def at(state, vid, quantity):
+        return float(state[4 * ids.index(vid) + ("p_in", "p_out", "q_in").index(quantity)])
+
+    def ratio(a, b):
+        return a / b if b != 0 else nan
+
+    def re(vid):
+        v = net.vessels[vid]
+        return fluid.rho * (at(x, vid, "q_in") / v.area) * 2 * v.radius / fluid.mu
+
+    def resistance(state, j, vid):
+        return ratio(at(state, j.inlet_vessel, "p_out") - at(state, vid, "p_in"),
+                     at(state, vid, "q_in"))
+
+    root, records = net.inflow_bc.vessel_id, []
+    for j in net.junctions:
+        depth, vid = 0, j.inlet_vessel
+        while vid in parent:
+            depth, vid = depth + 1, parent[vid]
+        outlets = [o.vessel_id for o in j.outlets]
+        records.append({
+            "junction": j.id,
+            "depth": depth,
+            "normalized_flow": ratio(at(x, j.inlet_vessel, "q_in"), at(x, root, "q_in")),
+            "normalized_re": ratio(re(j.inlet_vessel), re(root)),
+            "outlet_resistances": {v: resistance(x, j, v) for v in outlets},
+            "pressure_error_mmhg": abs(at(x, j.inlet_vessel, "p_in")
+                                       - at(xr, j.inlet_vessel, "p_in")) / MMHG_TO_BA,
+            "resistance_error": {v: resistance(x, j, v) - resistance(xr, j, v)
+                                 for v in outlets},
+        })
+    return records
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_depth_statistics_of_asymmetric_trees_match_scalar_reference(seed):
+    """Unbalanced trees with shuffled ids, an rri solution against a standard
+    reference, one zero outlet flow in each (its resistance is NaN), and then
+    a zero inflow (every normalized value is NaN)."""
+    net = random_shape_tree(seed)
+    estimate_flow_splits(net)
+    rng = np.random.default_rng(seed)
+    for j in net.junctions:
+        for o in j.outlets:
+            o.coefficients = rri_coeffs(rng.uniform(50.0, 500.0), rng.uniform(0.0, 1.0), 0.0)
+    sol = solve_opt(net, SolverConfig(mode="steady"), engine="rri")
+    ref = solve_steady_standard(net)
+    outlets = [o.vessel_id for j in net.junctions for o in j.outlets]
+    pos = net.topology.position
+    sol.states[-1, 4 * pos[outlets[0]] + 2] = 0.0
+    ref.states[-1, 4 * pos[outlets[-1]] + 2] = 0.0
+    for zero_root in (False, True):
+        if zero_root:
+            sol.states[-1, 4 * pos[net.inflow_bc.vessel_id] + 2] = 0.0
+        got = depth_statistics(net, sol, reference=ref)
+        want = _depth_statistics_reference(net, sol.states[-1], ref.states[-1])
+        assert json.dumps(got) == json.dumps(want)
+        nans = [math.isnan(rec[key]) for rec in got
+                for key in ("normalized_flow", "normalized_re")]
+        assert all(nans) if zero_root else not any(nans)
+        resistances = [r for rec in got for r in rec["outlet_resistances"].values()]
+        errors = [r for rec in got for r in rec["resistance_error"].values()]
+        assert [math.isnan(r) for r in resistances] == [v == outlets[0] for v in outlets]
+        assert [math.isnan(r) for r in errors] == [v in (outlets[0], outlets[-1])
+                                                   for v in outlets]
 
 
 # -- in-tree coefficient fitting -------------------------------------------

@@ -393,9 +393,11 @@ def test_topology_of_random_shape_trees(tree):
         assert ids[topo.inlet[k]] == j.inlet_vessel
         assert [ids[i] for i in topo.outlets[k]] == [o.vessel_id for o in j.outlets]
         assert topo.depth[k] == ancestors(j.inlet_vessel)
-    levels = topo.levels()
-    assert sorted(k for js in levels for k in js) == list(range(len(net.junctions)))
-    assert [set(topo.depth[js]) for js in levels] == [{d} for d in range(len(levels))]
+    # the stored depth levels: every junction at each depth, ascending
+    assert isinstance(topo.levels, tuple)
+    assert len(topo.levels) == topo.depth.max(initial=-1) + 1
+    for d, js in enumerate(topo.levels):
+        assert js.tolist() == np.flatnonzero(topo.depth == d).tolist()
     if tree.isdigit():  # leaves at mixed depths, junctions not in state order
         assert len({ancestors(v) for v in leaf_bcs(net)}) > 1
         assert topo.inlet.tolist() != sorted(topo.inlet.tolist())
@@ -403,9 +405,9 @@ def test_topology_of_random_shape_trees(tree):
     elements = [(*v.elements(net.fluid), v.stenosis_r(net.fluid), v.capacitance)
                 for v in map(net.vessels.get, ids)]
     assert topo.elements.tobytes() == np.array(elements, dtype=float).tobytes()
-    for name in ("inlet", "outlets", "depth", "elements"):
+    for array in (topo.inlet, topo.outlets, topo.depth, topo.elements, *topo.levels):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(topo, name)[...] = 0
+            array[...] = 0
 
 
 @given(depth=st.integers(0, 4), exponent=st.floats(2.0, 4.0))

@@ -28,6 +28,7 @@ from vascrom.network import (
     network_from_dict,
     network_to_dict,
     poiseuille_elements,
+    save_network,
 )
 from vascrom.nondim import CoefficientSet
 from vascrom.solver import (
@@ -817,6 +818,41 @@ def test_stationarity_error_reports_least_squares_counters(monkeypatch):
     monkeypatch.setattr(solver, "STATIONARITY_TOL", 1e-30)
     with pytest.raises(ConvergenceError, match=r"stationarity .* \d+ evaluations: "):
         solve_opt(net, SolverConfig(mode="steady"), engine="rri")
+
+
+def test_nan_step_fails_both_gates(monkeypatch, tmp_path, capsys):
+    """NaN compares false with every bound, so a NaN state passed both step
+    gates and then broke ``export_solution``.  Each gate now fails on NaN:
+    the solve raises ConvergenceError and ``vascrom solve`` exits 2."""
+    import types
+
+    import vascrom.solver as solver
+    from vascrom.cli import main
+
+    def nan_least_squares(fun, z0, **kwargs):
+        return types.SimpleNamespace(x=np.full_like(z0, np.nan), nfev=1, njev=1, status=1,
+                                     message="stub")
+
+    net = make_single_junction(rri_coeffs(1.0, 0.01, 0.5))
+    save_network(net, tmp_path / "net.json")
+    argv = ["solve", "--network", str(tmp_path / "net.json"), "--engine", "rri", "--out"]
+    with monkeypatch.context() as m:
+        m.setattr(solver.scipy.optimize, "least_squares", nan_least_squares)
+        with pytest.raises(ConvergenceError, match="constraint violation nan"):
+            solve_opt(net, SolverConfig(mode="steady"), engine="rri")
+        assert main([*argv, str(tmp_path / "a")]) == 2
+        assert "numerical failure: constraint violation nan" in capsys.readouterr().err
+    # the stationarity gate alone: a finite state whose diagnostics read NaN
+    diagnostics = _OptProblem.diagnostics
+
+    def nan_diagnostics(self, *args):
+        return {**diagnostics(self, *args), "objective": math.nan, "stationarity": math.nan}
+
+    monkeypatch.setattr(_OptProblem, "diagnostics", nan_diagnostics)
+    with pytest.raises(ConvergenceError, match="stationarity nan"):
+        solve_opt(net, SolverConfig(mode="steady"), engine="rri")
+    assert main([*argv, str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_opt_transient_constant_inflow_matches_steady():
